@@ -32,7 +32,6 @@ from .covering import (
     sigma_g,
     sigma_s_finite,
     subsemigroup_census,
-    subsemigroups_are_subgroups,
     two_cover_search,
 )
 from .covers import (

@@ -19,6 +19,7 @@ from . import fixtures
 from .cones import cone_from_obj, cone_to_obj
 from .covering import (
     DEFAULT_EXHAUSTIVE_CAP,
+    DEFAULT_SUBGROUP_CAP,
     scorza_check,
     sigma_g,
     sigma_s_finite,
@@ -65,10 +66,18 @@ def _load_cone(model, path: str):
 
 
 def _exhaustive_cap(args) -> int:
-    env = os.environ.get("SEMICOVER_CAP")
-    if env is not None:
-        return int(env)
-    return getattr(args, "cap", None) or DEFAULT_EXHAUSTIVE_CAP
+    """`SEMICOVER_CAP`, else `--cap`, else the default; 1 to DEFAULT_SUBGROUP_CAP."""
+    raw = os.environ.get("SEMICOVER_CAP", args.cap)
+    if raw is None:
+        return DEFAULT_EXHAUSTIVE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if not 1 <= cap <= DEFAULT_SUBGROUP_CAP:
+        raise ParseError(f"exhaustive cap {raw!r} is not an integer from 1 to "
+                         f"{DEFAULT_SUBGROUP_CAP}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +161,10 @@ def cmd_sigma(args) -> tuple[int, dict]:
         raise ParseError("sigma needs --fixture or --table")
     cap = _exhaustive_cap(args)
     res_g = sigma_g(group)
-    exhaustive = bool(args.exhaustive) and group.order <= cap
-    res_s = sigma_s_finite(group, exhaustive=exhaustive, exhaustive_cap=cap)
-    left, right = scorza_check(group)
+    exhaustive = args.exhaustive and group.order <= cap
+    census = subsemigroup_census(group, cap) if exhaustive else None
+    res_s = sigma_s_finite(group, res_g, census)
+    left, right = scorza_check(group, res_g)
     checks = {
         "sigma_identity": res_g.sigma_g == res_s.sigma_s,
         "sigma_not_2_or_7": res_g.sigma_g not in (2, 7),
@@ -172,9 +182,8 @@ def cmd_sigma(args) -> tuple[int, dict]:
         "covering_number_three": left,
         "has_klein_four_quotient": right,
     }
-    if exhaustive:
-        census = subsemigroup_census(group, cap)
-        search = two_cover_search(group, cap)
+    if census is not None:
+        search = two_cover_search(group, census)
         report["census"] = {
             "closed_subsets": len(census.closed_subsets),
             "all_are_subgroups": census.all_are_subgroups,

@@ -3,16 +3,19 @@
 sigma_g is computed by exact minimum set cover over the maximal proper
 subgroups (any minimal cover refines to maximal ones); sigma_s piggybacks
 on the torsion identity, with an exhaustive subsemigroup census available
-for small orders to cross-check it from scratch.
+to cross-check it from scratch.  Both the census (closed subsets over the
+empty set) and the subgroup lattice (over {identity}) come from one pruned
+enumeration whose cost follows the number of closed subsets, not 2^n.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import GroupTooLarge
+from .errors import CoveringMismatch, GroupTooLarge
 from .groups import FiniteGroup, element_order, is_normal
 
 DEFAULT_SUBGROUP_CAP = 24
@@ -20,34 +23,56 @@ DEFAULT_EXHAUSTIVE_CAP = 8
 
 
 def _mask_members(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _close_under_mul(group: FiniteGroup, seed: int) -> int:
-    """Multiplicative closure of a subset mask.  In a finite group a closed
-    nonempty subset automatically picks up inverses and the identity."""
-    mask = seed
-    frontier = _mask_members(seed)
-    members = list(frontier)
+def _grow(table: list, mask: int, members: list[int], fresh: list[int],
+          floor: int) -> Optional[tuple[int, list[int]]]:
+    """Closure of the closed set `mask` (elements `members`) plus `fresh`,
+    forming only products that involve a new element; None once it reaches
+    an index below `floor` outside `mask`."""
+    for x in fresh:
+        mask |= 1 << x
+    members = members + fresh
+    frontier = fresh
     while frontier:
         new = []
         for a in frontier:
+            row = table[a]
             for b in members:
-                for p in (group.mul(a, b), group.mul(b, a)):
+                for p in (row[b], table[b][a]):
                     bit = 1 << p
                     if not mask & bit:
+                        if p < floor:
+                            return None
                         mask |= bit
                         new.append(p)
-        members.extend(new)
+        members += new
         frontier = new
-    return mask
+    return mask, members
+
+
+def _closed_supersets(group: FiniteGroup, seed: int) -> list[int]:
+    """Every closed subset containing the closed mask `seed`, sorted.
+    Elements join in index order; a child adding j is cut when its closure
+    adds an index below j, so each closed set comes out exactly once.  In a
+    finite group a closed nonempty subset is a subgroup."""
+    table = group.table
+    found = [seed]
+    stack = [(seed, _mask_members(seed), 0)]
+    while stack:
+        mask, members, start = stack.pop()
+        for j in range(start, group.order):
+            if not mask >> j & 1:
+                child = _grow(table, mask, members, [j], j)
+                if child is not None:
+                    found.append(child[0])
+                    stack.append((child[0], child[1], j + 1))
+    return sorted(found)
+
+
+def _is_subgroup(group: FiniteGroup, mask: int) -> bool:
+    return bool(mask & 1) and all(mask >> group.inv(a) & 1 for a in _mask_members(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -55,36 +80,18 @@ def _close_under_mul(group: FiniteGroup, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
-    """Every subgroup as a bitmask, sorted.  BFS over closures of
-    subgroup-plus-one-generator seeds."""
+    """Every subgroup as a bitmask, sorted: the closed subsets containing
+    the identity."""
     if group.order > cap:
         raise GroupTooLarge(f"order {group.order} exceeds subgroup cap {cap}")
-    trivial = 1  # {identity}
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in range(1, group.order):
-                if sub & (1 << g):
-                    continue
-                bigger = _close_under_mul(group, sub | (1 << g))
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found)
+    return _closed_supersets(group, 1)
 
 
 def maximal_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
     """Proper subgroups maximal under inclusion."""
     full = (1 << group.order) - 1
     proper = [s for s in all_subgroups(group, cap) if s != full]
-    out = []
-    for s in proper:
-        if not any(t != s and (s | t) == t for t in proper):
-            out.append(s)
-    return sorted(out)
+    return [s for s in proper if not any(t != s and (s | t) == t for t in proper)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +147,8 @@ def sigma_g(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> CoveringNumb
         return CoveringNumberResult(group.name, None, None, [], "maximal_set_cover")
     full = (1 << group.order) - 1
     cover = _min_cover(full, maximal_subgroups(group, cap))
-    assert cover is not None, "non-cyclic group must be covered by its maximals"
+    if cover is None:
+        raise CoveringMismatch(f"non-cyclic {group.name} is not covered by its maximal subgroups")
     witness = [sorted(_mask_members(m)) for m in cover]
     return CoveringNumberResult(group.name, len(cover), None, witness, "maximal_set_cover")
 
@@ -155,85 +163,53 @@ class CensusResult:
     all_are_subgroups: bool
     first_exception: Optional[int]
 
-    @property
-    def verdict(self) -> str:
-        return "verified" if self.all_are_subgroups else "counterexample"
-
 
 def subsemigroup_census(group: FiniteGroup,
                         cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CensusResult:
-    """All nonempty multiplicatively closed subsets, checking each contains
-    the inverses and identities of its elements (true in torsion groups)."""
+    """All nonempty multiplicatively closed subsets, sorted, checking each
+    contains the inverses and identities of its elements (true in torsion
+    groups)."""
     n = group.order
     if n > cap:
         raise GroupTooLarge(f"order {n} exceeds exhaustive cap {cap}")
-    closed = []
-    exception = None
-    for mask in range(1, 1 << n):
-        members = _mask_members(mask)
-        ok = True
-        for a in members:
-            row = group.table[a]
-            for b in members:
-                if not mask & (1 << row[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        closed.append(mask)
-        if not mask & 1 or any(not mask & (1 << group.inv(a)) for a in members):
-            if exception is None:
-                exception = mask
+    closed = _closed_supersets(group, 0)[1:]  # the empty set sorts first
+    exception = next((m for m in closed if not _is_subgroup(group, m)), None)
     return CensusResult(closed, exception is None, exception)
-
-
-def subsemigroups_are_subgroups(group: FiniteGroup,
-                                cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CensusResult:
-    return subsemigroup_census(group, cap)
 
 
 def sampled_census(group: FiniteGroup, samples: int = 512, seed: int = 0) -> CensusResult:
     """Sampling fallback for orders above the exhaustive cap: closures of
     random seeds are closed subsets; each is checked for subgroup-ness.
     The closed-subset list is the deduplicated sample, not a full census."""
-    import random
-
     rng = random.Random(seed)
-    n = group.order
     closed = set()
     exception = None
     for _ in range(samples):
-        seed_mask = rng.getrandbits(n) or 1
-        mask = _close_under_mul(group, seed_mask)
+        seed_mask = rng.getrandbits(group.order) or 1
+        mask, _ = _grow(group.table, 0, [], _mask_members(seed_mask), 0)
         if mask in closed:
             continue
         closed.add(mask)
-        members = _mask_members(mask)
-        if not mask & 1 or any(not mask & (1 << group.inv(a)) for a in members):
-            if exception is None:
-                exception = mask
+        if exception is None and not _is_subgroup(group, mask):
+            exception = mask
     return CensusResult(sorted(closed), exception is None, exception)
 
 
-def sigma_s_finite(group: FiniteGroup, exhaustive: bool = False,
-                   cap: int = DEFAULT_SUBGROUP_CAP,
-                   exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CoveringNumberResult:
-    """Subsemigroup covering number via the torsion identity.  With
-    exhaustive=True it is recomputed from the census and must agree."""
-    base = sigma_g(group, cap)
+def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
+                   census: Optional[CensusResult] = None) -> CoveringNumberResult:
+    """Subsemigroup covering number via the torsion identity, from the
+    group's sigma_g result `base`.  Given the group's census it is
+    recomputed from the closed subsets and must agree."""
     result = CoveringNumberResult(group.name, base.sigma_g, base.sigma_g,
                                   base.witness_cover, "maximal_set_cover")
-    if exhaustive:
-        census = subsemigroup_census(group, exhaustive_cap)
+    if census is not None:
         full = (1 << group.order) - 1
         proper = [m for m in census.closed_subsets if m != full]
         cover = _min_cover(full, proper)
         recomputed = len(cover) if cover is not None else None
-        assert recomputed == base.sigma_g, (
-            f"census sigma_s {recomputed} != sigma_g {base.sigma_g} on {group.name}"
-        )
+        if recomputed != base.sigma_g:
+            raise CoveringMismatch(
+                f"census sigma_s {recomputed} != sigma_g {base.sigma_g} on {group.name}")
         result.method = "exhaustive_semigroup"
     return result
 
@@ -242,13 +218,13 @@ def sigma_s_finite(group: FiniteGroup, exhaustive: bool = False,
 # Cross-checks
 # ---------------------------------------------------------------------------
 
-def scorza_check(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[bool, bool]:
+def scorza_check(group: FiniteGroup, sigma: CoveringNumberResult) -> tuple[bool, bool]:
     """Both sides of: covering number is three iff the group has a
-    Klein-four quotient.  Computed independently."""
-    res = sigma_g(group, cap)
-    left = res.sigma_g == 3
+    Klein-four quotient.  The right side is computed independently of the
+    group's sigma_g result `sigma`."""
+    left = sigma.sigma_g == 3
     right = False
-    for sub in all_subgroups(group, cap):
+    for sub in all_subgroups(group):
         members = _mask_members(sub)
         if group.order != 4 * len(members):
             continue
@@ -261,10 +237,9 @@ def scorza_check(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[b
     return left, right
 
 
-def two_cover_search(group: FiniteGroup, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> dict:
-    """Exhaustive search for two proper closed subsets covering the group;
-    must come back empty."""
-    census = subsemigroup_census(group, cap)
+def two_cover_search(group: FiniteGroup, census: CensusResult) -> dict:
+    """Exhaustive search, over the group's census, for two proper closed
+    subsets covering the group; must come back empty."""
     full = (1 << group.order) - 1
     proper = [m for m in census.closed_subsets if m != full]
     found = []

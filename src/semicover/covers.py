@@ -496,8 +496,7 @@ def torsion_obstruction(group: FiniteGroup, exhaustive_cap: int = 8) -> TorsionR
     )
     exhaustive = None
     if group.order <= exhaustive_cap:
-        from .covering import two_cover_search
+        from .covering import subsemigroup_census, two_cover_search
 
-        report = two_cover_search(group, cap=exhaustive_cap)
-        exhaustive = report
+        exhaustive = two_cover_search(group, subsemigroup_census(group, exhaustive_cap))
     return TorsionReport(group.name, group.order, traces, conclusion, exhaustive)

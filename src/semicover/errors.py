@@ -70,7 +70,7 @@ class MatrixTooLarge(SemicoverError):
 
 
 class ParseError(SemicoverError):
-    """Malformed presentation, cone spec, or element string."""
+    """Malformed presentation, cone spec, element string, or option value."""
 
 
 class NotNormalized(SemicoverError):
@@ -128,6 +128,11 @@ class DepthExceeded(SemicoverError):
 
 class GroupTooLarge(SemicoverError):
     """Group order exceeds the configured enumeration cap."""
+
+
+class CoveringMismatch(SemicoverError):
+    """Covering-number computations disagree with each other or with the
+    group's cyclicity."""
 
 
 # -- cli ---------------------------------------------------------------------

@@ -405,6 +405,8 @@ class GroupModel:
             raise ValueError("radius must be >= 0")
         cached = self._ball_cache.get(radius)
         if cached is not None:
+            if len(cached) > cap:
+                raise BallTooLarge(f"ball exceeds cap {cap}")
             return cached
         steps = []
         for g in self.generators():

@@ -18,8 +18,9 @@ from .covers import (
     order_witness_from_cover,
     reduce_cover,
 )
-from .covering import scorza_check, sigma_g, sigma_s_finite, subsemigroup_census, two_cover_search
-from .errors import TrivialQuotient, UnknownSuite
+from .covering import (DEFAULT_SUBGROUP_CAP, scorza_check, sigma_g, sigma_s_finite,
+                       subsemigroup_census, two_cover_search)
+from .errors import ParseError, TrivialQuotient, UnknownSuite
 from .fixtures import CORPUS, fixture, witness_hom_fixtures
 from .groups import GroupModel, Homomorphism, format_element
 from .orders import cover_from_witness, pullback_cover, standard_lex_cone
@@ -85,6 +86,8 @@ def suite_lemmas(seed: int = 0, radius: int = 5, count: int = 100,
     """Randomized pullback covers, reduced, with the normalization
     conclusions re-verified on the ball; plus fault-injected variants that
     each verifier must catch."""
+    if count < 0:
+        raise ParseError(f"cover count must be >= 0, got {count}")
     rng = random.Random(seed)
     results = []
     failures = []
@@ -220,26 +223,25 @@ def suite_roundtrip(radius: int = 5) -> dict:
 # Finite corpus
 # ---------------------------------------------------------------------------
 
-def suite_finite(exhaustive_cap: int = 8) -> dict:
-    """Corpus-wide finite checks: census identity and no two-piece covers
-    for small orders, the sigma identity, the excluded covering numbers,
-    and the Klein-four-quotient criterion."""
+def suite_finite() -> dict:
+    """Corpus-wide finite checks: census identity and no two-piece covers,
+    the sigma identity recomputed from the census, the excluded covering
+    numbers, and the Klein-four-quotient criterion."""
     rows = []
     failures = []
     for name in CORPUS:
         group = fixture(name)
-        checks = {}
-        if group.order <= exhaustive_cap:
-            census = subsemigroup_census(group, exhaustive_cap)
-            checks["census_subgroups"] = census.all_are_subgroups
-            checks["no_two_cover"] = not two_cover_search(group, exhaustive_cap)["covers_found"]
+        census = subsemigroup_census(group, DEFAULT_SUBGROUP_CAP)
         res_g = sigma_g(group)
-        res_s = sigma_s_finite(group, exhaustive=group.order <= exhaustive_cap,
-                               exhaustive_cap=exhaustive_cap)
-        checks["sigma_identity"] = res_g.sigma_g == res_s.sigma_s
-        checks["sigma_not_2_or_7"] = res_g.sigma_g not in (2, 7)
-        left, right = scorza_check(group)
-        checks["klein_quotient_criterion"] = left == right
+        res_s = sigma_s_finite(group, res_g, census)
+        left, right = scorza_check(group, res_g)
+        checks = {
+            "census_subgroups": census.all_are_subgroups,
+            "no_two_cover": not two_cover_search(group, census)["covers_found"],
+            "sigma_identity": res_g.sigma_g == res_s.sigma_s,
+            "sigma_not_2_or_7": res_g.sigma_g not in (2, 7),
+            "klein_quotient_criterion": left == right,
+        }
         ok = all(checks.values())
         rows.append({"fixture": name, "order": group.order,
                      "sigma_g": res_g.sigma_g if res_g.sigma_g is not None else "undefined",

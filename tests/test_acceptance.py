@@ -30,6 +30,7 @@ from semicover import (
 )
 from semicover.cones import ball_members
 from semicover.covering import (
+    DEFAULT_SUBGROUP_CAP,
     _mask_members,
     scorza_check,
     sigma_g,
@@ -132,14 +133,12 @@ def test_acceptance_4_torsion_exhaustive():
     checked = 0
     for name in CORPUS:
         group = fixture(name)
-        if group.order > 8:
-            continue
-        census = subsemigroup_census(group)
+        census = subsemigroup_census(group, DEFAULT_SUBGROUP_CAP)
         assert census.all_are_subgroups, name
-        search = two_cover_search(group)
+        search = two_cover_search(group, census)
         assert search["covers_found"] == [], name
         checked += 1
-    assert checked == 14  # all bundled groups of order <= 8
+    assert checked == 24  # all bundled groups, every one of order <= 12
     budget.check()
     report(4, f"census identity and zero two-piece covers on {checked} groups "
               f"in {budget.elapsed:.1f}s")
@@ -178,10 +177,10 @@ def test_acceptance_5_covering_numbers_on_corpus():
     for name in CORPUS:
         group = fixture(name)
         res_g = sigma_g(group)
-        res_s = sigma_s_finite(group, exhaustive=group.order <= 8)
+        res_s = sigma_s_finite(group, res_g, subsemigroup_census(group, DEFAULT_SUBGROUP_CAP))
         assert res_g.sigma_g == res_s.sigma_s, name
         assert res_g.sigma_g not in (2, 7), name
-        left, right = scorza_check(group)
+        left, right = scorza_check(group, res_g)
         assert left == right, name
     budget.check()
     report(5, f"sigma identities, exclusions, and the Klein-four criterion "

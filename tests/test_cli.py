@@ -136,6 +136,30 @@ def test_sigma_cap_env(tmp_path, capsys, monkeypatch):
     assert "census" not in report  # order 6 > capped 4, census skipped
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", "25"])
+def test_exit_two_on_bad_cap(capsys, monkeypatch, cap):
+    code = main(["sigma", "--fixture", "S3", "--exhaustive", "--cap", cap])
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+    monkeypatch.setenv("SEMICOVER_CAP", cap)
+    code = main(["sigma", "--fixture", "S3", "--exhaustive"])
+    assert code == 2
+    assert "exhaustive cap" in capsys.readouterr().err
+
+
+def test_sigma_cap_range_ends(capsys):
+    code, out = run_cli(capsys, "sigma", "--fixture", "C1", "--exhaustive", "--cap", "1")
+    assert code == 0 and json.loads(out)["census"]["closed_subsets"] == 1
+    code, out = run_cli(capsys, "sigma", "--fixture", "A4", "--exhaustive", "--cap", "24")
+    assert code == 0 and json.loads(out)["census"]["closed_subsets"] == 10
+
+
+def test_exit_two_on_negative_count(capsys):
+    code = main(["verify", "--suite", "lemmas", "--count", "-5", "--radius", "4"])
+    assert code == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_verify_suites(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "finite")
     assert code == 0

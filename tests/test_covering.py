@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from semicover.covering import (
+    DEFAULT_SUBGROUP_CAP,
+    CensusResult,
     _mask_members,
     all_subgroups,
     maximal_subgroups,
@@ -13,10 +15,9 @@ from semicover.covering import (
     sigma_g,
     sigma_s_finite,
     subsemigroup_census,
-    subsemigroups_are_subgroups,
     two_cover_search,
 )
-from semicover.errors import GroupTooLarge
+from semicover.errors import CoveringMismatch, GroupTooLarge
 from semicover.fixtures import CORPUS, cyclic, fixture, fixture_names
 
 
@@ -34,6 +35,23 @@ def brute_subgroups(group):
             continue
         out.append(mask)
     return sorted(out)
+
+
+def brute_census(group):
+    """Oracle: the power-set scan, every nonempty subset tested for closure
+    directly, with the first closed subset that is not a subgroup."""
+    n = group.order
+    closed = []
+    exception = None
+    for mask in range(1, 1 << n):
+        members = _mask_members(mask)
+        if any(not mask & (1 << group.mul(a, b)) for a in members for b in members):
+            continue
+        closed.append(mask)
+        if exception is None and (0 not in members
+                                  or any(group.inv(a) not in members for a in members)):
+            exception = mask
+    return closed, exception
 
 
 def brute_min_cover(group, candidates):
@@ -82,8 +100,6 @@ def test_subgroups_s3_against_oracle():
 @pytest.mark.parametrize("name", CORPUS)
 def test_subgroups_match_oracle_small(name):
     g = fixture(name)
-    if g.order > 8:
-        pytest.skip("oracle is exponential")
     assert all_subgroups(g) == brute_subgroups(g)
 
 
@@ -123,8 +139,6 @@ def test_sigma_s3_is_four_by_oracle():
 @pytest.mark.parametrize("name", [n for n in CORPUS])
 def test_sigma_matches_brute_oracle(name):
     g = fixture(name)
-    if g.order > 8:
-        pytest.skip("oracle is exponential")
     res = sigma_g(g)
     proper = [s for s in brute_subgroups(g) if s != (1 << g.order) - 1]
     assert res.sigma_g == brute_min_cover(g, proper)
@@ -161,7 +175,17 @@ def test_census_identity_on_corpus_order_8():
     for name in CORPUS:
         g = fixture(name)
         if g.order <= 8:
-            assert subsemigroups_are_subgroups(g).all_are_subgroups, name
+            assert subsemigroup_census(g).all_are_subgroups, name
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_census_matches_power_set_scan(name):
+    g = fixture(name)
+    res = subsemigroup_census(g, DEFAULT_SUBGROUP_CAP)
+    closed, exception = brute_census(g)
+    assert res.closed_subsets == closed
+    assert res.first_exception == exception
+    assert res.all_are_subgroups and exception is None
 
 
 def test_census_cap_and_sampling():
@@ -170,27 +194,46 @@ def test_census_cap_and_sampling():
         subsemigroup_census(g)
     sampled = sampled_census(g, samples=128, seed=3)
     assert sampled.all_are_subgroups
-    assert all(mask in brute_subgroups(g) or True for mask in sampled.closed_subsets)
+    subgroups = brute_subgroups(g)
+    assert sampled.closed_subsets
+    assert all(mask in subgroups for mask in sampled.closed_subsets)
 
 
 # ---------------------------------------------------------------------------
 # sigma_s
 # ---------------------------------------------------------------------------
 
+def exhaustive_sigma_s(g):
+    return sigma_s_finite(g, sigma_g(g), subsemigroup_census(g))
+
+
 def test_sigma_s_v4_exhaustive_agreement():
-    res = sigma_s_finite(fixture("V4"), exhaustive=True)
+    res = exhaustive_sigma_s(fixture("V4"))
     assert res.sigma_s == res.sigma_g == 3
     assert res.method == "exhaustive_semigroup"
 
 
 def test_sigma_s_s3_exhaustive_agreement():
-    res = sigma_s_finite(fixture("S3"), exhaustive=True)
+    res = exhaustive_sigma_s(fixture("S3"))
     assert res.sigma_s == res.sigma_g == 4
 
 
 def test_sigma_s_cyclic_undefined_both_ways():
-    res = sigma_s_finite(cyclic(6), exhaustive=True)
+    res = exhaustive_sigma_s(cyclic(6))
     assert res.sigma_g is None and res.sigma_s is None
+
+
+def test_sigma_s_rejects_an_inconsistent_census():
+    # a census that lists only {1} and V4 itself has no proper cover at all
+    g = fixture("V4")
+    census = CensusResult([0b0001, 0b1111], True, None)
+    with pytest.raises(CoveringMismatch):
+        sigma_s_finite(g, sigma_g(g), census)
+    # without one of its order-2 subgroups, V4 has no proper cover either
+    census = subsemigroup_census(g)
+    census.closed_subsets = [m for m in census.closed_subsets if m != brute_subgroups(g)[1]]
+    with pytest.raises(CoveringMismatch):
+        sigma_s_finite(g, sigma_g(g), census)
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +241,38 @@ def test_sigma_s_cyclic_undefined_both_ways():
 # ---------------------------------------------------------------------------
 
 def test_scorza_v4():
-    assert scorza_check(fixture("V4")) == (True, True)
+    g = fixture("V4")
+    assert scorza_check(g, sigma_g(g)) == (True, True)
 
 
 def test_scorza_s3():
-    assert scorza_check(fixture("S3")) == (False, False)
+    g = fixture("S3")
+    assert scorza_check(g, sigma_g(g)) == (False, False)
 
 
 def test_scorza_d4():
     # D4 modulo its center is the Klein four group
-    assert scorza_check(fixture("D4")) == (True, True)
+    g = fixture("D4")
+    assert scorza_check(g, sigma_g(g)) == (True, True)
 
 
 def test_scorza_agreement_on_corpus():
     for name in CORPUS:
-        left, right = scorza_check(fixture(name))
+        g = fixture(name)
+        left, right = scorza_check(g, sigma_g(g))
         assert left == right, name
 
 
 def test_two_cover_search_empty_on_small_corpus():
     for name in CORPUS:
         g = fixture(name)
-        if g.order <= 8:
-            rep = two_cover_search(g)
-            assert rep["covers_found"] == [], name
+        rep = two_cover_search(g, subsemigroup_census(g, DEFAULT_SUBGROUP_CAP))
+        assert rep["covers_found"] == [], name
 
 
 def test_two_cover_c6_both_negatives_coexist():
     g = cyclic(6)
-    rep = two_cover_search(g)
+    rep = two_cover_search(g, subsemigroup_census(g))
     assert rep["covers_found"] == []
     assert sigma_g(g).sigma_g is None
 

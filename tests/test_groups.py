@@ -178,6 +178,14 @@ def test_ball_cap_enforced():
         GroupModel.free(2).ball(8, cap=100)
 
 
+def test_ball_cap_enforced_on_cached_ball():
+    model = GroupModel.free(2)
+    assert len(model.ball(4)) == 161
+    with pytest.raises(BallTooLarge):
+        model.ball(4, cap=10)
+    assert len(model.ball(4, cap=161)) == 161
+
+
 # ---------------------------------------------------------------------------
 # element_order
 # ---------------------------------------------------------------------------
