@@ -10,6 +10,7 @@ ball-local verdict with its radius.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,6 +99,8 @@ def cmd_analyze(args) -> tuple[int, dict]:
 
 def _cover_args(args):
     model = _load_model(args.model)
+    if model.kind != "finite" and args.radius < 1:
+        raise ParseError(f"--radius must be >= 1 on {args.model}, got {args.radius}")
     a = _load_cone(model, args.A)
     b = _load_cone(model, args.B)
     return model, a, b
@@ -242,7 +245,10 @@ def render_text(obj, indent: int = 0) -> str:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later
+    call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="semicover",
         description="Two-subsemigroup covers, left-order witnesses, and "
@@ -296,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

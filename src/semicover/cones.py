@@ -9,6 +9,7 @@ ball-local verdicts always carry the radius they were checked at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Optional
 
 from .errors import ModelMismatch, ParseError
@@ -253,8 +254,17 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 # ---------------------------------------------------------------------------
 
 def ball_members(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
-    """Indices of ball elements belonging to the cone, computed bottom-up
-    with set operations."""
+    """Indices of ball elements belonging to the cone (ball[0] is the
+    identity).  A value-pure subtree is evaluated once per joint image
+    class of the ball; the rest is combined bottom-up with set operations."""
+    compiled = compile_values(cone)
+    if compiled is not None:
+        homs, pred = compiled
+        out = [0] if cone.member(ball[0]) else []
+        for w, idxs in cone.model.image_classes(homs, ball).items():
+            if pred(w):
+                out.extend(idxs)
+        return frozenset(out)
     if isinstance(cone, Union):
         out = set()
         for c in cone.parts:
@@ -268,16 +278,11 @@ def ball_members(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
         return frozenset(out)
     if isinstance(cone, Complement):
         return frozenset(range(len(ball))) - ball_members(cone.part, ball, index_of)
-    if isinstance(cone, Identity):
-        return frozenset({0})  # BFS puts the identity first
     if isinstance(cone, ExplicitSet):
         inside = frozenset(index_of[e] for e in cone.elements if e in index_of)
         if cone.mode == "include":
             return inside
         return frozenset(range(len(ball))) - inside
-    if isinstance(cone, Pullback):
-        hom, region = cone.hom, cone.region
-        return frozenset(i for i, x in enumerate(ball) if region_test(region, hom.apply(x)))
     if isinstance(cone, FiniteBits):
         return frozenset(i for i, x in enumerate(ball) if x in cone.indices)
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
@@ -291,35 +296,95 @@ def value_profile(cone: ConeSet) -> Optional[list[Homomorphism]]:
     """The distinct Z^r homomorphisms membership factors through, or None
     if membership is not value-determined (explicit element lists)."""
     homs: list[Homomorphism] = []
-
-    def walk(node) -> bool:
-        if isinstance(node, Pullback):
-            if node.hom not in homs:
-                homs.append(node.hom)
-            return True
-        if isinstance(node, Identity):
-            return True
-        if isinstance(node, (Union, Intersection)):
-            return all(walk(c) for c in node.parts)
-        if isinstance(node, Complement):
-            return walk(node.part)
-        return False
-
-    return homs if walk(cone) else None
+    return homs if _collect_homs(cone, homs) else None
 
 
-def _eval_by_values(cone: ConeSet, values: dict, is_identity: bool) -> bool:
-    if isinstance(cone, Pullback):
-        return region_test(cone.region, values[cone.hom])
-    if isinstance(cone, Identity):
-        return is_identity
-    if isinstance(cone, Union):
-        return any(_eval_by_values(c, values, is_identity) for c in cone.parts)
-    if isinstance(cone, Intersection):
-        return all(_eval_by_values(c, values, is_identity) for c in cone.parts)
-    if isinstance(cone, Complement):
-        return not _eval_by_values(cone.part, values, is_identity)
+def _collect_homs(node: ConeSet, homs: list) -> bool:
+    if isinstance(node, Pullback):
+        if node.hom not in homs:
+            homs.append(node.hom)
+        return True
+    if isinstance(node, Identity):
+        return True
+    if isinstance(node, (Union, Intersection)):
+        return all(_collect_homs(c, homs) for c in node.parts)
+    if isinstance(node, Complement):
+        return _collect_homs(node.part, homs)
+    return False
+
+
+def compile_values(cone: ConeSet, homs: Optional[list] = None):
+    """A value-pure cone compiled to a predicate on joint image vectors.
+
+    Returns (homs, pred), or None when the cone is not value-pure.  `homs`
+    defaults to the cone's value_profile; a caller may pass a longer list
+    to share one layout between cones.  pred(joint_image(homs, x)) is the
+    membership of every x other than the identity: the Identity leaf reads
+    False, so the identity itself is decided by `member`.  Each pullback
+    leaf reads a fixed slice of the vector, resolved here once.
+    """
+    profile = value_profile(cone)
+    if profile is None:
+        return None
+    if homs is None:
+        homs = profile
+    slices = {}
+    pos = 0
+    for h in homs:
+        slices[h] = (pos, pos + h.rank())
+        pos += h.rank()
+    return homs, _compile(cone, slices)
+
+
+def _compile(node: ConeSet, slices: dict):
+    if isinstance(node, Pullback):
+        lo, hi = slices[node.hom]
+        return _region_predicate(node.region, lo, hi)
+    if isinstance(node, Identity):
+        return _never
+    if isinstance(node, Union):
+        return _any_of(tuple(_compile(c, slices) for c in node.parts))
+    if isinstance(node, Intersection):
+        return _all_of(tuple(_compile(c, slices) for c in node.parts))
+    if isinstance(node, Complement):
+        return _negation(_compile(node.part, slices))
     raise ModelMismatch("node is not value-pure")
+
+
+def _region_predicate(region: str, lo: int, hi: int):
+    if region == "lex_pos":
+        return lambda w: _lex_sign(w[lo:hi]) > 0
+    if region == "lex_nonneg":
+        return lambda w: _lex_sign(w[lo:hi]) >= 0
+    if region == "lex_zero":
+        return lambda w: not any(w[lo:hi])
+    raise ParseError(f"unknown lex region {region!r}")
+
+
+def _never(w) -> bool:
+    return False
+
+
+def _any_of(preds: tuple):
+    def pred(w):
+        for p in preds:
+            if p(w):
+                return True
+        return False
+    return pred
+
+
+def _all_of(preds: tuple):
+    def pred(w):
+        for p in preds:
+            if not p(w):
+                return False
+        return True
+    return pred
+
+
+def _negation(inner):
+    return lambda w: not inner(w)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +446,11 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     ball = model.ball(radius, cap)
     index_of = model.ball_index(radius, cap)
     members = sorted(ball_members(cone, ball, index_of))
-    identity = model.identity()
     id_in = bool(members) and members[0] == 0
 
-    homs = None if force_naive else value_profile(cone)
-    if homs is not None and _closure_clean_by_values(model, cone, homs, ball, index_of,
-                                                     members, id_in):
+    compiled = None if force_naive else compile_values(cone)
+    if compiled is not None and _closure_clean_by_values(model, compiled, ball, index_of,
+                                                         members, id_in):
         return Verdict("verified", radius_checked=radius)
 
     # naive pair scan (first failing pair in BFS order decides the witness)
@@ -407,17 +471,13 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     return Verdict("verified", radius_checked=radius)
 
 
-def _closure_clean_by_values(model, cone, homs, ball, index_of, members, id_in) -> bool:
+def _closure_clean_by_values(model, compiled, ball, index_of, members, id_in) -> bool:
     """Class-level closure certificate for value-pure cones: membership of a
-    non-identity element depends only on its image vector, so it suffices to
-    check sums of member value classes.  True means definitely closed on the
-    ball; False defers to the element-level scan."""
-    values = {}
-    for i in members:
-        if i == 0:
-            continue
-        key = tuple(h.apply(ball[i]) for h in homs)
-        values.setdefault(key, i)
+    non-identity element depends only on its joint image, so it suffices to
+    check each distinct sum of two member image classes once.  True means
+    definitely closed on the ball; False defers to the element-level scan."""
+    homs, pred = compiled
+    classes = [w for w in model.image_classes(homs, ball) if pred(w)]
     if not id_in:
         # a member pair multiplying to 1 inside the ball would be a violation
         memset = set(members)
@@ -427,13 +487,16 @@ def _closure_clean_by_values(model, cone, homs, ball, index_of, members, id_in) 
             j = index_of.get(model.inv(ball[i]))
             if j is not None and j in memset:
                 return False
-    for u in values:
-        for v in values:
-            w = tuple(tuple(a + b for a, b in zip(uu, vv)) for uu, vv in zip(u, v))
-            if not _eval_by_values(cone, dict(zip(homs, w)), is_identity=False):
-                # either a genuine violation or the product-equals-identity
-                # corner; the scan decides and picks the earliest witness
-                return False
+    checked = set()
+    for k, u in enumerate(classes):
+        sums = {tuple(map(add, u, v)) for v in classes[k:]}
+        sums -= checked
+        # a sum outside the cone is either a genuine violation or the
+        # product-equals-identity corner; the scan decides and picks the
+        # earliest witness
+        if not all(map(pred, sums)):
+            return False
+        checked |= sums
     return True
 
 
@@ -579,7 +642,8 @@ def cone_from_obj(model: GroupModel, obj: dict) -> ConeSet:
         if not isinstance(images, list):
             raise ParseError("pullback needs an 'images' list")
         rank = len(images[0]) if images and isinstance(images[0], list) else 0
-        if rank < 1:
+        if rank < 1 or not all(isinstance(img, list) and all(type(v) is int for v in img)
+                               for img in images):
             raise ParseError("pullback images must be nonempty integer vectors")
         hom = Homomorphism(model, GroupModel.zr(rank), images=[tuple(v) for v in images])
         return pullback(hom, region)
@@ -597,6 +661,8 @@ def cone_from_obj(model: GroupModel, obj: dict) -> ConeSet:
         elems = obj.get("elements")
         if not isinstance(elems, list):
             raise ParseError("explicit needs an 'elements' list")
+        if not all(isinstance(e, str) for e in elems):
+            raise ParseError("explicit elements must be strings")
         parsed = [parse_element(model, e) for e in elems]
         if model.kind == "finite" and obj.get("mode", "include") == "include":
             return finite_bits(model, parsed)

@@ -24,6 +24,7 @@ from .cones import (
     is_cover_pair,
     symmetric_part,
     union,
+    value_profile,
 )
 from .errors import (
     ClosureViolation,
@@ -62,15 +63,6 @@ class _Memo:
             v = self.cone.member(x)
             self.cache[x] = v
         return v
-
-
-def conjugation_stable_by_ast(cone: ConeSet) -> bool:
-    """True when membership provably cannot change under conjugation: every
-    leaf factors through a homomorphism into an abelian group (where
-    conjugates share images) or is the identity singleton."""
-    from .cones import value_profile
-
-    return value_profile(cone) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +379,7 @@ class DescentState:
 def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: int):
     """First (g, h) in BFS order with a conjugate of h by g escaping N.
     Cones whose AST proves conjugation stability are exact: no scan."""
-    if conjugation_stable_by_ast(n_cone):
+    if value_profile(n_cone) is not None:
         return None
     ball, index_of, _ = _ball_and_index(model, radius, cap)
     nmem = [ball[i] for i in sorted(ball_members(n_cone, ball, index_of))]

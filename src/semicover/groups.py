@@ -212,6 +212,7 @@ class GroupModel:
         self.free_rank = free_rank
         self._ball_cache: dict[int, list] = {}
         self._index_cache: dict[int, dict] = {}
+        self._class_cache: dict[tuple, tuple] = {}
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
         if kind == "free" and free_rank < 1:
@@ -442,6 +443,20 @@ class GroupModel:
             self._index_cache[radius] = idx
         return idx
 
+    def image_classes(self, homs, ball: list) -> dict:
+        """Indices 1.. of `ball` grouped by their joint image under `homs`
+        (see `joint_image`).  Memoized per ball length and hom list while
+        `ball` is the list last seen for them; callers must not mutate it."""
+        key = (len(ball),) + tuple(h._key() for h in homs)
+        hit = self._class_cache.get(key)
+        if hit is not None and hit[0] is ball:
+            return hit[1]
+        classes: dict = {}
+        for i in range(1, len(ball)):
+            classes.setdefault(joint_image(homs, ball[i]), []).append(i)
+        self._class_cache[key] = (ball, classes)
+        return classes
+
     # -- selector strings
 
     def selector(self) -> str:
@@ -477,6 +492,8 @@ def parse_model(selector: str, loader=None) -> GroupModel:
             k = int(sel.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad free rank in {selector!r}") from exc
+        if k < 1:
+            raise ParseError(f"free rank must be >= 1 in {selector!r}")
         return GroupModel.free(k)
     if sel.startswith("finite:"):
         if loader is None:
@@ -486,6 +503,8 @@ def parse_model(selector: str, loader=None) -> GroupModel:
     if m:
         rank = int(m.group(1))
         orders = tuple(int(t) for t in re.findall(r"xC(\d+)", m.group(2)))
+        if 0 in orders:
+            raise ParseError(f"cyclic factor orders must be >= 1 in {selector!r}")
         return GroupModel.zr(rank, orders)
     raise ParseError(f"unknown model selector {selector!r}")
 
@@ -678,6 +697,14 @@ def hom_apply(hom: Homomorphism, x):
     """Image of x under the homomorphism (exponent-vector evaluation for
     abelian targets, table lookup for finite sources)."""
     return hom.apply(x)
+
+
+def joint_image(homs, x) -> tuple:
+    """The images of x under `homs`, concatenated into one flat vector."""
+    out = ()
+    for h in homs:
+        out += h.apply(x)
+    return out
 
 
 def zr_identity_hom(rank: int) -> Homomorphism:

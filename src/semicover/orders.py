@@ -18,18 +18,20 @@ from .cones import (
     Verdict,
     ball_members,
     check_model,
+    compile_values,
     complement,
     cone_to_obj,
-    contains,
     ext_equal,
     finite_bits,
     identity_cone,
     intersection,
     invert_cone,
     is_cover_pair,
+    is_subsemigroup,
     pullback,
     symmetric_part,
     union,
+    value_profile,
     Pullback,
     Union as UnionNode,
     Intersection as IntersectionNode,
@@ -38,7 +40,7 @@ from .cones import (
     FiniteBits,
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
-from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism
+from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image
 
 
 # ---------------------------------------------------------------------------
@@ -63,22 +65,23 @@ def pullback_cone(target_cone: ConeSet, hom: Homomorphism) -> ConeSet:
         good = {i for i, c in enumerate(hom.table_map) if c in hits}
         return finite_bits(src, good)
 
-    def walk(node: ConeSet) -> ConeSet:
-        if isinstance(node, Pullback):
-            return pullback(hom.compose_into(node.hom), node.region)
-        if isinstance(node, UnionNode):
-            return union(*[walk(c) for c in node.parts])
-        if isinstance(node, IntersectionNode):
-            return intersection(*[walk(c) for c in node.parts])
-        if isinstance(node, ComplementNode):
-            return complement(walk(node.part))
-        if isinstance(node, IdentityNode):
-            return pullback(hom, "lex_zero")
-        raise ModelMismatch(
-            f"cannot pull back a {type(node).__name__} node through a homomorphism"
-        )
+    return _pull_back(target_cone, hom)
 
-    return walk(target_cone)
+
+def _pull_back(node: ConeSet, hom: Homomorphism) -> ConeSet:
+    if isinstance(node, Pullback):
+        return pullback(hom.compose_into(node.hom), node.region)
+    if isinstance(node, UnionNode):
+        return union(*[_pull_back(c, hom) for c in node.parts])
+    if isinstance(node, IntersectionNode):
+        return intersection(*[_pull_back(c, hom) for c in node.parts])
+    if isinstance(node, ComplementNode):
+        return complement(_pull_back(node.part, hom))
+    if isinstance(node, IdentityNode):
+        return pullback(hom, "lex_zero")
+    raise ModelMismatch(
+        f"cannot pull back a {type(node).__name__} node through a homomorphism"
+    )
 
 
 def standard_lex_cone(rank: int) -> ConeSet:
@@ -99,8 +102,14 @@ class LeftOrderComparator:
     model: GroupModel
     cone: ConeSet
 
+    def __post_init__(self):
+        check_model(self.model, self.cone)
+
     def le(self, x, y) -> bool:
-        return contains(self.model, self.cone, self.model.mul(self.model.inv(x), y))
+        model = self.model
+        v = model.mul(model.inv(x), y)
+        model.validate(v)
+        return self.cone.member(v)
 
     def lt(self, x, y) -> bool:
         return self.le(x, y) and not self.le(y, x)
@@ -166,8 +175,6 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     """Verdicts for the witness invariants: kernel closure, inverse
     closure, conjugation stability; cone coverage and antisymmetry into
     the kernel."""
-    from .cones import is_subsemigroup
-
     model = witness.model
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
@@ -189,8 +196,6 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
         Verdict("verified", radius_checked=rad) if bad is None
         else Verdict("counterexample", witness=(ball[bad],), radius_checked=rad)
     )
-
-    from .cones import value_profile
 
     if value_profile(kern) is not None:
         # abelian-image leaves cannot distinguish conjugates: exact verdict
@@ -250,8 +255,6 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
     Returns None when verified, else a failing product (element or image
     vector, whichever granularity the scan ran at).
     """
-    from .cones import _eval_by_values, value_profile
-
     model = witness.model
     cone, kern = witness.cone, witness.kernel
     homs_c = value_profile(cone)
@@ -267,11 +270,13 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
         for h in homs_k:
             if h not in homs:
                 homs.append(h)
+        _, in_cone = compile_values(cone, homs)
+        _, in_kernel = compile_values(kern, homs)
         # the joint images of ball(2r) are exactly the <= 2r-fold signed
         # sums of the generator images: a small vector-space BFS
         steps = []
         for g in model.generators():
-            vec = tuple(v for h in homs for v in h.apply(g))
+            vec = joint_image(homs, g)
             steps.append(vec)
             steps.append(tuple(-v for v in vec))
         zero = tuple(0 for h in homs for _ in range(h.rank()))
@@ -287,14 +292,6 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
                         nxt.append(t)
             frontier = nxt
 
-        def split(w):
-            out = {}
-            pos = 0
-            for h in homs:
-                out[h] = w[pos:pos + h.rank()]
-                pos += h.rank()
-            return out
-
         # the identity itself
         if not condition(cone.member(model.identity()),
                          cone.member(model.identity()),
@@ -302,15 +299,12 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
             return (model.identity(),)
         for w in seen:
             neg = tuple(-v for v in w)
-            le_xy = _eval_by_values(cone, split(w), is_identity=False)
-            le_yx = _eval_by_values(cone, split(neg), is_identity=False)
-            in_k = _eval_by_values(kern, split(w), is_identity=False)
-            if not condition(le_xy, le_yx, in_k):
+            if not condition(in_cone(w), in_cone(neg), in_kernel(w)):
                 if w == zero:
                     # only real if a nontrivial product has image zero
                     hit = next((v for v in model.ball(2 * radius, cap)
                                 if v != model.identity()
-                                and all(h.apply(v) == (0,) * h.rank() for h in homs)),
+                                and not any(joint_image(homs, v))),
                                None)
                     if hit is None:
                         continue
@@ -405,8 +399,6 @@ def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
         bad = sorted(k for k, v in flags.flags.items() if not v.ok)
         raise NotNormalized(f"cover fails {', '.join(bad)}")
     n = symmetric_part(model, cover.b)
-    from .cones import value_profile
-
     if value_profile(n) is not None:
         return n  # conjugation stable by AST shape
     if model.kind == "finite":

@@ -88,6 +88,9 @@ def suite_lemmas(seed: int = 0, radius: int = 5, count: int = 100,
     each verifier must catch."""
     if count < 0:
         raise ParseError(f"cover count must be >= 0, got {count}")
+    if radius < 1:
+        # ball(0) is the identity alone, so every random cover is trivial
+        raise ParseError(f"lemma suite radius must be >= 1, got {radius}")
     rng = random.Random(seed)
     results = []
     failures = []

@@ -160,6 +160,13 @@ def test_exit_two_on_negative_count(capsys):
     assert "count" in capsys.readouterr().err
 
 
+def test_exit_two_on_lemma_radius_zero(capsys):
+    # ball(0) holds only the identity, so no random cover is nontrivial
+    code = main(["verify", "--suite", "lemmas", "--count", "1", "--radius", "0"])
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+
+
 def test_verify_suites(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "finite")
     assert code == 0
@@ -224,6 +231,27 @@ def test_exit_two_on_bad_cone_json(tmp_path, capsys):
     b.write_text(json.dumps(B_CONE))
     code = main(["check-cover", "--model", "z^1xC2", "--A", str(a), "--B", str(b)])
     assert code == 2
+
+
+@pytest.mark.parametrize("model, a_cone, extra", [
+    ("z^1xC2", {"op": "pullback", "images": [["x"], [0]], "region": "lex_nonneg"}, []),
+    ("z^1xC2", {"op": "pullback", "images": [[True], [0]], "region": "lex_nonneg"}, []),
+    ("z^1xC2", {"op": "explicit", "elements": [5]}, []),
+    ("z^1xC0", A_CONE, []),
+    ("free:0", A_CONE, []),
+    ("z^1xC2", A_CONE, ["--radius", "0"]),
+], ids=["string-image", "bool-image", "number-element", "order-zero-factor",
+        "free-rank-zero", "radius-zero"])
+def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extra):
+    a = tmp_path / "a.cone"
+    a.write_text(json.dumps(a_cone))
+    b = tmp_path / "b.cone"
+    b.write_text(json.dumps(B_CONE))
+    code = main(["check-cover", "--model", model, "--A", str(a), "--B", str(b), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_output_file(tmp_path, cover_files, capsys):

@@ -1,8 +1,10 @@
 """Cone set tests: membership, inversion, closure checks, cover bundles."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicover import (
     GroupModel,
@@ -22,10 +24,17 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover.cones import ball_members
+from semicover.cones import LEX_REGIONS, ball_members
 from semicover.errors import ModelMismatch
 from semicover.fixtures import dihedral, z_cross_c2_halves
 from semicover.groups import zr_identity_hom
+from semicover.orders import (
+    LeftOrderWitness,
+    cone_from_quotient_order,
+    pullback_cover,
+    standard_lex_cone,
+    totality_mod_kernel,
+)
 
 
 def z_model():
@@ -187,6 +196,96 @@ def test_fast_path_agrees_with_naive_scan():
             assert fast.status == slow.status, (model.kind, cone)
             if fast.status == "counterexample":
                 assert fast.witness == slow.witness
+
+
+@st.composite
+def _value_homs(draw, model):
+    """A homomorphism into Z^1 or Z^2 with entries in [-2, 2]; images the
+    relators force to 0 (torsion factors, klein_bottle's a) are 0, and
+    zero and non-injective maps are drawn as well."""
+    rank = draw(st.integers(1, 2))
+    images = []
+    for i in range(len(model.generators())):
+        forced = (model.kind == "zr_cross_finite" and i >= model.rank) or \
+            (model.kind == "klein_bottle" and i == 0)
+        vec = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+        images.append((0,) * rank if forced else vec)
+    return Homomorphism(model, GroupModel.zr(rank), images=images)
+
+
+@st.composite
+def _cone_trees(draw, model, explicit_leaves):
+    """Nested union/intersection/complement trees over pullbacks through
+    one or two homomorphisms and the identity; with `explicit_leaves`, also
+    explicit element lists, so value-pure subtrees sit inside mixed ones."""
+    homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
+    leaves = [st.builds(pullback, st.sampled_from(homs), st.sampled_from(LEX_REGIONS)),
+              st.just(identity_cone(model))]
+    if explicit_leaves:
+        ball = model.ball(2)
+        leaves.append(st.builds(lambda xs: explicit(model, xs),
+                                st.lists(st.sampled_from(ball), max_size=4)))
+    return draw(st.recursive(st.one_of(*leaves), lambda k: st.one_of(
+        st.builds(union, k, k), st.builds(intersection, k, k), st.builds(complement, k)),
+        max_leaves=6))
+
+
+PROPERTY_RADIUS = {"free": 2, "heisenberg": 2}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_value_classes_agree_with_element_scan(data):
+    # ball_members, the class-level closure and the class-level totality
+    # scan must agree with element-by-element membership
+    model = data.draw(st.sampled_from(INFINITE_MODELS))
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    ball, idx = model.ball(radius), model.ball_index(radius)
+    cone = data.draw(_cone_trees(model, explicit_leaves=data.draw(st.booleans())))
+    assert ball_members(cone, ball, idx) == {i for i, x in enumerate(ball) if cone.member(x)}
+
+    fast = is_subsemigroup(model, cone, radius)
+    slow = is_subsemigroup(model, cone, radius, force_naive=True)
+    assert (fast.status, fast.witness) == (slow.status, slow.witness)
+
+    kernel = data.draw(st.one_of(st.just(None), _cone_trees(model, explicit_leaves=False)))
+    if kernel is None:
+        # a lex witness: phi^-1(lex >= 0) over phi^-1(0)
+        hom = data.draw(_value_homs(model))
+        cone, kernel = pullback(hom, "lex_nonneg"), pullback(hom, "lex_zero")
+    witness = LeftOrderWitness(model, kernel, cone)
+    scan = next((v for v in model.ball(2 * radius)
+                 if not _exactly_one(cone, kernel, v, model.inv(v))), None)
+    assert (totality_mod_kernel(witness, radius) is None) == (scan is None)
+
+
+def _exactly_one(cone, kernel, v, v_inv) -> bool:
+    """Exactly one of 1 < v, v < 1 and v in the kernel."""
+    pos, neg = cone.member(v), cone.member(v_inv)
+    return (pos and not neg) + (neg and not pos) + kernel.member(v) == 1
+
+
+def _evaluate_pullback_cover():
+    model = GroupModel.free(2)
+    hom = Homomorphism(model, GroupModel.zr(2), images=[(1, 0), (0, 1)])
+    pair = pullback_cover(model, hom, radius=3)
+    ball, idx = model.ball(3), model.ball_index(3)
+    assert is_subsemigroup(model, pair.a, 3).ok and is_subsemigroup(model, pair.b, 3).ok
+    assert ball_members(pair.a, ball, idx) | ball_members(pair.b, ball, idx) == set(range(len(ball)))
+    witness = cone_from_quotient_order(model, hom, standard_lex_cone(2), radius=3)
+    assert totality_mod_kernel(witness, 3) is None
+
+
+def test_evaluation_path_leaves_no_reference_cycles():
+    # everything a pullback-cover check builds (balls, memos, compiled
+    # predicates) must be freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        _evaluate_pullback_cover()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_subsemigroup_exact():
