@@ -40,7 +40,6 @@ from .covers import (
     check_inverse_duality,
     classify_intersection,
     conjugate_split,
-    maximal_subgroup,
     minimal_pair_descent,
     order_witness_from_cover,
     reduce_cover,
@@ -54,7 +53,6 @@ from .groups import (
     Homomorphism,
     element_order,
     format_element,
-    hom_apply,
     is_normal,
     load_finite_group,
     parse_element,

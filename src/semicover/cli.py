@@ -86,6 +86,8 @@ def _exhaustive_cap(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> tuple[int, dict]:
+    if args.radius < 0:
+        raise ParseError(f"--radius must be >= 0, got {args.radius}")
     text = Path(args.presentation).read_text()
     data = analyze_presentation(text, radius=args.radius)
     report = {"command": "analyze", "input": args.presentation}

@@ -336,6 +336,20 @@ def compile_values(cone: ConeSet, homs: Optional[list] = None):
     return homs, _compile(cone, slices)
 
 
+def compile_shared(*cones: ConeSet):
+    """Value-pure cones compiled on one shared joint-image layout.
+
+    Returns (homs, preds) with one predicate per cone (see
+    `compile_values`); `homs` lists the cones' homomorphisms in order of
+    first appearance.  None when any cone is not value-pure.
+    """
+    homs: list[Homomorphism] = []
+    for cone in cones:
+        if not _collect_homs(cone, homs):
+            return None
+    return homs, [compile_values(cone, homs)[1] for cone in cones]
+
+
 def _compile(node: ConeSet, slices: dict):
     if isinstance(node, Pullback):
         lo, hi = slices[node.hom]

@@ -205,7 +205,10 @@ def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
     if census is not None:
         full = (1 << group.order) - 1
         proper = [m for m in census.closed_subsets if m != full]
-        cover = _min_cover(full, proper)
+        # every proper closed set lies in a maximal one, so the maximal
+        # ones alone reach the same minimum
+        maximal = [m for m in proper if not any(m != t and m & t == m for t in proper)]
+        cover = _min_cover(full, maximal)
         recomputed = len(cover) if cover is not None else None
         if recomputed != base.sigma_g:
             raise CoveringMismatch(

@@ -9,6 +9,7 @@ never silently promotes a ball verdict to a global claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional
 
 from .cones import (
@@ -16,6 +17,7 @@ from .cones import (
     CoverPair,
     Verdict,
     ball_members,
+    compile_shared,
     complement,
     explicit,
     finite_bits,
@@ -28,6 +30,7 @@ from .cones import (
 )
 from .errors import (
     ClosureViolation,
+    CoveringMismatch,
     DepthExceeded,
     IdentityOnlyH,
     LemmaViolation,
@@ -115,20 +118,55 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
 # Lemma-conclusion verifiers
 # ---------------------------------------------------------------------------
 
-def maximal_subgroup(model: GroupModel, b: ConeSet) -> ConeSet:
-    """Symmetric part of a semigroup-closed cone: its maximal subgroup."""
-    return symmetric_part(model, b)
+_A_INVERSE = "inverse of an A element is not in B - H"
+_BH_INVERSE = "inverse of a B - H element is not in A - {1}"
+
+
+def _class_predicates(model: GroupModel, a: ConeSet, b: ConeSet, h: ConeSet, ball: list):
+    """(classes, in_a, in_b, in_h): the ball's image classes and the three
+    predicates on one shared layout, when both sides are value-pure on an
+    infinite model; else None.  A predicate decides every element other
+    than the identity, which the classes leave out."""
+    if model.kind == "finite":
+        return None
+    shared = compile_shared(a, b, h)
+    if shared is None:
+        return None
+    homs, preds = shared
+    return (model.image_classes(homs, ball), *preds)
+
+
+def _saturation_clean_by_classes(classes, in_a, in_b, in_h) -> bool:
+    """Class-level saturation certificate: hx and xh both have image u + v
+    for h in H class u and x in class v, so each distinct sum of an H class
+    with a class of A - {1}, or of B - H, is tested once.  True means
+    saturated on the ball; False (a failure, or a zero sum that may be the
+    identity) defers to the element scan, which picks the witness."""
+    h_classes = [w for w in classes if in_h(w)]
+    a_classes = [w for w in classes if in_a(w)]
+    bh_classes = [w for w in classes if in_b(w) and not in_h(w)]
+    for targets, stays in ((a_classes, in_a),
+                           (bh_classes, lambda s: in_b(s) and not in_h(s))):
+        sums = {tuple(map(add, u, v)) for u in h_classes for v in targets}
+        if not all(any(s) and stays(s) for s in sums):
+            return False
+    return True
 
 
 def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
                            cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
-    B - H is stable under multiplication by H on both sides."""
+    B - H is stable under multiplication by H on both sides.  Value-pure
+    covers of infinite models are first decided per image class."""
     ball, index_of, rad = _ball_and_index(model, radius, cap)
+    h_cone = symmetric_part(model, cover.b)
+    compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
+    if compiled is not None and _saturation_clean_by_classes(*compiled):
+        return Verdict("verified", radius_checked=rad)
+
     one = model.identity()
-    a_mem, b_mem = _Memo(cover.a), _Memo(cover.b)
-    h_mem = _Memo(symmetric_part(model, cover.b))
-    hmem = [ball[i] for i in sorted(ball_members(h_mem.cone, ball, index_of))]
+    a_mem, b_mem, h_mem = _Memo(cover.a), _Memo(cover.b), _Memo(h_cone)
+    hmem = [ball[i] for i in sorted(ball_members(h_cone, ball, index_of))]
     amem = [ball[i] for i in sorted(ball_members(cover.a, ball, index_of)) if ball[i] != one]
     bmem = [ball[i] for i in sorted(ball_members(cover.b, ball, index_of))]
     bh = [x for x in bmem if not h_mem(x)]
@@ -159,11 +197,31 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
 
 def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
                           cap: int = DEFAULT_BALL_CAP) -> Verdict:
-    """(A - {1})^-1 = B - H, both inclusions checked on the ball."""
+    """(A - {1})^-1 = B - H, both inclusions checked on the ball.  On
+    value-pure covers of infinite models this is exact class arithmetic:
+    for x != 1 in class w, x^-1 != 1 lies in class -w."""
     ball, index_of, rad = _ball_and_index(model, radius, cap)
     one = model.identity()
-    a_mem, b_mem = _Memo(cover.a), _Memo(cover.b)
-    h_mem = _Memo(symmetric_part(model, cover.b))
+    h_cone = symmetric_part(model, cover.b)
+    compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
+    if compiled is not None:
+        classes, in_a, in_b, in_h = compiled
+        bad_a, bad_bh = [], []
+        for w, idxs in classes.items():
+            v = tuple(-c for c in w)
+            if in_a(w) and not (in_b(v) and not in_h(v)):
+                bad_a.append(idxs[0])
+            if in_b(w) and not in_h(w) and not in_a(v):
+                bad_bh.append(idxs[0])
+        if bad_a:
+            return Verdict("counterexample", witness=(ball[min(bad_a)],),
+                           radius_checked=rad, note=_A_INVERSE)
+        if bad_bh:
+            return Verdict("counterexample", witness=(ball[min(bad_bh)],),
+                           radius_checked=rad, note=_BH_INVERSE)
+        return Verdict("verified", radius_checked=rad)
+
+    a_mem, b_mem, h_mem = _Memo(cover.a), _Memo(cover.b), _Memo(h_cone)
     for i in sorted(ball_members(cover.a, ball, index_of)):
         x = ball[i]
         if x == one:
@@ -171,7 +229,7 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
         xi = model.inv(x)
         if not (b_mem(xi) and not h_mem(xi)):
             return Verdict("counterexample", witness=(x,), radius_checked=rad,
-                           note="inverse of an A element is not in B - H")
+                           note=_A_INVERSE)
     for i in sorted(ball_members(cover.b, ball, index_of)):
         x = ball[i]
         if h_mem(x):
@@ -179,7 +237,7 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
         xi = model.inv(x)
         if not (a_mem(xi) and xi != one):
             return Verdict("counterexample", witness=(x,), radius_checked=rad,
-                           note="inverse of a B - H element is not in A - {1}")
+                           note=_BH_INVERSE)
     return Verdict("verified", radius_checked=rad)
 
 
@@ -252,8 +310,9 @@ class ConjugateSplit:
 def conjugate_split(model: GroupModel, cover: CoverPair, g,
                     radius: Optional[int] = None,
                     cap: int = DEFAULT_BALL_CAP) -> ConjugateSplit:
-    """Split H = maximal_subgroup(B) by where conjugation by g sends each
-    element: H_A collects the part landing in A, H_B the part landing in B.
+    """Split H = symmetric_part(B), the maximal subgroup of B, by where
+    conjugation by g sends each element: H_A collects the part landing in
+    A, H_B the part landing in B.
     Ball-local: the split sets are explicit element lists."""
     radius = cover.radius if radius is None else radius
     ball, index_of, _ = _ball_and_index(model, radius, cap)
@@ -479,7 +538,8 @@ def torsion_obstruction(group: FiniteGroup, exhaustive_cap: int = 8) -> TorsionR
     traces = []
     for g in range(1, group.order):
         n, wit = element_order(group, g)
-        assert wit == group.inv(g)
+        if wit != group.inv(g):
+            raise CoveringMismatch(f"g^(n-1) != g^-1 for g = {g} in {group.name}")
         traces.append((g, n, wit))
     conclusion = (
         "every generator equals a positive power of its inverse, so both lie "

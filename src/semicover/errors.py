@@ -132,7 +132,7 @@ class GroupTooLarge(SemicoverError):
 
 class CoveringMismatch(SemicoverError):
     """Covering-number computations disagree with each other or with the
-    group's cyclicity."""
+    group's cyclicity, or a torsion trace with the group's inverses."""
 
 
 # -- cli ---------------------------------------------------------------------

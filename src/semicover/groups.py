@@ -659,6 +659,8 @@ class Homomorphism:
         return self.target.rank
 
     def apply(self, x):
+        """Image of x: exponent-vector evaluation for Z^r targets, table
+        lookup for finite sources."""
         if self.table_map is not None:
             self.source.validate(x)
             return self.table_map[x]
@@ -691,12 +693,6 @@ class Homomorphism:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-
-def hom_apply(hom: Homomorphism, x):
-    """Image of x under the homomorphism (exponent-vector evaluation for
-    abelian targets, table lookup for finite sources)."""
-    return hom.apply(x)
 
 
 def joint_image(homs, x) -> tuple:

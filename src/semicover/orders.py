@@ -18,7 +18,7 @@ from .cones import (
     Verdict,
     ball_members,
     check_model,
-    compile_values,
+    compile_shared,
     complement,
     cone_to_obj,
     ext_equal,
@@ -257,21 +257,15 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
     """
     model = witness.model
     cone, kern = witness.cone, witness.kernel
-    homs_c = value_profile(cone)
-    homs_k = value_profile(kern)
+    shared = compile_shared(cone, kern) if model.kind != "finite" else None
 
     def condition(le_xy, le_yx, in_kernel):
         lt_xy = le_xy and not le_yx
         lt_yx = le_yx and not le_xy
         return (lt_xy + lt_yx + in_kernel) == 1
 
-    if model.kind != "finite" and homs_c is not None and homs_k is not None:
-        homs = list(homs_c)
-        for h in homs_k:
-            if h not in homs:
-                homs.append(h)
-        _, in_cone = compile_values(cone, homs)
-        _, in_kernel = compile_values(kern, homs)
+    if shared is not None:
+        homs, (in_cone, in_kernel) = shared
         # the joint images of ball(2r) are exactly the <= 2r-fold signed
         # sums of the generator images: a small vector-space BFS
         steps = []

@@ -167,6 +167,15 @@ def test_exit_two_on_lemma_radius_zero(capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_exit_two_on_negative_analyze_radius(tmp_path, capsys):
+    fp = tmp_path / "klein.fp"
+    fp.write_text(KLEIN_FP)
+    code = main(["analyze", "--presentation", str(fp), "--radius", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "radius" in err and "Traceback" not in err
+
+
 def test_verify_suites(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "finite")
     assert code == 0

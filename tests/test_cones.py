@@ -24,8 +24,9 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover.cones import LEX_REGIONS, ball_members
-from semicover.errors import ModelMismatch
+from semicover.cones import LEX_REGIONS, CoverPair, ball_members
+from semicover.covers import check_coset_saturation, check_inverse_duality, reduce_cover
+from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
 from semicover.groups import zr_identity_hom
 from semicover.orders import (
@@ -214,11 +215,13 @@ def _value_homs(draw, model):
 
 
 @st.composite
-def _cone_trees(draw, model, explicit_leaves):
+def _cone_trees(draw, model, explicit_leaves, homs=None):
     """Nested union/intersection/complement trees over pullbacks through
-    one or two homomorphisms and the identity; with `explicit_leaves`, also
-    explicit element lists, so value-pure subtrees sit inside mixed ones."""
-    homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
+    one or two homomorphisms (drawn unless given) and the identity; with
+    `explicit_leaves`, also explicit element lists, so value-pure subtrees
+    sit inside mixed ones."""
+    if homs is None:
+        homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
     leaves = [st.builds(pullback, st.sampled_from(homs), st.sampled_from(LEX_REGIONS)),
               st.just(identity_cone(model))]
     if explicit_leaves:
@@ -257,6 +260,61 @@ def test_value_classes_agree_with_element_scan(data):
     scan = next((v for v in model.ball(2 * radius)
                  if not _exactly_one(cone, kernel, v, model.inv(v))), None)
     assert (totality_mod_kernel(witness, radius) is None) == (scan is None)
+
+
+def _element_path(model, pair):
+    """The same pair with each side padded by an empty explicit list:
+    membership is unchanged, but neither side is value-pure any more, so
+    the lemma checks run their element scan."""
+    empty = explicit(model, [])
+    return CoverPair(model, union(pair.a, empty), union(pair.b, empty), pair.radius)
+
+
+def _lemma_checks_agree(model, pair):
+    slow = _element_path(model, pair)
+    for check in (check_coset_saturation, check_inverse_duality):
+        fast = check(model, pair, pair.radius)
+        assert fast == check(model, slow, pair.radius), (check.__name__, model.kind)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lemma_checks_by_class_agree_with_element_scan(data):
+    # saturation and duality decided per image class must give the status,
+    # witness and note of the element scan: on reduced pullback covers, on
+    # their swap, on the unreduced pair whose shared kernel lies in both A
+    # and H, and on arbitrary value-pure pairs over one or two maps
+    model = data.draw(st.sampled_from(INFINITE_MODELS))
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    homs = [data.draw(_value_homs(model)) for _ in range(data.draw(st.integers(1, 2)))]
+    try:
+        cover = pullback_cover(model, homs[0], radius=radius)
+    except TrivialQuotient:
+        cover = None
+    if cover is not None:
+        red = reduce_cover(model, cover.a, cover.b, radius)
+        _lemma_checks_agree(model, red)
+        _lemma_checks_agree(model, CoverPair(model, red.b, red.a, radius))
+        nonpos = complement(pullback(homs[0], "lex_pos"))
+        _lemma_checks_agree(model, CoverPair(model, nonpos, cover.b, radius))
+    a = data.draw(_cone_trees(model, explicit_leaves=False, homs=homs))
+    b = data.draw(_cone_trees(model, explicit_leaves=False, homs=homs))
+    _lemma_checks_agree(model, CoverPair(model, a, b, radius))
+    # with A = {1} the A - {1} half is vacuous and B - H alone decides
+    _lemma_checks_agree(model, CoverPair(model, identity_cone(model), b, radius))
+
+
+def test_saturation_zero_sum_falls_back_to_the_scan():
+    # on Z x C2 with A = phi^-1(<= 0) and B = phi^-1(>= 0), H = ker phi
+    # = {1, c} lies in A, and c * c = 1 leaves A - {1}: the class sum is
+    # zero, which the class certificate must not read as "in A"
+    m = GroupModel.zr(1, (2,))
+    phi = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
+    pair = CoverPair(m, complement(pullback(phi, "lex_pos")), pullback(phi, "lex_nonneg"), 4)
+    v = check_coset_saturation(m, pair, 4)
+    assert (v.status, v.witness, v.note) == \
+        ("counterexample", ((0, 1), (0, 1)), "left product leaves A - {1}")
+    assert v == check_coset_saturation(m, _element_path(m, pair), 4)
 
 
 def _exactly_one(cone, kernel, v, v_inv) -> bool:

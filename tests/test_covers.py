@@ -19,9 +19,9 @@ from semicover import (
     ext_equal,
     identity_cone,
     is_cover_pair,
+    is_subsemigroup,
     intersection,
     complement,
-    maximal_subgroup,
     minimal_pair_descent,
     order_witness_from_cover,
     pullback,
@@ -153,12 +153,19 @@ def test_reduce_idempotent_on_random_pullback_covers():
 
 
 # ---------------------------------------------------------------------------
-# maximal_subgroup, saturation, duality
+# maximal subgroup, saturation, duality
 # ---------------------------------------------------------------------------
 
-def test_maximal_subgroup_delegates_to_symmetric_part():
+def test_symmetric_part_is_the_maximal_subgroup():
+    # H = symmetric_part(B) holds exactly the elements of B whose inverse
+    # is in B, and on a closed B it is a subgroup
     m, _, b = overlap_model_and_cones()
-    assert ext_equal(m, maximal_subgroup(m, b), symmetric_part(m, b), 6) is None
+    h = symmetric_part(m, b)
+    ball = m.ball(6)
+    assert [x for x in ball if h.member(x)] == \
+        [x for x in ball if b.member(x) and b.member(m.inv(x))]
+    assert is_subsemigroup(m, b, 6).ok and is_subsemigroup(m, h, 6).ok
+    assert all(h.member(m.inv(x)) for x in ball if h.member(x))
 
 
 def _normalized_overlap_cover():

@@ -10,7 +10,6 @@ from semicover import (
     Homomorphism,
     element_order,
     format_element,
-    hom_apply,
     is_normal,
     load_finite_group,
     parse_element,
@@ -221,15 +220,15 @@ def test_element_order_s3_three_cycle():
 def test_hom_projection_z_cross_c2():
     m = GroupModel.zr(1, (2,))
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
-    assert hom_apply(phi, (5, 1)) == (5,)
-    assert hom_apply(phi, m.identity()) == (0,)
+    assert phi.apply((5, 1)) == (5,)
+    assert phi.apply(m.identity()) == (0,)
 
 
 def test_hom_kills_commutator():
     fr = GroupModel.free(2)
     phi = Homomorphism(fr, GroupModel.zr(1), images=[(1,), (0,)])
     abAB = (1, 2, -1, -2)
-    assert hom_apply(phi, abAB) == (0,)
+    assert phi.apply(abAB) == (0,)
 
 
 def test_hom_rejects_bad_torsion_image():
@@ -243,7 +242,7 @@ def test_hom_klein_bottle_requires_a_to_die():
     with pytest.raises(InvalidElement):
         Homomorphism(kb, GroupModel.zr(1), images=[(1,), (0,)])
     phi = Homomorphism(kb, GroupModel.zr(1), images=[(0,), (1,)])
-    assert hom_apply(phi, (3, -7)) == (3,)
+    assert phi.apply((3, -7)) == (3,)
 
 
 @pytest.mark.parametrize("model", [m for m in ALL_MODELS if m.kind != "finite"])
