@@ -321,19 +321,26 @@ def compile_values(cone: ConeSet, homs: Optional[list] = None):
     to share one layout between cones.  pred(joint_image(homs, x)) is the
     membership of every x other than the identity: the Identity leaf reads
     False, so the identity itself is decided by `member`.  Each pullback
-    leaf reads a fixed slice of the vector, resolved here once.
+    leaf reads a fixed slice of the vector, resolved here once, and reads
+    only that slice's lex sign: pred is a function of the per-slice sign
+    pattern, which `sums_hold` relies on.  A node added to the compiler
+    (a conjugate or orbit node, say) must keep this or stay uncompiled.
     """
     profile = value_profile(cone)
     if profile is None:
         return None
     if homs is None:
         homs = profile
-    slices = {}
-    pos = 0
+    return homs, _compile(cone, dict(zip(homs, _slice_layout(homs))))
+
+
+def _slice_layout(homs) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of each homomorphism's slice of the joint image."""
+    out, pos = [], 0
     for h in homs:
-        slices[h] = (pos, pos + h.rank())
+        out.append((pos, pos + h.rank()))
         pos += h.rank()
-    return homs, _compile(cone, slices)
+    return out
 
 
 def compile_shared(*cones: ConeSet):
@@ -399,6 +406,40 @@ def _all_of(preds: tuple):
 
 def _negation(inner):
     return lambda w: not inner(w)
+
+
+def sums_hold(pred, homs, us, vs) -> bool:
+    """Whether pred(u + v) holds for every u in us and v in vs.
+
+    `pred` must read only the lex sign of each slice of the layout of
+    `homs`, as every compiled predicate does.  Z^r under lex is a totally
+    ordered group, so a slice of u + v has the sign of a nonzero summand
+    unless u and v have opposite nonzero signs there.  Vectors are grouped
+    by sign pattern: a bucket pair with no opposite slice is decided by one
+    sum, and only the other bucket pairs are summed class by class.
+    """
+    layout = _slice_layout(homs)
+    u_buckets = _sign_buckets(us, layout)
+    v_buckets = u_buckets if vs is us else _sign_buckets(vs, layout)
+    for i, (su, xs) in enumerate(u_buckets.items()):
+        for j, (sv, ys) in enumerate(v_buckets.items()):
+            if vs is us and j < i:
+                continue  # u + v = v + u: the pair (j, i) was seen
+            if any(a * b < 0 for a, b in zip(su, sv)):
+                pairs = ((x, y) for x in xs for y in ys)
+            else:
+                pairs = ((xs[0], ys[0]),)
+            if not all(pred(tuple(map(add, x, y))) for x, y in pairs):
+                return False
+    return True
+
+
+def _sign_buckets(vecs, layout) -> dict:
+    buckets: dict = {}
+    for w in vecs:
+        key = tuple(_lex_sign(w[lo:hi]) for lo, hi in layout)
+        buckets.setdefault(key, []).append(w)
+    return buckets
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +528,10 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
 
 def _closure_clean_by_values(model, compiled, ball, index_of, members, id_in) -> bool:
     """Class-level closure certificate for value-pure cones: membership of a
-    non-identity element depends only on its joint image, so it suffices to
-    check each distinct sum of two member image classes once.  True means
-    definitely closed on the ball; False defers to the element-level scan."""
+    non-identity element depends only on its joint image, so `sums_hold`
+    over the member image classes decides it.  True means definitely
+    closed on the ball; False defers to the element-level scan."""
     homs, pred = compiled
-    classes = [w for w in model.image_classes(homs, ball) if pred(w)]
     if not id_in:
         # a member pair multiplying to 1 inside the ball would be a violation
         memset = set(members)
@@ -501,17 +541,11 @@ def _closure_clean_by_values(model, compiled, ball, index_of, members, id_in) ->
             j = index_of.get(model.inv(ball[i]))
             if j is not None and j in memset:
                 return False
-    checked = set()
-    for k, u in enumerate(classes):
-        sums = {tuple(map(add, u, v)) for v in classes[k:]}
-        sums -= checked
-        # a sum outside the cone is either a genuine violation or the
-        # product-equals-identity corner; the scan decides and picks the
-        # earliest witness
-        if not all(map(pred, sums)):
-            return False
-        checked |= sums
-    return True
+    # a sum outside the cone is either a genuine violation or the
+    # product-equals-identity corner; the scan decides and picks the
+    # earliest witness
+    classes = [w for w in model.image_classes(homs, ball) if pred(w)]
+    return sums_hold(pred, homs, classes, classes)
 
 
 @dataclass
@@ -603,12 +637,7 @@ def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int,
     element in BFS order."""
     check_model(model, c1)
     check_model(model, c2)
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-    else:
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     m1 = ball_members(c1, ball, index_of)
     m2 = ball_members(c2, ball, index_of)
     diff = m1 ^ m2

@@ -9,7 +9,6 @@ never silently promotes a ball verdict to a global claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Optional
 
 from .cones import (
@@ -24,6 +23,7 @@ from .cones import (
     identity_cone,
     intersection,
     is_cover_pair,
+    sums_hold,
     symmetric_part,
     union,
     value_profile,
@@ -42,13 +42,6 @@ from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
 A_SIDE = "A_side"
-
-
-def _ball_and_index(model: GroupModel, radius: int, cap: int):
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        return ball, {x: x for x in ball}, 0
-    return model.ball(radius, cap), model.ball_index(radius, cap), radius
 
 
 class _Memo:
@@ -85,7 +78,7 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
     """Split I = A n B by where inverses land.  For a genuine cover one of
     the two parts is empty; both nonempty is reported as a LemmaViolation
     with the concrete non-closure evidence it implies."""
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     imem = sorted(ball_members(intersection(a, b), ball, index_of))
     i_a, i_b = [], []
     for i in imem:
@@ -123,34 +116,31 @@ _BH_INVERSE = "inverse of a B - H element is not in A - {1}"
 
 
 def _class_predicates(model: GroupModel, a: ConeSet, b: ConeSet, h: ConeSet, ball: list):
-    """(classes, in_a, in_b, in_h): the ball's image classes and the three
-    predicates on one shared layout, when both sides are value-pure on an
-    infinite model; else None.  A predicate decides every element other
-    than the identity, which the classes leave out."""
+    """(homs, classes, in_a, in_b, in_h): the shared layout's homomorphisms,
+    the ball's image classes and the three predicates on that layout, when
+    both sides are value-pure on an infinite model; else None.  A predicate
+    decides every element other than the identity, which the classes leave
+    out."""
     if model.kind == "finite":
         return None
     shared = compile_shared(a, b, h)
     if shared is None:
         return None
     homs, preds = shared
-    return (model.image_classes(homs, ball), *preds)
+    return (homs, model.image_classes(homs, ball), *preds)
 
 
-def _saturation_clean_by_classes(classes, in_a, in_b, in_h) -> bool:
+def _saturation_clean_by_classes(homs, classes, in_a, in_b, in_h) -> bool:
     """Class-level saturation certificate: hx and xh both have image u + v
-    for h in H class u and x in class v, so each distinct sum of an H class
-    with a class of A - {1}, or of B - H, is tested once.  True means
-    saturated on the ball; False (a failure, or a zero sum that may be the
-    identity) defers to the element scan, which picks the witness."""
+    for h in H class u and x in class v, so `sums_hold` over the H classes
+    and the classes of A - {1}, then of B - H, decides it.  A zero sum may
+    be the identity, so it counts as a failure.  True means saturated on
+    the ball; False defers to the element scan, which picks the witness."""
     h_classes = [w for w in classes if in_h(w)]
     a_classes = [w for w in classes if in_a(w)]
     bh_classes = [w for w in classes if in_b(w) and not in_h(w)]
-    for targets, stays in ((a_classes, in_a),
-                           (bh_classes, lambda s: in_b(s) and not in_h(s))):
-        sums = {tuple(map(add, u, v)) for u in h_classes for v in targets}
-        if not all(any(s) and stays(s) for s in sums):
-            return False
-    return True
+    return sums_hold(lambda s: any(s) and in_a(s), homs, h_classes, a_classes) and \
+        sums_hold(lambda s: any(s) and in_b(s) and not in_h(s), homs, h_classes, bh_classes)
 
 
 def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
@@ -158,7 +148,7 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
     B - H is stable under multiplication by H on both sides.  Value-pure
     covers of infinite models are first decided per image class."""
-    ball, index_of, rad = _ball_and_index(model, radius, cap)
+    ball, index_of, rad = model.scan_domain(radius, cap)
     h_cone = symmetric_part(model, cover.b)
     compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
     if compiled is not None and _saturation_clean_by_classes(*compiled):
@@ -200,12 +190,12 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
     """(A - {1})^-1 = B - H, both inclusions checked on the ball.  On
     value-pure covers of infinite models this is exact class arithmetic:
     for x != 1 in class w, x^-1 != 1 lies in class -w."""
-    ball, index_of, rad = _ball_and_index(model, radius, cap)
+    ball, index_of, rad = model.scan_domain(radius, cap)
     one = model.identity()
     h_cone = symmetric_part(model, cover.b)
     compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
     if compiled is not None:
-        classes, in_a, in_b, in_h = compiled
+        _, classes, in_a, in_b, in_h = compiled
         bad_a, bad_bh = [], []
         for w, idxs in classes.items():
             v = tuple(-c for c in w)
@@ -268,7 +258,7 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     if split.side == A_SIDE:
         a, b = b, a
 
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     i_cone = intersection(a, b)
     i_ball = ball_members(i_cone, ball, index_of)
     h_ball = ball_members(symmetric_part(model, b), ball, index_of)
@@ -315,7 +305,7 @@ def conjugate_split(model: GroupModel, cover: CoverPair, g,
     A, H_B the part landing in B.
     Ball-local: the split sets are explicit element lists."""
     radius = cover.radius if radius is None else radius
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     one = model.identity()
     h_cone = symmetric_part(model, cover.b)
     hmem = [ball[i] for i in sorted(ball_members(h_cone, ball, index_of))]
@@ -366,7 +356,7 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
 
     from .cones import is_subsemigroup
 
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     for name, cone in (("B'", b_new), ("A'", a_new)):
         v = is_subsemigroup(model, cone, radius, cap)
         if not v.ok:
@@ -440,7 +430,7 @@ def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: i
     Cones whose AST proves conjugation stability are exact: no scan."""
     if value_profile(n_cone) is not None:
         return None
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     nmem = [ball[i] for i in sorted(ball_members(n_cone, ball, index_of))]
     member = _Memo(n_cone)
     for g in ball:
@@ -461,7 +451,7 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
     conjugator is always the first one in BFS order, so runs are
     reproducible."""
     radius = cover.radius if radius is None else radius
-    ball, index_of, _ = _ball_and_index(model, radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     current = cover
     history: list = []
     step = 0
@@ -486,9 +476,10 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
 
 def order_witness_from_cover(model: GroupModel, a: ConeSet, b: ConeSet,
                              radius: int, max_depth: int = 8,
-                             cap: int = DEFAULT_BALL_CAP) -> LeftOrderWitness:
+                             cap: int = DEFAULT_BALL_CAP) -> tuple[LeftOrderWitness, dict]:
     """Normalize, descend, and package the resulting pair as a left-order
-    witness with kernel N and cone V (the final B side)."""
+    witness with kernel N and cone V (the final B side).  Returns the
+    witness and its `validate_witness` verdicts, all of which hold."""
     normalized = reduce_cover(model, a, b, radius, cap)
     state = minimal_pair_descent(model, normalized, max_depth, radius, cap)
     if not state.succeeded:
@@ -498,7 +489,7 @@ def order_witness_from_cover(model: GroupModel, a: ConeSet, b: ConeSet,
     if not witness_ok(verdicts):
         bad = sorted(k for k, v in verdicts.items() if not v.ok)
         raise NotACover(f"descended witness fails {', '.join(bad)}", flags=verdicts)
-    return witness
+    return witness, verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,14 @@ class GroupModel:
             self._index_cache[radius] = idx
         return idx
 
+    def scan_domain(self, radius: int, cap: int = DEFAULT_BALL_CAP):
+        """(elements, index map, radius checked) for a ball-local scan: the
+        whole of a finite group, checked exactly (radius 0), or the ball."""
+        if self.kind == "finite":
+            ball = list(self.group.elements())
+            return ball, {x: x for x in ball}, 0
+        return self.ball(radius, cap), self.ball_index(radius, cap), radius
+
     def image_classes(self, homs, ball: list) -> dict:
         """Indices 1.. of `ball` grouped by their joint image under `homs`
         (see `joint_image`).  Memoized per ball length and hom list while

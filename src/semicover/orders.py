@@ -10,6 +10,7 @@ witnesses out of old ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
 from .cones import (
@@ -19,6 +20,7 @@ from .cones import (
     ball_members,
     check_model,
     compile_shared,
+    compile_values,
     complement,
     cone_to_obj,
     ext_equal,
@@ -104,12 +106,25 @@ class LeftOrderComparator:
 
     def __post_init__(self):
         check_model(self.model, self.cone)
+        self._compiled = compile_values(self.cone)
+        self._images: dict = {}  # validated element -> joint image
 
     def le(self, x, y) -> bool:
+        if self._compiled is not None and x != y:
+            # a value-pure cone reads x^-1 y off image(y) - image(x)
+            return self._compiled[1](tuple(map(sub, self._image(y), self._image(x))))
         model = self.model
         v = model.mul(model.inv(x), y)
         model.validate(v)
         return self.cone.member(v)
+
+    def _image(self, x) -> tuple:
+        try:
+            return self._images[x]
+        except (KeyError, TypeError):
+            self.model.validate(x)  # so x is an int or a tuple of ints
+        w = self._images[x] = joint_image(self._compiled[0], x)
+        return w
 
     def lt(self, x, y) -> bool:
         return self.le(x, y) and not self.le(y, x)
@@ -121,12 +136,7 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
     Raises NotACone with the first failing element."""
     check_model(model, cone)
     inv_cone = invert_cone(model, cone)
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-    else:
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
     mem = ball_members(cone, ball, index_of)
     mem_inv = ball_members(inv_cone, ball, index_of)
     missing = next((i for i in range(len(ball)) if i not in mem and i not in mem_inv), None)
@@ -178,14 +188,7 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     model = witness.model
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-        rad = 0
-    else:
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
-        rad = radius
+    ball, index_of, rad = model.scan_domain(radius, cap)
     kern, cone = witness.kernel, witness.cone
     out: dict = {}
     out["kernel_closed"] = is_subsemigroup(model, kern, radius, cap)

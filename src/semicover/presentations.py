@@ -8,17 +8,14 @@ never as a negative answer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .cones import CoverPair, Verdict
 from .errors import ParseError
-from .groups import GroupModel, Homomorphism
+from .groups import _WORD_TOKEN, GroupModel, Homomorphism
 from .orders import pullback_cover, standard_lex_cone
-from .snf import DEFAULT_DIM_CAP, cokernel_structure, smith_normal_form
-
-_WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
+from .snf import DEFAULT_DIM_CAP, cokernel_from_snf, smith_normal_form
 
 
 @dataclass
@@ -128,13 +125,17 @@ def analyze_presentation(text: str, radius: int = 6,
         d, left, right = [], [], [[1 if i == j else 0 for j in range(len(gens))]
                                   for i in range(len(gens))]
         diag = []
-    free_rank, torsion, free_cols, right_t = cokernel_structure(matrix, len(gens), dim_cap)
+    free_rank, torsion, free_cols, _ = cokernel_from_snf(d, right, len(gens))
 
     z_surjection = None
     cover = None
     if free_rank > 0:
+        if radius < 1:
+            # ball(0) is the identity alone, so no cover of it is nontrivial
+            raise ParseError(f"radius must be >= 1 when the free rank is positive, "
+                             f"got {radius}")
         model = GroupModel.free(len(gens))
-        images = [tuple(right_t[i][j] for j in free_cols) for i in range(len(gens))]
+        images = [tuple(right[i][j] for j in free_cols) for i in range(len(gens))]
         z_surjection = Homomorphism(model, GroupModel.zr(free_rank), images=images)
         cover = pullback_cover(model, z_surjection, standard_lex_cone(free_rank), radius)
         verdict = Verdict("verified", radius_checked=radius,

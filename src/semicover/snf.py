@@ -19,44 +19,6 @@ def _eye(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
-    return out
-
-
-def det(m: Matrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(m: Matrix, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[Matrix, Matrix, Matrix]:
     """Diagonalize an integer matrix: returns (D, L, R) with L*M*R = D."""
     rows = len(m)
@@ -153,13 +115,19 @@ def smith_normal_form(m: Matrix, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[Matrix
     return d, left, right
 
 
-def diagonal_entries(d: Matrix) -> list[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 def cokernel_structure(m: Matrix, n_generators: int,
                        dim_cap: int = DEFAULT_DIM_CAP) -> tuple[int, list[int], list[int], Matrix]:
-    """Structure of Z^n modulo the row space of m.
+    """Structure of Z^n modulo the row space of m; see `cokernel_from_snf`."""
+    if not m:
+        return n_generators, [], list(range(n_generators)), _eye(n_generators)
+    d, _, right = smith_normal_form(m, dim_cap)
+    return cokernel_from_snf(d, right, n_generators)
+
+
+def cokernel_from_snf(d: Matrix, right: Matrix,
+                      n_generators: int) -> tuple[int, list[int], list[int], Matrix]:
+    """Cokernel structure read off a Smith normal form (D, _, R) of a
+    relator matrix with n_generators columns.
 
     Returns (free_rank, torsion, free_cols, R): torsion is the list of
     invariant factors > 1; free_cols are the diagonalized coordinates with a
@@ -167,11 +135,7 @@ def cokernel_structure(m: Matrix, n_generators: int,
     i maps to row i of R restricted to free_cols under the surjection onto
     Z^free_rank.
     """
-    if not m:
-        return n_generators, [], list(range(n_generators)), _eye(n_generators)
-    d, _, right = smith_normal_form(m, dim_cap)
     rows = len(d)
-    diag = diagonal_entries(d)
-    torsion = [v for v in diag if v > 1]
+    torsion = [d[i][i] for i in range(min(rows, n_generators)) if d[i][i] > 1]
     free_cols = [j for j in range(n_generators) if j >= rows or d[j][j] == 0]
     return len(free_cols), torsion, free_cols, right

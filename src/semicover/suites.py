@@ -196,7 +196,7 @@ def suite_roundtrip(radius: int = 5) -> dict:
     failures = []
     for name, model, hom in witness_hom_fixtures():
         cover = pullback_cover(model, hom, standard_lex_cone(hom.rank()), radius)
-        witness = order_witness_from_cover(model, cover.a, cover.b, radius)
+        witness, _ = order_witness_from_cover(model, cover.a, cover.b, radius)
         back = cover_from_witness(witness, radius)
         checks = {
             "cover_A": ext_equal(model, back.a, cover.a, radius) is None,
@@ -204,7 +204,7 @@ def suite_roundtrip(radius: int = 5) -> dict:
             "kernel": ext_equal(model, witness.kernel,
                                 symmetric_part(model, cover.b), radius) is None,
         }
-        witness2 = order_witness_from_cover(model, back.a, back.b, radius)
+        witness2, _ = order_witness_from_cover(model, back.a, back.b, radius)
         checks["witness_cone"] = ext_equal(model, witness2.cone, witness.cone, radius) is None
         checks["witness_kernel"] = ext_equal(model, witness2.kernel, witness.kernel,
                                              radius) is None

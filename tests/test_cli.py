@@ -176,6 +176,26 @@ def test_exit_two_on_negative_analyze_radius(tmp_path, capsys):
     assert "radius" in err and "Traceback" not in err
 
 
+def test_exit_two_on_analyze_radius_zero_with_free_rank(tmp_path, capsys):
+    # Z + Z/2 has the quotient Z, but ball(0) holds only the identity, so
+    # no cover is certifiable there: an input error, not a negative verdict
+    fp = tmp_path / "klein.fp"
+    fp.write_text(KLEIN_FP)
+    code = main(["analyze", "--presentation", str(fp), "--radius", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "radius" in err and "Traceback" not in err
+
+
+def test_analyze_radius_zero_without_free_rank_reports(tmp_path, capsys):
+    # free rank 0 builds no ball, so radius 0 is fine there
+    fp = tmp_path / "q8.fp"
+    fp.write_text("gens: a b\nrel: a^4\nrel: a^2B^2\nrel: Baba\n")
+    code, out = run_cli(capsys, "analyze", "--presentation", str(fp), "--radius", "0")
+    assert code == 0
+    assert json.loads(out)["verdict"]["status"] == "inconclusive"
+
+
 def test_verify_suites(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "finite")
     assert code == 0

@@ -24,7 +24,7 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover.cones import LEX_REGIONS, CoverPair, ball_members
+from semicover.cones import LEX_REGIONS, CoverPair, ball_members, compile_values, sums_hold
 from semicover.covers import check_coset_saturation, check_inverse_duality, reduce_cover
 from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
@@ -315,6 +315,84 @@ def test_saturation_zero_sum_falls_back_to_the_scan():
     assert (v.status, v.witness, v.note) == \
         ("counterexample", ((0, 1), (0, 1)), "left product leaves A - {1}")
     assert v == check_coset_saturation(m, _element_path(m, pair), 4)
+
+
+@st.composite
+def _layout_and_pred(draw):
+    """One or two homomorphisms of rank 1 or 2, their slice bounds in the
+    joint image, and a predicate compiled on that layout; sometimes
+    wrapped the way saturation wraps it, failing on the zero vector."""
+    model = GroupModel.zr(2)
+    homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
+    cone = draw(_cone_trees(model, explicit_leaves=False, homs=homs))
+    _, pred = compile_values(cone, homs)
+    if draw(st.booleans()):
+        compiled = pred
+
+        def pred(w):
+            return any(w) and compiled(w)
+    bounds = []
+    for h in homs:
+        lo = bounds[-1][1] if bounds else 0
+        bounds.append((lo, lo + h.rank()))
+    return homs, bounds, pred
+
+
+def _sign_pattern(w, bounds):
+    signs = []
+    for lo, hi in bounds:
+        nonzero = [v for v in w[lo:hi] if v]
+        signs.append((nonzero[0] > 0) - (nonzero[0] < 0) if nonzero else 0)
+    return tuple(signs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sums_hold_matches_all_pairs(data):
+    # the bucketed check must agree with summing every pair: vectors with
+    # entries in [-2, 2] give opposite-sign bucket pairs and zero sums.
+    # Each rotation of the lists puts another vector first in its bucket,
+    # where a bucket pair decided by one sum takes its representative.
+    homs, bounds, pred = data.draw(_layout_and_pred())
+    width = bounds[-1][1]
+    vectors = st.lists(st.tuples(*[st.integers(-2, 2)] * width), max_size=8)
+    us = data.draw(vectors)
+    same = data.draw(st.booleans())
+    vs = us if same else data.draw(vectors)
+    expected = all(pred(tuple(a + b for a, b in zip(u, v))) for u in us for v in vs)
+    for i in range(max(len(us), 1)):
+        rot_us = us[i:] + us[:i]
+        if same:
+            assert sums_hold(pred, homs, rot_us, rot_us) == expected
+            continue
+        for j in range(max(len(vs), 1)):
+            assert sums_hold(pred, homs, rot_us, vs[j:] + vs[:j]) == expected
+
+
+@st.composite
+def _vector_with_signs(draw, signs, bounds):
+    """A vector whose slice bounds[i] has lex sign signs[i]."""
+    out = []
+    for sign, (lo, hi) in zip(signs, bounds):
+        if not sign:
+            out += [0] * (hi - lo)
+            continue
+        lead = draw(st.integers(0, hi - lo - 1))
+        rest = hi - lo - lead - 1
+        out += [0] * lead + [sign * draw(st.integers(1, 3))]
+        out += draw(st.lists(st.integers(-3, 3), min_size=rest, max_size=rest))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compiled_predicates_read_only_slice_signs(data):
+    # two vectors with the same lex sign in every slice are indistinguishable
+    homs, bounds, pred = data.draw(_layout_and_pred())
+    w = data.draw(st.tuples(*[st.integers(-3, 3)] * bounds[-1][1]))
+    other = data.draw(_vector_with_signs(_sign_pattern(w, bounds), bounds))
+    assert _sign_pattern(other, bounds) == _sign_pattern(w, bounds)
+    assert pred(other) == pred(w)
 
 
 def _exactly_one(cone, kernel, v, v_inv) -> bool:

@@ -43,6 +43,7 @@ from semicover.errors import (
     NothingToRefine,
 )
 from semicover.fixtures import fixture, z_cross_c2_halves
+from semicover.orders import validate_witness, witness_ok
 from semicover.suites import random_pullback_cover
 
 
@@ -411,7 +412,8 @@ def test_descent_depth_exceeded_on_synthetic():
 
 def test_witness_z_cross_c2_cover():
     m, a, b = overlap_model_and_cones()
-    w = order_witness_from_cover(m, a, b, 8)
+    w, verdicts = order_witness_from_cover(m, a, b, 8)
+    assert verdicts == validate_witness(w, 8) and witness_ok(verdicts)
     ball = m.ball(8)
     idx = m.ball_index(8)
     assert {ball[i] for i in ball_members(w.kernel, ball, idx)} == {(0, 0), (0, 1)}
@@ -422,7 +424,7 @@ def test_witness_z_cross_c2_cover():
 
 def test_witness_z_split():
     m = z_model()
-    w = order_witness_from_cover(m, z_nonneg(m), z_nonpos(m), 6)
+    w, _ = order_witness_from_cover(m, z_nonneg(m), z_nonpos(m), 6)
     for x in m.ball(6):
         assert contains(m, w.kernel, x) == (x == (0,))
     # V is the B side kept by normalization (the non-positives here), so
@@ -438,13 +440,13 @@ def test_witness_heisenberg_kernel_is_center():
     hs = GroupModel.heisenberg()
     phi = Homomorphism(hs, GroupModel.zr(2), images=[(1, 0), (0, 1)])
     pair = pullback_cover(hs, phi, radius=5)
-    w = order_witness_from_cover(hs, pair.a, pair.b, 5)
+    w, _ = order_witness_from_cover(hs, pair.a, pair.b, 5)
     for x in hs.ball(5):
         assert contains(hs, w.kernel, x) == (x[0] == 0 and x[1] == 0)
     back = cover_from_witness(w, 5)
     assert ext_equal(hs, back.a, pair.a, 5) is None
     assert ext_equal(hs, back.b, pair.b, 5) is None
-    again = order_witness_from_cover(hs, back.a, back.b, 5)
+    again, _ = order_witness_from_cover(hs, back.a, back.b, 5)
     assert ext_equal(hs, again.cone, w.cone, 5) is None
     assert ext_equal(hs, again.kernel, w.kernel, 5) is None
 
@@ -471,7 +473,7 @@ def test_witness_a_side_has_no_nontrivial_subgroup():
         (z_model(), z_nonneg(z_model()), z_nonpos(z_model())),
     ]
     for m, a, b in cases:
-        w = order_witness_from_cover(m, a, b, 6)
+        w, _ = order_witness_from_cover(m, a, b, 6)
         u = union(complement(w.cone), identity_cone(m))
         for x in m.ball(6):
             if x != m.identity() and contains(m, u, x):

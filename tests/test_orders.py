@@ -24,7 +24,7 @@ from semicover import (
     witness_ok,
 )
 from semicover.cones import ball_members
-from semicover.errors import NotACone, NotNormalized, TrivialQuotient
+from semicover.errors import InvalidElement, NotACone, NotNormalized, TrivialQuotient
 from semicover.fixtures import z_cross_c2_halves, witness_hom_fixtures
 
 
@@ -194,6 +194,31 @@ def test_lex_combine_gives_lex_order():
     # kernel collapses to the identity
     for x in m.ball(6):
         assert contains(m, w.kernel, x) == (x == (0, 0))
+
+
+def test_comparator_agrees_with_cone_membership_of_quotient():
+    # value-pure cones are compared on images, without forming x^-1 y
+    for name, model, hom in witness_hom_fixtures():
+        w = cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()),
+                                     radius=4)
+        cmp_ = w.comparator()
+        ball = model.ball(2)
+        for x in ball:
+            for y in ball:
+                v = model.mul(model.inv(x), y)
+                assert cmp_.le(x, y) == contains(model, w.cone, v), (name, x, y)
+
+
+def test_comparator_rejects_invalid_elements():
+    m = GroupModel.zr(1, (2,))
+    h = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
+    cmp_ = cone_from_quotient_order(m, h, standard_lex_cone(1), radius=3).comparator()
+    assert cmp_.le((0, 1), (1, 0))
+    for bad in [(0, 2), [0, 1], (0, [1])]:
+        with pytest.raises(InvalidElement):
+            cmp_.le(bad, (1, 0))
+        with pytest.raises(InvalidElement):
+            cmp_.le((1, 0), bad)
 
 
 def test_lex_combine_idempotent_on_ball():

@@ -6,7 +6,45 @@ import random
 import pytest
 
 from semicover.errors import MatrixTooLarge
-from semicover.snf import cokernel_structure, det, mat_mul, smith_normal_form
+from semicover.snf import cokernel_structure, smith_normal_form
+
+
+def mat_mul(a: list, b: list) -> list:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] += v * bk[j]
+    return out
+
+
+def det(m: list) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def check_decomposition(m):
