@@ -107,6 +107,12 @@ def _cover_args(args):
     return model, a, b
 
 
+def _descent_args(args):
+    if args.max_depth < 0:
+        raise ParseError(f"--max-depth must be >= 0, got {args.max_depth}")
+    return _cover_args(args)
+
+
 def cmd_check_cover(args) -> tuple[int, dict]:
     model, a, b = _cover_args(args)
     if args.reduce:
@@ -129,7 +135,7 @@ def cmd_reduce(args) -> tuple[int, dict]:
 
 
 def cmd_descend(args) -> tuple[int, dict]:
-    model, a, b = _cover_args(args)
+    model, a, b = _descent_args(args)
     pair = reduce_cover(model, a, b, args.radius)
     state = minimal_pair_descent(model, pair, args.max_depth, args.radius)
     report = {"command": "descend"}
@@ -141,7 +147,7 @@ def cmd_descend(args) -> tuple[int, dict]:
 
 
 def cmd_witness(args) -> tuple[int, dict]:
-    model, a, b = _cover_args(args)
+    model, a, b = _descent_args(args)
     report = {"command": "witness", "model": args.model, "radius": args.radius}
     try:
         witness, verdicts = order_witness_from_cover(model, a, b, args.radius, args.max_depth)

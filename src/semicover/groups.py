@@ -15,6 +15,7 @@ enumeration.  Element representations:
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
@@ -210,8 +211,7 @@ class GroupModel:
         self.rank = rank
         self.orders = tuple(orders)
         self.free_rank = free_rank
-        self._ball_cache: dict[int, list] = {}
-        self._index_cache: dict[int, dict] = {}
+        self._balls: dict[int, tuple] = {}  # radius -> (ball, index, parent, via, steps)
         self._class_cache: dict[tuple, tuple] = {}
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
@@ -300,10 +300,11 @@ class GroupModel:
         if kind == "finite":
             return self.group.table[x][y]
         if kind == "zr_cross_finite":
+            if not self.orders:
+                return tuple(map(add, x, y))
             r = self.rank
-            free = tuple(a + b for a, b in zip(x[:r], y[:r]))
             tors = tuple((a + b) % o for a, b, o in zip(x[r:], y[r:], self.orders))
-            return free + tors
+            return tuple(map(add, x[:r], y[:r])) + tors
         if kind == "free":
             xs = list(x)
             for v in y:
@@ -401,14 +402,18 @@ class GroupModel:
 
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list:
         """All products of at most `radius` generators/inverses, BFS order
-        with generator-index tiebreak.  Element 0 is the identity."""
+        with generator-index tiebreak.  Element 0 is the identity.
+
+        The enumeration also records its spanning tree: element i > 0 is
+        ball[parent[i]] * steps[via[i]], with parent[i] < i, where steps
+        lists each generator and then its inverse when that differs."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        cached = self._ball_cache.get(radius)
+        cached = self._balls.get(radius)
         if cached is not None:
-            if len(cached) > cap:
+            if len(cached[0]) > cap:
                 raise BallTooLarge(f"ball exceeds cap {cap}")
-            return cached
+            return cached[0]
         steps = []
         for g in self.generators():
             steps.append(g)
@@ -416,32 +421,35 @@ class GroupModel:
             if gi != g:
                 steps.append(gi)
         out = [self.identity()]
-        seen = {self.identity()}
-        frontier = [self.identity()]
+        index = {out[0]: 0}
+        parent, via = [0], [0]
         mul = self.mul
+        lo = 0
         for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for s in steps:
+            hi = len(out)
+            for p in range(lo, hi):
+                x = out[p]
+                for k, s in enumerate(steps):
                     y = mul(x, s)
-                    if y not in seen:
-                        seen.add(y)
+                    if y not in index:
+                        index[y] = len(out)
                         out.append(y)
-                        nxt.append(y)
+                        parent.append(p)
+                        via.append(k)
                         if len(out) > cap:
                             raise BallTooLarge(f"ball exceeds cap {cap}")
-            if not nxt:
+            if len(out) == hi:
                 break
-            frontier = nxt
-        self._ball_cache[radius] = out
+            lo = hi
+        self._balls[radius] = (out, index, parent, via, steps)
         return out
 
     def ball_index(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> dict:
-        idx = self._index_cache.get(radius)
-        if idx is None:
-            idx = {x: i for i, x in enumerate(self.ball(radius, cap))}
-            self._index_cache[radius] = idx
-        return idx
+        """{x: i for i, x in enumerate(self.ball(radius, cap))}, the map the
+        enumeration built."""
+        if radius not in self._balls or len(self._balls[radius][0]) > cap:
+            self.ball(radius, cap)  # enumerates, or raises BallTooLarge
+        return self._balls[radius][1]
 
     def scan_domain(self, radius: int, cap: int = DEFAULT_BALL_CAP):
         """(elements, index map, radius checked) for a ball-local scan: the
@@ -451,17 +459,53 @@ class GroupModel:
             return ball, {x: x for x in ball}, 0
         return self.ball(radius, cap), self.ball_index(radius, cap), radius
 
+    def _tree(self, elements: list) -> tuple[list, list, list]:
+        """(parent, via, steps) of the spanning tree of `elements`: the one
+        `ball` recorded if it enumerated this very list, else the star tree
+        in which element i is 1 * elements[i]."""
+        for out, _, parent, via, steps in self._balls.values():
+            if out is elements:
+                return parent, via, steps
+        return [0] * len(elements), range(len(elements)), elements
+
     def image_classes(self, homs, ball: list) -> dict:
         """Indices 1.. of `ball` grouped by their joint image under `homs`
-        (see `joint_image`).  Memoized per ball length and hom list while
-        `ball` is the list last seen for them; callers must not mutate it."""
+        (see `joint_image`): ascending index lists, keys in order of first
+        index.  Memoized per ball length and hom list while `ball` is the
+        list last seen for them; callers must not mutate it or the result.
+
+        Walks the spanning tree of `ball` (see `_tree`): a homomorphism into
+        Z^r has phi(x * s) = phi(x) + phi(s), so each element's image is its
+        parent's plus its step's.  Only the steps are mapped, and each
+        distinct (parent class, step) pair costs one vector addition."""
         key = (len(ball),) + tuple(h._key() for h in homs)
         hit = self._class_cache.get(key)
         if hit is not None and hit[0] is ball:
             return hit[1]
+        parent, via, steps = self._tree(ball)
+        step_images = [joint_image(homs, s) for s in steps]
+        n_steps = len(step_images)
+        zero = (0,) * sum(h.rank() for h in homs)
+        keys, members, class_of = [zero], [[]], {zero: 0}
+        cls = [0] * len(ball)
+        moves: dict[int, int] = {}
         classes: dict = {}
         for i in range(1, len(ball)):
-            classes.setdefault(joint_image(homs, ball[i]), []).append(i)
+            p, k = parent[i], via[i]
+            move = cls[p] * n_steps + k
+            c = moves.get(move)
+            if c is None:
+                w = tuple(map(add, keys[cls[p]], step_images[k]))
+                c = class_of.get(w)
+                if c is None:
+                    c = class_of[w] = len(keys)
+                    keys.append(w)
+                    members.append([])
+                if not members[c]:  # the identity's class may fill late
+                    classes[w] = members[c]
+                moves[move] = c
+            cls[i] = c
+            members[c].append(i)
         self._class_cache[key] = (ball, classes)
         return classes
 

@@ -115,15 +115,6 @@ def smith_normal_form(m: Matrix, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[Matrix
     return d, left, right
 
 
-def cokernel_structure(m: Matrix, n_generators: int,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> tuple[int, list[int], list[int], Matrix]:
-    """Structure of Z^n modulo the row space of m; see `cokernel_from_snf`."""
-    if not m:
-        return n_generators, [], list(range(n_generators)), _eye(n_generators)
-    d, _, right = smith_normal_form(m, dim_cap)
-    return cokernel_from_snf(d, right, n_generators)
-
-
 def cokernel_from_snf(d: Matrix, right: Matrix,
                       n_generators: int) -> tuple[int, list[int], list[int], Matrix]:
     """Cokernel structure read off a Smith normal form (D, _, R) of a

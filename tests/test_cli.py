@@ -160,6 +160,16 @@ def test_exit_two_on_negative_count(capsys):
     assert "count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["descend", "witness"])
+def test_exit_two_on_negative_max_depth(cover_files, capsys, subcommand):
+    a, b = cover_files
+    code = main([subcommand, "--model", "z^1xC2", "--A", a, "--B", b,
+                 "--radius", "6", "--max-depth", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "max-depth" in err and "Traceback" not in err
+
+
 def test_exit_two_on_lemma_radius_zero(capsys):
     # ball(0) holds only the identity, so no random cover is nontrivial
     code = main(["verify", "--suite", "lemmas", "--count", "1", "--radius", "0"])

@@ -25,6 +25,7 @@ from semicover.errors import (
     ParseError,
 )
 from semicover.fixtures import cyclic, dihedral, fixture, table_text
+from semicover.groups import joint_image
 
 ALL_MODELS = [
     GroupModel.zr(1),
@@ -180,9 +181,13 @@ def test_ball_cap_enforced():
 def test_ball_cap_enforced_on_cached_ball():
     model = GroupModel.free(2)
     assert len(model.ball(4)) == 161
+    assert len(model.ball_index(4)) == 161
     with pytest.raises(BallTooLarge):
         model.ball(4, cap=10)
+    with pytest.raises(BallTooLarge):
+        model.ball_index(4, cap=10)
     assert len(model.ball(4, cap=161)) == 161
+    assert len(model.ball_index(4, cap=161)) == 161
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +268,48 @@ def test_hom_multiplicative_on_ball(model):
         for y in ball:
             fx, fy = phi.apply(x), phi.apply(y)
             assert phi.apply(model.mul(x, y)) == tuple(a + b for a, b in zip(fx, fy))
+
+
+# Generator images into Z^1 and Z^2 per model: a non-injective map, the zero
+# map and a second map; the image classes are checked on single maps and on
+# joint layouts of two.
+CLASS_MODELS = [
+    (GroupModel.zr(2), [[(1,), (-1,)], [(0,), (0,)], [(2, 0), (1, 3)]]),
+    (GroupModel.zr(1, (2,)), [[(3,), (0,)], [(0,), (0,)], [(1, -1), (0, 0)]]),
+    (GroupModel.heisenberg(), [[(1,), (1,)], [(0,), (0,)], [(1, 0), (0, 1)]]),
+    (GroupModel.klein_bottle(), [[(0,), (2,)], [(0,), (0,)], [(0, 0), (1, -1)]]),
+    (GroupModel.free(2), [[(1,), (1,)], [(0,), (0,)], [(1, 0), (0, -1)]]),
+    (GroupModel.free(3), [[(1,), (0,), (-1,)], [(0,), (0,), (0,)], [(1, 0), (1, 1), (0, 2)]]),
+]
+
+
+def _oracle_classes(homs, elements):
+    """Indices 1.. grouped by joint image, one homomorphism evaluation per
+    element."""
+    out = {}
+    for i in range(1, len(elements)):
+        out.setdefault(joint_image(homs, elements[i]), []).append(i)
+    return out
+
+
+@pytest.mark.parametrize("model,image_lists", CLASS_MODELS,
+                         ids=[m.selector() for m, _ in CLASS_MODELS])
+def test_image_classes_match_per_element_images(model, image_lists):
+    maps = [Homomorphism(model, GroupModel.zr(len(imgs[0])), images=imgs) for imgs in image_lists]
+    hom_lists = [[h] for h in maps] + [[maps[0], maps[2]], [maps[1], maps[2]], [maps[2], maps[0]]]
+    for radius in range(5):
+        ball = model.ball(radius)
+        assert model.ball_index(radius) == {x: i for i, x in enumerate(ball)}
+        for homs in hom_lists:
+            got = model.image_classes(homs, ball)
+            assert list(got.items()) == list(_oracle_classes(homs, ball).items())
+
+
+def test_image_classes_on_finite_elements_without_maps():
+    model = GroupModel.finite(dihedral(3, name="S3"))
+    elements, _, _ = model.scan_domain(3)
+    assert model.image_classes([], elements) == {(): [1, 2, 3, 4, 5]}
+    assert model.image_classes([], model.ball(2)) == {(): [1, 2, 3, 4, 5]}
 
 
 # ---------------------------------------------------------------------------
