@@ -49,7 +49,12 @@ def region_test(region: str, vec) -> bool:
 # ---------------------------------------------------------------------------
 
 class ConeSet:
-    """Base class; concrete nodes below.  All nodes carry their model."""
+    """Base class; concrete nodes below.  All nodes carry their model.
+
+    Besides its fields a node keeps two memos, outside the dataclass fields
+    so that equality, hashing and repr ignore them: its compiled predicate
+    (`compile_values`) and its member set on the last ball asked for
+    (`ball_members`)."""
 
     model: GroupModel
 
@@ -255,27 +260,33 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 
 def ball_members(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
     """Indices of ball elements belonging to the cone (ball[0] is the
-    identity).  A value-pure subtree is evaluated once per joint image
-    class of the ball; the rest is combined bottom-up with set operations."""
-    compiled = compile_values(cone)
-    if compiled is not None:
-        homs, pred = compiled
+    identity).  A pullback leaf is evaluated once per image class of the
+    ball under its homomorphism; every other node combines its children's
+    sets.  The result is kept on the node with the very `ball` list it was
+    computed for, and replaced when another ball is asked for, so each
+    node, shared or not, is evaluated once per ball."""
+    stored = vars(cone).get("_members")
+    if stored is not None and stored[0] is ball:
+        return stored[1]
+    out = _evaluate(cone, ball, index_of)
+    object.__setattr__(cone, "_members", (ball, out))
+    return out
+
+
+def _evaluate(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
+    if isinstance(cone, Pullback):
         out = [0] if cone.member(ball[0]) else []
-        for w, idxs in cone.model.image_classes(homs, ball).items():
-            if pred(w):
+        for w, idxs in cone.model.image_classes([cone.hom], ball).items():
+            if region_test(cone.region, w):
                 out.extend(idxs)
         return frozenset(out)
+    if isinstance(cone, Identity):
+        return frozenset((0,))
     if isinstance(cone, Union):
-        out = set()
-        for c in cone.parts:
-            out |= ball_members(c, ball, index_of)
-        return frozenset(out)
+        return frozenset().union(*(ball_members(c, ball, index_of) for c in cone.parts))
     if isinstance(cone, Intersection):
         sets = [ball_members(c, ball, index_of) for c in cone.parts]
-        out = set(sets[0])
-        for s in sets[1:]:
-            out &= s
-        return frozenset(out)
+        return sets[0].intersection(*sets[1:])
     if isinstance(cone, Complement):
         return frozenset(range(len(ball))) - ball_members(cone.part, ball, index_of)
     if isinstance(cone, ExplicitSet):
@@ -292,11 +303,12 @@ def ball_members(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
 # Value-pure analysis: membership through shared homomorphisms
 # ---------------------------------------------------------------------------
 
-def value_profile(cone: ConeSet) -> Optional[list[Homomorphism]]:
-    """The distinct Z^r homomorphisms membership factors through, or None
-    if membership is not value-determined (explicit element lists)."""
+def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
+    """The distinct Z^r homomorphisms membership in the cones factors
+    through, in order of first appearance, or None if membership in some
+    cone is not value-determined (explicit element lists)."""
     homs: list[Homomorphism] = []
-    return homs if _collect_homs(cone, homs) else None
+    return homs if all(_collect_homs(c, homs) for c in cones) else None
 
 
 def _collect_homs(node: ConeSet, homs: list) -> bool:
@@ -317,20 +329,25 @@ def compile_values(cone: ConeSet, homs: Optional[list] = None):
     """A value-pure cone compiled to a predicate on joint image vectors.
 
     Returns (homs, pred), or None when the cone is not value-pure.  `homs`
-    defaults to the cone's value_profile; a caller may pass a longer list
-    to share one layout between cones.  pred(joint_image(homs, x)) is the
-    membership of every x other than the identity: the Identity leaf reads
-    False, so the identity itself is decided by `member`.  Each pullback
-    leaf reads a fixed slice of the vector, resolved here once, and reads
-    only that slice's lex sign: pred is a function of the per-slice sign
-    pattern, which `sums_hold` relies on.  A node added to the compiler
-    (a conjugate or orbit node, say) must keep this or stay uncompiled.
+    defaults to the cone's value_profile, and that result is kept on the
+    node; a caller may pass a longer list to share one layout between
+    cones.  pred(joint_image(homs, x)) is the membership of every x other
+    than the identity: the Identity leaf reads False, so the identity
+    itself is decided by `member`.  Each pullback leaf reads a fixed slice
+    of the vector, resolved here once, and reads only that slice's lex
+    sign: pred is a function of the per-slice sign pattern, which
+    `sums_hold` relies on.  A node added to the compiler (a conjugate or
+    orbit node, say) must keep this or stay uncompiled.
     """
-    profile = value_profile(cone)
-    if profile is None:
-        return None
     if homs is None:
-        homs = profile
+        stored = vars(cone)
+        if "_compiled" not in stored:
+            profile = value_profile(cone)
+            object.__setattr__(cone, "_compiled", None if profile is None
+                               else compile_values(cone, profile))
+        return stored["_compiled"]
+    if value_profile(cone) is None:
+        return None
     return homs, _compile(cone, dict(zip(homs, _slice_layout(homs))))
 
 
@@ -350,10 +367,9 @@ def compile_shared(*cones: ConeSet):
     `compile_values`); `homs` lists the cones' homomorphisms in order of
     first appearance.  None when any cone is not value-pure.
     """
-    homs: list[Homomorphism] = []
-    for cone in cones:
-        if not _collect_homs(cone, homs):
-            return None
+    homs = value_profile(*cones)
+    if homs is None:
+        return None
     return homs, [compile_values(cone, homs)[1] for cone in cones]
 
 
@@ -485,33 +501,19 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     the cone predicate.  The first counterexample in BFS pair order wins.
     """
     check_model(model, cone)
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        members = sorted(ball_members(cone, ball, {x: x for x in ball}))
-        mul = model.group.mul
-        memset = set(members)
-        for i in members:
-            for j in members:
-                if mul(i, j) not in memset:
-                    return Verdict("counterexample", witness=(i, j), radius_checked=0)
-        return Verdict("verified", radius_checked=0)
-
-    if radius < 1:
+    if radius < 1 and model.kind != "finite":
         raise ValueError("radius must be >= 1 for infinite models")
-    ball = model.ball(radius, cap)
-    index_of = model.ball_index(radius, cap)
-    members = sorted(ball_members(cone, ball, index_of))
-    id_in = bool(members) and members[0] == 0
+    ball, index_of, rad = model.scan_domain(radius, cap)
+    memset = ball_members(cone, ball, index_of)
 
     compiled = None if force_naive else compile_values(cone)
     if compiled is not None and _closure_clean_by_values(model, compiled, ball, index_of,
-                                                         members, id_in):
-        return Verdict("verified", radius_checked=radius)
+                                                         memset):
+        return Verdict("verified", radius_checked=rad)
 
     # naive pair scan (first failing pair in BFS order decides the witness)
     mul = model.mul
-    member_elems = [ball[i] for i in members]
-    memset = set(members)
+    member_elems = [ball[i] for i in sorted(memset)]
     memo: dict = {}
     for x in member_elems:
         for y in member_elems:
@@ -522,22 +524,19 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
                 v = (idx in memset) if idx is not None else cone.member(p)
                 memo[p] = v
             if not v:
-                return Verdict("counterexample", witness=(x, y), radius_checked=radius)
-    return Verdict("verified", radius_checked=radius)
+                return Verdict("counterexample", witness=(x, y), radius_checked=rad)
+    return Verdict("verified", radius_checked=rad)
 
 
-def _closure_clean_by_values(model, compiled, ball, index_of, members, id_in) -> bool:
+def _closure_clean_by_values(model, compiled, ball, index_of, memset) -> bool:
     """Class-level closure certificate for value-pure cones: membership of a
     non-identity element depends only on its joint image, so `sums_hold`
     over the member image classes decides it.  True means definitely
     closed on the ball; False defers to the element-level scan."""
     homs, pred = compiled
-    if not id_in:
+    if 0 not in memset:
         # a member pair multiplying to 1 inside the ball would be a violation
-        memset = set(members)
-        for i in members:
-            if i == 0:
-                continue
+        for i in memset:
             j = index_of.get(model.inv(ball[i]))
             if j is not None and j in memset:
                 return False
@@ -583,17 +582,9 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     (optionally) trivial intersection and inverse duality."""
     check_model(model, a)
     check_model(model, b)
-    finite = model.kind == "finite"
-    if finite:
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-        rad = 0
-    else:
-        if radius < 1:
-            raise ValueError("radius must be >= 1")
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
-        rad = radius
+    if radius < 1 and model.kind != "finite":
+        raise ValueError("radius must be >= 1")
+    ball, index_of, rad = model.scan_domain(radius, cap)
 
     flags = {
         "closed_A": is_subsemigroup(model, a, radius, cap),

@@ -17,6 +17,7 @@ from .cones import (
     Verdict,
     ball_members,
     compile_shared,
+    compile_values,
     complement,
     explicit,
     finite_bits,
@@ -79,12 +80,13 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
     the two parts is empty; both nonempty is reported as a LemmaViolation
     with the concrete non-closure evidence it implies."""
     ball, index_of, _ = model.scan_domain(radius, cap)
-    imem = sorted(ball_members(intersection(a, b), ball, index_of))
+    mem_a, mem_b = ball_members(a, ball, index_of), ball_members(b, ball, index_of)
+    imem = sorted(mem_a & mem_b)
     i_a, i_b = [], []
     for i in imem:
         x = ball[i]
-        xi = model.inv(x)
-        in_a, in_b = a.member(xi), b.member(xi)
+        j = index_of[model.inv(x)]  # the domain is inverse-closed
+        in_a, in_b = j in mem_a, j in mem_b
         if in_a and not in_b:
             i_a.append(x)
         elif in_b and not in_a:
@@ -118,11 +120,8 @@ _BH_INVERSE = "inverse of a B - H element is not in A - {1}"
 def _class_predicates(model: GroupModel, a: ConeSet, b: ConeSet, h: ConeSet, ball: list):
     """(homs, classes, in_a, in_b, in_h): the shared layout's homomorphisms,
     the ball's image classes and the three predicates on that layout, when
-    both sides are value-pure on an infinite model; else None.  A predicate
-    decides every element other than the identity, which the classes leave
-    out."""
-    if model.kind == "finite":
-        return None
+    both sides are value-pure; else None.  A predicate decides every
+    element other than the identity, which the classes leave out."""
     shared = compile_shared(a, b, h)
     if shared is None:
         return None
@@ -147,25 +146,31 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
                            cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
     B - H is stable under multiplication by H on both sides.  Value-pure
-    covers of infinite models are first decided per image class."""
+    covers are first decided per image class."""
     ball, index_of, rad = model.scan_domain(radius, cap)
     h_cone = symmetric_part(model, cover.b)
     compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
     if compiled is not None and _saturation_clean_by_classes(*compiled):
         return Verdict("verified", radius_checked=rad)
 
-    one = model.identity()
     a_mem, b_mem, h_mem = _Memo(cover.a), _Memo(cover.b), _Memo(h_cone)
-    hmem = [ball[i] for i in sorted(ball_members(h_cone, ball, index_of))]
-    amem = [ball[i] for i in sorted(ball_members(cover.a, ball, index_of)) if ball[i] != one]
-    bmem = [ball[i] for i in sorted(ball_members(cover.b, ball, index_of))]
-    bh = [x for x in bmem if not h_mem(x)]
+    h_set = ball_members(h_cone, ball, index_of)
+    a_star = ball_members(cover.a, ball, index_of) - {0}
+    bh_set = ball_members(cover.b, ball, index_of) - h_set
+    # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
+    hmem = [ball[i] for i in sorted(h_set) if i]
+    amem = [ball[i] for i in sorted(a_star)]
+    bh = [ball[i] for i in sorted(bh_set)]
 
+    # a product inside the ball reads the stored sets; outside it, it is
+    # not the identity
     def in_a_minus_one(x):
-        return x != one and a_mem(x)
+        i = index_of.get(x)
+        return i in a_star if i is not None else a_mem(x)
 
     def in_b_minus_h(x):
-        return b_mem(x) and not h_mem(x)
+        i = index_of.get(x)
+        return i in bh_set if i is not None else b_mem(x) and not h_mem(x)
 
     for h in hmem:
         for x in amem:
@@ -187,47 +192,35 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
 
 def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
                           cap: int = DEFAULT_BALL_CAP) -> Verdict:
-    """(A - {1})^-1 = B - H, both inclusions checked on the ball.  On
-    value-pure covers of infinite models this is exact class arithmetic:
-    for x != 1 in class w, x^-1 != 1 lies in class -w."""
+    """(A - {1})^-1 = B - H, both inclusions checked on the ball, from the
+    sides' member sets.  The ball is inverse-closed, so each element is
+    paired with the index of its inverse, and x is in B - H exactly when x
+    is in B and x^-1 is not, as H = B n B^-1.  On a value-pure cover each
+    element other than the identity has the membership of its image
+    class, and x^-1 for x in class w lies in class -w: one pair per class
+    suffices, and the first failing class holds the first failing element
+    in BFS order.  Other covers read the ball's inverse index."""
     ball, index_of, rad = model.scan_domain(radius, cap)
-    one = model.identity()
-    h_cone = symmetric_part(model, cover.b)
-    compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
-    if compiled is not None:
-        _, classes, in_a, in_b, in_h = compiled
-        bad_a, bad_bh = [], []
-        for w, idxs in classes.items():
-            v = tuple(-c for c in w)
-            if in_a(w) and not (in_b(v) and not in_h(v)):
-                bad_a.append(idxs[0])
-            if in_b(w) and not in_h(w) and not in_a(v):
-                bad_bh.append(idxs[0])
-        if bad_a:
-            return Verdict("counterexample", witness=(ball[min(bad_a)],),
-                           radius_checked=rad, note=_A_INVERSE)
-        if bad_bh:
-            return Verdict("counterexample", witness=(ball[min(bad_bh)],),
-                           radius_checked=rad, note=_BH_INVERSE)
-        return Verdict("verified", radius_checked=rad)
-
-    a_mem, b_mem, h_mem = _Memo(cover.a), _Memo(cover.b), _Memo(h_cone)
-    for i in sorted(ball_members(cover.a, ball, index_of)):
-        x = ball[i]
-        if x == one:
-            continue
-        xi = model.inv(x)
-        if not (b_mem(xi) and not h_mem(xi)):
-            return Verdict("counterexample", witness=(x,), radius_checked=rad,
-                           note=_A_INVERSE)
-    for i in sorted(ball_members(cover.b, ball, index_of)):
-        x = ball[i]
-        if h_mem(x):
-            continue
-        xi = model.inv(x)
-        if not (a_mem(xi) and xi != one):
-            return Verdict("counterexample", witness=(x,), radius_checked=rad,
-                           note=_BH_INVERSE)
+    mem_a = ball_members(cover.a, ball, index_of)
+    mem_b = ball_members(cover.b, ball, index_of)
+    a_star = mem_a - {0}
+    homs = value_profile(cover.a, cover.b)
+    if homs is not None:
+        classes = model.image_classes(homs, ball)
+        reps = [0] + [idxs[0] for idxs in classes.values()]  # ascending
+        inverse = [0] + [classes[tuple(-c for c in w)][0] for w in classes]
+    else:
+        reps, inverse = range(len(ball)), model.inverse_index(ball, index_of)
+    pairs = list(zip(reps, inverse))
+    bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)), None)
+    if bad is not None:
+        return Verdict("counterexample", witness=(ball[bad],), radius_checked=rad,
+                       note=_A_INVERSE)
+    bad = next((i for i, j in pairs if i in mem_b and j not in mem_b and j not in a_star),
+               None)
+    if bad is not None:
+        return Verdict("counterexample", witness=(ball[bad],), radius_checked=rad,
+                       note=_BH_INVERSE)
     return Verdict("verified", radius_checked=rad)
 
 
@@ -428,7 +421,7 @@ class DescentState:
 def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: int):
     """First (g, h) in BFS order with a conjugate of h by g escaping N.
     Cones whose AST proves conjugation stability are exact: no scan."""
-    if value_profile(n_cone) is not None:
+    if compile_values(n_cone) is not None:
         return None
     ball, index_of, _ = model.scan_domain(radius, cap)
     nmem = [ball[i] for i in sorted(ball_members(n_cone, ball, index_of))]

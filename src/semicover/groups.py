@@ -213,6 +213,8 @@ class GroupModel:
         self.free_rank = free_rank
         self._balls: dict[int, tuple] = {}  # radius -> (ball, index, parent, via, steps)
         self._class_cache: dict[tuple, tuple] = {}
+        self._inverse_cache: dict[int, tuple] = {}
+        self._domain: Optional[tuple] = None  # a finite model's scan domain
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
         if kind == "free" and free_rank < 1:
@@ -453,10 +455,13 @@ class GroupModel:
 
     def scan_domain(self, radius: int, cap: int = DEFAULT_BALL_CAP):
         """(elements, index map, radius checked) for a ball-local scan: the
-        whole of a finite group, checked exactly (radius 0), or the ball."""
+        whole of a finite group, checked exactly (radius 0), or the ball.
+        A finite model builds its domain once and hands out the same list."""
         if self.kind == "finite":
-            ball = list(self.group.elements())
-            return ball, {x: x for x in ball}, 0
+            if self._domain is None:
+                elements = list(self.group.elements())
+                self._domain = (elements, {x: x for x in elements}, 0)
+            return self._domain
         return self.ball(radius, cap), self.ball_index(radius, cap), radius
 
     def _tree(self, elements: list) -> tuple[list, list, list]:
@@ -467,6 +472,19 @@ class GroupModel:
             if out is elements:
                 return parent, via, steps
         return [0] * len(elements), range(len(elements)), elements
+
+    def inverse_index(self, elements: list, index_of: dict) -> list:
+        """The index of each element's inverse in `elements`, which must be
+        inverse-closed, as balls and finite groups are; `index_of` is its
+        index map.  Memoized like `image_classes`, per length while
+        `elements` is the list last seen for it."""
+        hit = self._inverse_cache.get(len(elements))
+        if hit is not None and hit[0] is elements:
+            return hit[1]
+        inv = self.inv
+        out = [index_of[inv(x)] for x in elements]
+        self._inverse_cache[len(elements)] = (elements, out)
+        return out
 
     def image_classes(self, homs, ball: list) -> dict:
         """Indices 1.. of `ball` grouped by their joint image under `homs`

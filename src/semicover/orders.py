@@ -33,7 +33,6 @@ from .cones import (
     pullback,
     symmetric_part,
     union,
-    value_profile,
     Pullback,
     Union as UnionNode,
     Intersection as IntersectionNode,
@@ -200,7 +199,7 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
         else Verdict("counterexample", witness=(ball[bad],), radius_checked=rad)
     )
 
-    if value_profile(kern) is not None:
+    if compile_values(kern) is not None:
         # abelian-image leaves cannot distinguish conjugates: exact verdict
         out["kernel_conjugation_stable"] = Verdict("verified", radius_checked=0)
     else:
@@ -309,9 +308,7 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
                 return (w,)
         return None
 
-    doubled = list(model.group.elements()) if model.kind == "finite" \
-        else model.ball(2 * radius, cap)
-    for v in doubled:
+    for v in model.scan_domain(2 * radius, cap)[0]:
         vi = model.inv(v)
         if not condition(cone.member(v), cone.member(vi), kern.member(v)):
             return (v,)
@@ -353,7 +350,7 @@ def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
 
     # nontriviality: some ball element must map outside cone n cone^-1
     tkernel = intersection(quotient_cone, invert_cone(target, quotient_cone))
-    ball = list(model.group.elements()) if model.kind == "finite" else model.ball(radius, cap)
+    ball = model.scan_domain(radius, cap)[0]
     if all(tkernel.member(quotient_hom.apply(x)) for x in ball):
         raise TrivialQuotient("every ball element maps into the trivial part of the order")
 
@@ -396,17 +393,12 @@ def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
         bad = sorted(k for k, v in flags.flags.items() if not v.ok)
         raise NotNormalized(f"cover fails {', '.join(bad)}")
     n = symmetric_part(model, cover.b)
-    if value_profile(n) is not None:
+    if compile_values(n) is not None:
         return n  # conjugation stable by AST shape
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-        probe = ball
-    else:
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
-        # conjugators from a small ball; explicit-set inputs only
-        probe = model.ball(min(radius, 2), cap)
+    ball, index_of, _ = model.scan_domain(radius, cap)
+    # conjugators from a small ball (all of a finite group); explicit-set
+    # inputs only
+    probe = model.scan_domain(min(radius, 2), cap)[0]
     nmem = [ball[i] for i in sorted(ball_members(n, ball, index_of))]
     for g in probe:
         for h in nmem:
@@ -430,14 +422,7 @@ def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6,
     a_new = union(complement(b_new), identity_cone(model))
     merged = is_cover_pair(model, a_new, b_new, radius, cap, check_duality=True)
 
-    if model.kind == "finite":
-        ball = list(model.group.elements())
-        index_of = {x: x for x in ball}
-        rad = 0
-    else:
-        ball = model.ball(radius, cap)
-        index_of = model.ball_index(radius, cap)
-        rad = radius
+    ball, index_of, rad = model.scan_domain(radius, cap)
     bn = ball_members(b_new, ball, index_of)
     b1 = ball_members(c1.b, ball, index_of)
     stray = next((i for i in sorted(bn - b1)), None)

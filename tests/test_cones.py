@@ -2,6 +2,7 @@
 
 import gc
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from semicover import (
     invert_cone,
     is_cover_pair,
     is_subsemigroup,
+    load_finite_group,
     pullback,
     symmetric_part,
     union,
@@ -217,17 +219,19 @@ def _value_homs(draw, model):
 @st.composite
 def _cone_trees(draw, model, explicit_leaves, homs=None):
     """Nested union/intersection/complement trees over pullbacks through
-    one or two homomorphisms (drawn unless given) and the identity; with
-    `explicit_leaves`, also explicit element lists, so value-pure subtrees
-    sit inside mixed ones."""
-    if homs is None:
+    one or two homomorphisms (drawn unless given; none on a finite model)
+    and the identity; with `explicit_leaves`, also explicit include and
+    exclude lists, so value-pure subtrees sit inside mixed ones."""
+    if homs is None and model.kind != "finite":
         homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
-    leaves = [st.builds(pullback, st.sampled_from(homs), st.sampled_from(LEX_REGIONS)),
-              st.just(identity_cone(model))]
+    leaves = [st.just(identity_cone(model))]
+    if homs:
+        leaves.append(st.builds(pullback, st.sampled_from(homs), st.sampled_from(LEX_REGIONS)))
     if explicit_leaves:
         ball = model.ball(2)
-        leaves.append(st.builds(lambda xs: explicit(model, xs),
-                                st.lists(st.sampled_from(ball), max_size=4)))
+        leaves.append(st.builds(lambda xs, mode: explicit(model, xs, mode),
+                                st.lists(st.sampled_from(ball), max_size=4),
+                                st.sampled_from(("include", "exclude"))))
     return draw(st.recursive(st.one_of(*leaves), lambda k: st.one_of(
         st.builds(union, k, k), st.builds(intersection, k, k), st.builds(complement, k)),
         max_leaves=6))
@@ -260,6 +264,33 @@ def test_value_classes_agree_with_element_scan(data):
     scan = next((v for v in model.ball(2 * radius)
                  if not _exactly_one(cone, kernel, v, model.inv(v))), None)
     assert (totality_mod_kernel(witness, radius) is None) == (scan is None)
+
+
+D4_TABLE = Path(__file__).resolve().parent.parent / "inputs" / "D4.tbl"
+
+
+def _tree_nodes(cone):
+    yield cone
+    for child in cone.children():
+        yield from _tree_nodes(child)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ball_members_memo_follows_the_ball(data):
+    # each node keeps its member set for the last ball asked for: asking
+    # for ball(r), ball(r + 1) and ball(r) again must give each ball's own
+    # members, on the root and on every subtree
+    model = data.draw(st.sampled_from([
+        GroupModel.zr(2), GroupModel.free(2), GroupModel.heisenberg(),
+        GroupModel.finite(load_finite_group(D4_TABLE.read_text(), name="D4"))]))
+    cone = data.draw(_cone_trees(model, explicit_leaves=True))
+    r = data.draw(st.integers(0, 2))
+    for radius in (r, r + 1, r):
+        ball, idx = model.ball(radius), model.ball_index(radius)
+        for node in _tree_nodes(cone):
+            assert ball_members(node, ball, idx) == \
+                {i for i, x in enumerate(ball) if node.member(x)}, (radius, node)
 
 
 def _element_path(model, pair):

@@ -32,7 +32,7 @@ from semicover import (
     torsion_obstruction,
     union,
 )
-from semicover.cones import CoverPair, ball_members
+from semicover.cones import CoverPair, ball_members, finite_bits
 from semicover.covers import DescentState
 from semicover.errors import (
     ClosureViolation,
@@ -203,6 +203,87 @@ def _fault_injected(model, red, radius):
     bad = CoverPair(model, union(red.a, bump),
                     intersection(red.b, complement(bump)), radius, {})
     return moved, bad
+
+
+def _duality_by_members(model, cover, radius):
+    """check_inverse_duality's (status, witness, note) from member() on
+    each element and its inverse, in BFS order."""
+    ball = model.scan_domain(radius)[0]
+    one = model.identity()
+    a, b, h = cover.a, cover.b, symmetric_part(model, cover.b)
+
+    def in_b_minus_h(x):
+        return b.member(x) and not h.member(x)
+
+    for x in ball:
+        if x != one and a.member(x) and not in_b_minus_h(model.inv(x)):
+            return "counterexample", (x,), "inverse of an A element is not in B - H"
+    for x in ball:
+        xi = model.inv(x)
+        if in_b_minus_h(x) and not (a.member(xi) and xi != one):
+            return "counterexample", (x,), "inverse of a B - H element is not in A - {1}"
+    return "verified", None, ""
+
+
+def _check_inverse_reads(model, a, b, radius):
+    # duality and the intersection split against member() on each inverse
+    pair = CoverPair(model, a, b, radius)
+    v = check_inverse_duality(model, pair, radius)
+    assert (v.status, v.witness, v.note) == _duality_by_members(model, pair, radius)
+    ball = model.scan_domain(radius)[0]
+    shared = [x for x in ball if a.member(x) and b.member(x)]
+    i_a = [x for x in shared if a.member(model.inv(x)) and not b.member(model.inv(x))]
+    i_b = [x for x in shared if b.member(model.inv(x)) and not a.member(model.inv(x))]
+    if i_a and i_b:
+        with pytest.raises(LemmaViolation) as exc:
+            classify_intersection(model, a, b, radius)
+        assert exc.value.witness == (i_a[0], i_b[0])
+        return
+    split = classify_intersection(model, a, b, radius)
+    assert (split.side, split.i_a, split.i_b, split.i_members) == \
+        ("A_side" if i_a else "B_side", i_a, i_b, shared)
+
+
+@pytest.mark.parametrize("model, radius", [
+    (GroupModel.zr(2), 3), (GroupModel.heisenberg(), 3),
+    (GroupModel.klein_bottle(), 4), (GroupModel.free(2), 3),
+])
+def test_inverse_reads_match_member_on_covers(model, radius):
+    # pullback covers, their reductions (and the swapped reduction), and
+    # faulty copies with one element moved or copied across by an explicit
+    # list, which also puts it in the intersection
+    rng = random.Random(f"inverse-{model.selector()}")
+    for _ in range(4):
+        cover = random_pullback_cover(model, rng, radius)
+        red = reduce_cover(model, cover.a, cover.b, radius)
+        moved, bad = _fault_injected(model, red, radius)
+        ball, idx = model.ball(radius), model.ball_index(radius)
+        bump = explicit(model, [moved])
+        back = explicit(model, [ball[max(ball_members(red.a, ball, idx))]])
+        for a, b in ((cover.a, cover.b), (red.a, red.b), (red.b, red.a), (bad.a, bad.b),
+                     (intersection(red.a, complement(back)), union(red.b, back)),
+                     (union(red.a, bump), red.b), (red.a, union(red.b, back)),
+                     (union(red.a, bump), union(red.b, back)),
+                     (identity_cone(model), red.b), (explicit(model, [ball[0]]), red.b),
+                     (red.a, union(bad.b, bump))):
+            _check_inverse_reads(model, a, b, radius)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_inverse_reads_match_member_on_finite_pairs(name):
+    # arbitrary pairs on finite groups: explicit include and exclude
+    # lists, bitsets, and the value-pure identity shapes
+    model = GroupModel.finite(fixture(name))
+    one = identity_cone(model)
+    rng = random.Random(f"inverse-{name}")
+    elements = list(range(model.group.order))
+    shapes = [one, complement(one), union(complement(one), one)]
+    for _ in range(12):
+        shapes.append(explicit(model, rng.sample(elements, rng.randint(0, len(elements))),
+                               rng.choice(("include", "exclude"))))
+        shapes.append(union(finite_bits(model, rng.sample(elements, 3)), one))
+    for _ in range(40):
+        _check_inverse_reads(model, rng.choice(shapes), rng.choice(shapes), 1)
 
 
 def test_saturation_catches_moved_element():

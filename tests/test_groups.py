@@ -312,6 +312,29 @@ def test_image_classes_on_finite_elements_without_maps():
     assert model.image_classes([], model.ball(2)) == {(): [1, 2, 3, 4, 5]}
 
 
+def test_finite_scan_domain_is_built_once():
+    # one domain per finite model, so the memos keyed on the very list
+    # (image classes, inverse indices, cone member sets) hit on every call
+    model = GroupModel.finite(fixture("D4"))
+    first, second = model.scan_domain(3), model.scan_domain(3)
+    assert first[0] is second[0] and first[1] is second[1]
+    assert first[2] == second[2] == 0
+    assert model.image_classes([], first[0]) is model.image_classes([], second[0])
+    inverse = model.inverse_index(first[0], first[1])
+    assert inverse == model.group.inverse_table
+    assert model.inverse_index(second[0], second[1]) is inverse
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_inverse_index_on_ball(model):
+    ball, idx = model.ball(3), model.ball_index(3)
+    inverse = model.inverse_index(ball, idx)
+    assert [ball[j] for j in inverse] == [model.inv(x) for x in ball]
+    assert model.inverse_index(ball, idx) is inverse
+    small, small_idx = model.ball(2), model.ball_index(2)
+    assert model.inverse_index(small, small_idx) == [small_idx[model.inv(x)] for x in small]
+
+
 # ---------------------------------------------------------------------------
 # group-law invariants on balls
 # ---------------------------------------------------------------------------
