@@ -288,15 +288,33 @@ def _evaluate(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
         sets = [ball_members(c, ball, index_of) for c in cone.parts]
         return sets[0].intersection(*sets[1:])
     if isinstance(cone, Complement):
-        return frozenset(range(len(ball))) - ball_members(cone.part, ball, index_of)
+        return cone.model.full_index(ball) - ball_members(cone.part, ball, index_of)
     if isinstance(cone, ExplicitSet):
         inside = frozenset(index_of[e] for e in cone.elements if e in index_of)
         if cone.mode == "include":
             return inside
-        return frozenset(range(len(ball))) - inside
+        return cone.model.full_index(ball) - inside
     if isinstance(cone, FiniteBits):
         return frozenset(i for i, x in enumerate(ball) if x in cone.indices)
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
+
+
+def inverse_pairs(model: GroupModel, ball: list, index_of: dict, *cones: ConeSet) -> list:
+    """(i, j) pairs, ascending in i, with ball[j] standing for the inverse
+    of ball[i], for deciding inverse conditions on the cones' member sets.
+    `ball` must be inverse-closed, as balls and finite groups are.
+
+    When the cones are value-pure, each element other than the identity
+    has the membership of its joint image class, and x^-1 for x in class w
+    lies in class -w: i runs over the identity and the first index of each
+    class, and the first failing i is the first failing element in BFS
+    order.  Otherwise i runs over the whole ball (`inverse_index`)."""
+    homs = value_profile(*cones)
+    if homs is None:
+        return list(enumerate(model.inverse_index(ball, index_of)))
+    classes = model.image_classes(homs, ball)
+    return [(0, 0)] + [(idxs[0], classes[tuple(-c for c in w)][0])
+                       for w, idxs in classes.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +324,20 @@ def _evaluate(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
 def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
     """The distinct Z^r homomorphisms membership in the cones factors
     through, in order of first appearance, or None if membership in some
-    cone is not value-determined (explicit element lists)."""
+    cone is not value-determined (explicit element lists).  A cone that
+    `compile_values` has compiled is read from its stored result; any
+    other is walked, and not compiled."""
     homs: list[Homomorphism] = []
-    return homs if all(_collect_homs(c, homs) for c in cones) else None
+    for cone in cones:
+        stored = vars(cone)
+        if "_compiled" not in stored:
+            if not _collect_homs(cone, homs):
+                return None
+        elif stored["_compiled"] is None:
+            return None
+        else:
+            homs.extend(h for h in stored["_compiled"][0] if h not in homs)
+    return homs
 
 
 def _collect_homs(node: ConeSet, homs: list) -> bool:
@@ -337,18 +366,23 @@ def compile_values(cone: ConeSet, homs: Optional[list] = None):
     of the vector, resolved here once, and reads only that slice's lex
     sign: pred is a function of the per-slice sign pattern, which
     `sums_hold` relies on.  A node added to the compiler (a conjugate or
-    orbit node, say) must keep this or stay uncompiled.
+    orbit node, say) must keep this or stay uncompiled.  Value-purity is
+    read from the stored result whether or not `homs` is passed, so the
+    tree is walked for it once.
     """
-    if homs is None:
-        stored = vars(cone)
-        if "_compiled" not in stored:
-            profile = value_profile(cone)
-            object.__setattr__(cone, "_compiled", None if profile is None
-                               else compile_values(cone, profile))
-        return stored["_compiled"]
-    if value_profile(cone) is None:
-        return None
-    return homs, _compile(cone, dict(zip(homs, _slice_layout(homs))))
+    stored = vars(cone)
+    if "_compiled" not in stored:
+        own: list = []
+        pure = _collect_homs(cone, own)
+        object.__setattr__(cone, "_compiled", (own, _compile_on(cone, own)) if pure else None)
+    compiled = stored["_compiled"]
+    if homs is None or compiled is None or homs == compiled[0]:
+        return compiled
+    return homs, _compile_on(cone, homs)
+
+
+def _compile_on(cone: ConeSet, homs: list):
+    return _compile(cone, dict(zip(homs, _slice_layout(homs))))
 
 
 def _slice_layout(homs) -> list[tuple[int, int]]:
@@ -594,7 +628,7 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     mem_b = ball_members(b, ball, index_of)
     n = len(ball)
 
-    missing = next((i for i in range(n) if i not in mem_a and i not in mem_b), None)
+    missing = min(model.full_index(ball) - (mem_a | mem_b), default=None)
     flags["covers"] = (
         Verdict("verified", radius_checked=rad) if missing is None
         else Verdict("counterexample", witness=(ball[missing],), radius_checked=rad)

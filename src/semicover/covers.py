@@ -23,11 +23,11 @@ from .cones import (
     finite_bits,
     identity_cone,
     intersection,
+    inverse_pairs,
     is_cover_pair,
     sums_hold,
     symmetric_part,
     union,
-    value_profile,
 )
 from .errors import (
     ClosureViolation,
@@ -193,25 +193,15 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
 def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
                           cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """(A - {1})^-1 = B - H, both inclusions checked on the ball, from the
-    sides' member sets.  The ball is inverse-closed, so each element is
-    paired with the index of its inverse, and x is in B - H exactly when x
-    is in B and x^-1 is not, as H = B n B^-1.  On a value-pure cover each
-    element other than the identity has the membership of its image
-    class, and x^-1 for x in class w lies in class -w: one pair per class
-    suffices, and the first failing class holds the first failing element
-    in BFS order.  Other covers read the ball's inverse index."""
+    sides' member sets.  Each element is paired with the index of its
+    inverse, one pair per image class on a value-pure cover
+    (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
+    is not, as H = B n B^-1."""
     ball, index_of, rad = model.scan_domain(radius, cap)
     mem_a = ball_members(cover.a, ball, index_of)
     mem_b = ball_members(cover.b, ball, index_of)
     a_star = mem_a - {0}
-    homs = value_profile(cover.a, cover.b)
-    if homs is not None:
-        classes = model.image_classes(homs, ball)
-        reps = [0] + [idxs[0] for idxs in classes.values()]  # ascending
-        inverse = [0] + [classes[tuple(-c for c in w)][0] for w in classes]
-    else:
-        reps, inverse = range(len(ball)), model.inverse_index(ball, index_of)
-    pairs = list(zip(reps, inverse))
+    pairs = inverse_pairs(model, ball, index_of, cover.a, cover.b)
     bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)), None)
     if bad is not None:
         return Verdict("counterexample", witness=(ball[bad],), radius_checked=rad,

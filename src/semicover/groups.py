@@ -201,6 +201,47 @@ def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "H
 # Group models
 # ---------------------------------------------------------------------------
 
+def _product_for(model: "GroupModel"):
+    """The product of the model's kind, resolved once per model: `mul` and
+    `ball` call it directly."""
+    kind = model.kind
+    if kind == "finite":
+        table = model.group.table
+        return lambda x, y: table[x][y]
+    if kind == "zr_cross_finite":
+        r, orders = model.rank, model.orders
+        if not orders:
+            return lambda x, y: tuple(map(add, x, y))
+        return lambda x, y: tuple(map(add, x[:r], y[:r])) + tuple(
+            (a + b) % o for a, b, o in zip(x[r:], y[r:], orders))
+    if kind == "free":
+        return _free_product
+    if kind == "heisenberg":
+        return _heisenberg_product
+    return _klein_product
+
+
+def _free_product(x, y):
+    xs = list(x)
+    for v in y:
+        if xs and xs[-1] == -v:
+            xs.pop()
+        else:
+            xs.append(v)
+    return tuple(xs)
+
+
+def _heisenberg_product(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
+
+
+def _klein_product(x, y):
+    # (b^m1 a^n1)(b^m2 a^n2) = b^(m1+m2) a^(n1*(-1)^m2 + n2)
+    m1, n1 = x
+    m2, n2 = y
+    return (m1 + m2, (n1 if m2 % 2 == 0 else -n1) + n2)
+
+
 class GroupModel:
     """Uniform arithmetic over one of five concrete model kinds."""
 
@@ -215,10 +256,12 @@ class GroupModel:
         self._class_cache: dict[tuple, tuple] = {}
         self._inverse_cache: dict[int, tuple] = {}
         self._domain: Optional[tuple] = None  # a finite model's scan domain
+        self._full: tuple = ((), frozenset())  # (elements, their index set)
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
         if kind == "free" and free_rank < 1:
             raise ValueError("free model requires rank >= 1")
+        self._product = _product_for(self)
 
     # -- constructors
 
@@ -298,29 +341,7 @@ class GroupModel:
         raise InvalidElement(f"unknown model kind {kind}")
 
     def mul(self, x, y):
-        kind = self.kind
-        if kind == "finite":
-            return self.group.table[x][y]
-        if kind == "zr_cross_finite":
-            if not self.orders:
-                return tuple(map(add, x, y))
-            r = self.rank
-            tors = tuple((a + b) % o for a, b, o in zip(x[r:], y[r:], self.orders))
-            return tuple(map(add, x[:r], y[:r])) + tors
-        if kind == "free":
-            xs = list(x)
-            for v in y:
-                if xs and xs[-1] == -v:
-                    xs.pop()
-                else:
-                    xs.append(v)
-            return tuple(xs)
-        if kind == "heisenberg":
-            return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
-        # klein bottle: (b^m1 a^n1)(b^m2 a^n2) = b^(m1+m2) a^(n1*(-1)^m2 + n2)
-        m1, n1 = x
-        m2, n2 = y
-        return (m1 + m2, (n1 if m2 % 2 == 0 else -n1) + n2)
+        return self._product(x, y)
 
     def inv(self, x):
         kind = self.kind
@@ -408,13 +429,17 @@ class GroupModel:
 
         The enumeration also records its spanning tree: element i > 0 is
         ball[parent[i]] * steps[via[i]], with parent[i] < i, where steps
-        lists each generator and then its inverse when that differs."""
+        lists each generator and then its inverse when that differs.
+
+        A step that undoes the one an element was reached by leads back to
+        its parent, which is indexed already, so it is skipped: x * s is
+        not formed when s is the inverse of steps[via[p]] for x = ball[p]."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         cached = self._balls.get(radius)
+        if (len(cached[0]) if cached else 1) > cap:  # every ball holds 1
+            raise BallTooLarge(f"ball exceeds cap {cap}")
         if cached is not None:
-            if len(cached[0]) > cap:
-                raise BallTooLarge(f"ball exceeds cap {cap}")
             return cached[0]
         steps = []
         for g in self.generators():
@@ -422,17 +447,20 @@ class GroupModel:
             gi = self.inv(g)
             if gi != g:
                 steps.append(gi)
+        numbered = list(enumerate(steps))
+        # the steps tried after arriving by step k: all but k's inverse
+        onward = [[(j, s) for j, s in numbered if s != self.inv(t)] for t in steps]
         out = [self.identity()]
         index = {out[0]: 0}
         parent, via = [0], [0]
-        mul = self.mul
+        product = self._product
         lo = 0
         for _ in range(radius):
             hi = len(out)
             for p in range(lo, hi):
                 x = out[p]
-                for k, s in enumerate(steps):
-                    y = mul(x, s)
+                for k, s in onward[via[p]] if p else numbered:
+                    y = product(x, s)
                     if y not in index:
                         index[y] = len(out)
                         out.append(y)
@@ -463,6 +491,16 @@ class GroupModel:
                 self._domain = (elements, {x: x for x in elements}, 0)
             return self._domain
         return self.ball(radius, cap), self.ball_index(radius, cap), radius
+
+    def full_index(self, elements: list) -> frozenset:
+        """frozenset(range(len(elements))), the index set that complements
+        are taken in.  Kept in one slot with the very list it was built for
+        and replaced when another list is asked for."""
+        stored, full = self._full
+        if stored is not elements:
+            full = frozenset(range(len(elements)))
+            self._full = (elements, full)
+        return full
 
     def _tree(self, elements: list) -> tuple[list, list, list]:
         """(parent, via, steps) of the spanning tree of `elements`: the one

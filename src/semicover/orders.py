@@ -27,6 +27,7 @@ from .cones import (
     finite_bits,
     identity_cone,
     intersection,
+    inverse_pairs,
     invert_cone,
     is_cover_pair,
     is_subsemigroup,
@@ -138,7 +139,7 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
     ball, index_of, _ = model.scan_domain(radius, cap)
     mem = ball_members(cone, ball, index_of)
     mem_inv = ball_members(inv_cone, ball, index_of)
-    missing = next((i for i in range(len(ball)) if i not in mem and i not in mem_inv), None)
+    missing = min(model.full_index(ball) - (mem | mem_inv), default=None)
     if missing is not None:
         raise NotACone("cone union its inverse misses an element",
                        witness=(ball[missing],))
@@ -192,8 +193,9 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     out: dict = {}
     out["kernel_closed"] = is_subsemigroup(model, kern, radius, cap)
 
-    kmem = sorted(ball_members(kern, ball, index_of))
-    bad = next((i for i in kmem if not kern.member(model.inv(ball[i]))), None)
+    kset = ball_members(kern, ball, index_of)
+    pairs = inverse_pairs(model, ball, index_of, kern)
+    bad = next((i for i, j in pairs if i in kset and j not in kset), None)
     out["kernel_inverse_closed"] = (
         Verdict("verified", radius_checked=rad) if bad is None
         else Verdict("counterexample", witness=(ball[bad],), radius_checked=rad)
@@ -205,6 +207,7 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     else:
         conj_bad = None
         memo: dict = {}
+        kmem = sorted(kset)
         for g in ball:
             for i in kmem:
                 c = model.conj(g, ball[i])
@@ -225,13 +228,12 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     inv_cone = invert_cone(model, cone)
     cmem = ball_members(cone, ball, index_of)
     imem = ball_members(inv_cone, ball, index_of)
-    missing = next((i for i in range(len(ball)) if i not in cmem and i not in imem), None)
+    missing = min(model.full_index(ball) - (cmem | imem), default=None)
     out["cone_covers"] = (
         Verdict("verified", radius_checked=rad) if missing is None
         else Verdict("counterexample", witness=(ball[missing],), radius_checked=rad)
     )
-    kset = set(kmem)
-    stray = next((i for i in sorted(cmem & imem) if i not in kset), None)
+    stray = min(cmem & imem - kset, default=None)
     out["cone_antisymmetric_mod_kernel"] = (
         Verdict("verified", radius_checked=rad) if stray is None
         else Verdict("counterexample", witness=(ball[stray],), radius_checked=rad)

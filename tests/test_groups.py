@@ -173,6 +173,54 @@ def test_ball_monotone_and_deduplicated(model):
         prev = ball
 
 
+INFINITE_MODELS = [
+    GroupModel.zr(1),
+    GroupModel.zr(1, (2,)),
+    GroupModel.zr(2),
+    GroupModel.free(2),
+    GroupModel.heisenberg(),
+    GroupModel.klein_bottle(),
+]
+
+
+def _plain_ball(model, radius):
+    """BFS over `model.mul`, trying every step from every element: the
+    elements, parents, steps taken and step list `ball` must reproduce."""
+    steps = []
+    for g in model.generators():
+        steps += [g] if model.inv(g) == g else [g, model.inv(g)]
+    out, parent, via = [model.identity()], [0], [0]
+    seen, frontier = set(out), [0]
+    for _ in range(radius):
+        nxt = []
+        for p in frontier:
+            for k, s in enumerate(steps):
+                y = model.mul(out[p], s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(len(out))
+                    out.append(y)
+                    parent.append(p)
+                    via.append(k)
+        frontier = nxt
+    return out, parent, via, steps
+
+
+@pytest.mark.parametrize("model", INFINITE_MODELS, ids=lambda m: m.selector())
+@pytest.mark.parametrize("radius", range(6))
+def test_ball_matches_plain_bfs(model, radius):
+    out, parent, via, steps = _plain_ball(model, radius)
+    fresh = parse_model(model.selector())
+    ball = fresh.ball(radius)
+    assert ball == out
+    assert fresh.ball_index(radius) == {x: i for i, x in enumerate(out)}
+    tree_parent, tree_via, tree_steps = fresh._tree(ball)
+    assert (list(tree_parent), list(tree_via), list(tree_steps)) == (parent, via, steps)
+    with pytest.raises(BallTooLarge):
+        parse_model(model.selector()).ball(radius, cap=len(out) - 1)
+    assert parse_model(model.selector()).ball(radius, cap=len(out)) == out
+
+
 def test_ball_cap_enforced():
     with pytest.raises(BallTooLarge):
         GroupModel.free(2).ball(8, cap=100)

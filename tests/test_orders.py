@@ -6,9 +6,11 @@ import pytest
 from semicover import (
     GroupModel,
     Homomorphism,
+    LeftOrderWitness,
     complement,
     cone_from_quotient_order,
     contains,
+    explicit,
     ext_equal,
     identity_cone,
     intersection,
@@ -330,3 +332,74 @@ def test_witness_left_invariance(name, model, hom):
             hx = model.mul(h, x)
             for y in ball:
                 assert cmp_.le(x, y) == cmp_.le(hx, model.mul(h, y))
+
+
+# ---------------------------------------------------------------------------
+# validate_witness against an element scan
+# ---------------------------------------------------------------------------
+
+def _scan_verdicts(w, radius):
+    """(status, witness) of kernel_inverse_closed and cone_covers from
+    `member` on each ball element and its inverse, in BFS order."""
+    model, kern, cone = w.model, w.kernel, w.cone
+    ball = model.ball(radius)
+    bad = next((x for x in ball if kern.member(x) and not kern.member(model.inv(x))), None)
+    missing = next((x for x in ball
+                    if not cone.member(x) and not cone.member(model.inv(x))), None)
+    return {name: ("verified", None) if x is None else ("counterexample", (x,))
+            for name, x in (("kernel_inverse_closed", bad), ("cone_covers", missing))}
+
+
+def _scanned_witnesses():
+    """Bundled quotient witnesses, then kernels and cones that are explicit
+    lists or fail, on Z^2 and on the Heisenberg group."""
+    out = [(name, cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()),
+                                           radius=4))
+           for name, model, hom in witness_hom_fixtures()]
+    z2 = GroupModel.zr(2)
+    first = Homomorphism(z2, GroupModel.zr(1), images=[(1,), (0,)])
+    nonneg = pullback(first, "lex_nonneg")
+    axis = [x for x in z2.ball(4) if x[0] == 0]
+    out.append(("explicit_axis_kernel", LeftOrderWitness(z2, explicit(z2, axis), nonneg)))
+    # a half-plane is no subgroup: every x with first coordinate > 0 fails,
+    # by image class (pullback) and by element (the same set listed)
+    half = [x for x in z2.ball(4) if x[0] > 0 or x == (0, 0)]
+    out.append(("pullback_half_kernel", LeftOrderWitness(z2, union(
+        pullback(first, "lex_pos"), identity_cone(z2)), nonneg)))
+    out.append(("explicit_half_kernel", LeftOrderWitness(z2, explicit(z2, half), nonneg)))
+    # ball indices 6 and 17, which a CPython set lists as 17, 6: the
+    # witness must still be the first in BFS order
+    pair = [(1, 1), (1, -2)]
+    out.append(("explicit_pair_kernel", LeftOrderWitness(z2, explicit(z2, pair), nonneg)))
+    hs = GroupModel.heisenberg()
+    y = Homomorphism(hs, GroupModel.zr(1), images=[(0,), (1,)])
+    scattered = [x for x in hs.ball(3) if (x[0] + 2 * x[2]) % 3 == 1]
+    out.append(("explicit_scattered_kernel", LeftOrderWitness(
+        hs, union(explicit(hs, scattered), identity_cone(hs)), pullback(y, "lex_pos"))))
+    out.append(("exclude_kernel", LeftOrderWitness(
+        hs, explicit(hs, [(1, 0, 0)], mode="exclude"), complement(pullback(y, "lex_zero")))))
+    return out
+
+
+SCANNED = _scanned_witnesses()
+
+
+@pytest.mark.parametrize("name,witness", SCANNED, ids=[name for name, _ in SCANNED])
+def test_validate_witness_matches_element_scan(name, witness):
+    radius = 3 if witness.model.kind in ("heisenberg", "free") else 4
+    verdicts = validate_witness(witness, radius)
+    for check, expected in _scan_verdicts(witness, radius).items():
+        assert (verdicts[check].status, verdicts[check].witness) == expected, check
+
+
+def test_scanned_witnesses_include_failures():
+    statuses = {(name, check): status
+                for name, w in SCANNED
+                for check, (status, _) in _scan_verdicts(w, 3).items()}
+    assert statuses[("pullback_half_kernel", "kernel_inverse_closed")] == "counterexample"
+    assert statuses[("explicit_half_kernel", "kernel_inverse_closed")] == "counterexample"
+    assert statuses[("explicit_pair_kernel", "kernel_inverse_closed")] == "counterexample"
+    assert statuses[("explicit_scattered_kernel", "kernel_inverse_closed")] == "counterexample"
+    assert statuses[("explicit_scattered_kernel", "cone_covers")] == "counterexample"
+    assert statuses[("exclude_kernel", "kernel_inverse_closed")] == "counterexample"
+    assert statuses[("explicit_axis_kernel", "kernel_inverse_closed")] == "verified"
