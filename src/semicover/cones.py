@@ -9,6 +9,7 @@ ball-local verdicts always carry the radius they were checked at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from operator import add
 from typing import Iterable, Optional
 
@@ -52,9 +53,9 @@ class ConeSet:
     """Base class; concrete nodes below.  All nodes carry their model.
 
     Besides its fields a node keeps two memos, outside the dataclass fields
-    so that equality, hashing and repr ignore them: its compiled predicate
-    (`compile_values`) and its member set on the last ball asked for
-    (`ball_members`)."""
+    so that equality, hashing and repr ignore them: its compiled form
+    (`compile_cone`: the sign-pattern table and the exceptions) and its
+    member set on the last ball asked for (`ball_members`)."""
 
     model: GroupModel
 
@@ -220,7 +221,10 @@ def invert_cone(model: GroupModel, cone: ConeSet) -> ConeSet:
     closed ({v : -v > 0} = complement of lex_nonneg, etc.).
     """
     check_model(model, cone)
-    return _invert(cone)
+    out = _invert(cone)
+    if out is not cone:
+        object.__setattr__(out, "_compiled", _inverse_form(compile_cone(cone), model))
+    return out
 
 
 def _invert(cone: ConeSet) -> ConeSet:
@@ -318,25 +322,161 @@ def inverse_pairs(model: GroupModel, ball: list, index_of: dict, *cones: ConeSet
 
 
 # ---------------------------------------------------------------------------
-# Value-pure analysis: membership through shared homomorphisms
+# Compiled cones: a sign-pattern predicate plus a finite exception set
 # ---------------------------------------------------------------------------
+
+class Form:
+    """A cone compiled for membership of any element of its model.
+
+    `homs` are the cone's Z^r homomorphisms in order of first appearance.
+    `value(signs)` is a predicate on the lex signs of an element's images
+    under them, memoized per sign pattern (at most 3^k entries for k maps),
+    so the tree below is evaluated once per pattern.  x is a member exactly
+    when value(signs(x)) differs from (x in exceptions): explicit include
+    lists read False, exclude lists True and the identity leaf False, and
+    `exceptions` holds the listed elements and the identity wherever their
+    membership differs from the predicate.  They are found on first use,
+    from `one`, the identity's membership, and the listed elements below.
+    `pure` marks a cone without explicit lists (value-pure): the predicate
+    decides every element but the identity.
+
+    A parent's form is built from its children's stored forms, so a fresh
+    wrapper node costs O(children).  A form never refers to a cone node,
+    so forms kept on nodes make no reference cycles."""
+
+    __slots__ = ("homs", "pure", "one", "table", "compute", "find", "_exceptions", "readers")
+
+    def __init__(self, homs: tuple, pure: bool, one: bool, table: dict,
+                 exceptions: frozenset = frozenset(), compute=None, find=None):
+        self.homs, self.pure, self.one, self.table = homs, pure, one, table
+        self.compute, self.find = compute, find
+        self._exceptions = None if find else exceptions
+        self.readers: dict = {}  # slices -> predicate, see `_reader`
+
+    @property
+    def exceptions(self) -> frozenset:
+        if self._exceptions is None:
+            self._exceptions, self.find = self.find(self), None
+        return self._exceptions
+
+    def value(self, signs: tuple) -> bool:
+        v = self.table.get(signs)
+        if v is None:
+            v = self.table[signs] = self.compute(signs)
+        return v
+
+    def signs(self, x) -> tuple:
+        return tuple([_lex_sign(h.apply(x)) for h in self.homs])
+
+
+# a pullback leaf's table, complete and so never written to
+_REGION_TABLES = {region: {(s,): region_test(region, (s,)) for s in (-1, 0, 1)}
+                  for region in LEX_REGIONS}
+
+
+def compile_cone(cone: ConeSet) -> Form:
+    """The cone's form, built on first use and kept on the node."""
+    form = vars(cone).get("_compiled")
+    if form is None:
+        form = _build_form(cone)
+        object.__setattr__(cone, "_compiled", form)
+    return form
+
+
+def _build_form(cone: ConeSet) -> Form:
+    one = cone.model.identity()
+    if isinstance(cone, Pullback):
+        table = _REGION_TABLES[cone.region]
+        return Form((cone.hom,), True, table[(0,)], table)
+    if isinstance(cone, Identity):
+        return Form((), True, True, {(): False}, frozenset((one,)))
+    if isinstance(cone, ExplicitSet):
+        exclude = cone.mode == "exclude"
+        return Form((), False, (one in cone.elements) != exclude, {(): exclude}, cone.elements)
+    if isinstance(cone, FiniteBits):
+        return Form((), False, one in cone.indices, {(): False}, cone.indices)
+    if isinstance(cone, Complement):
+        inner = compile_cone(cone.part)
+        return Form(inner.homs, inner.pure, not inner.one, {},
+                    compute=lambda s: not inner.value(s), find=lambda _: inner.exceptions)
+    if isinstance(cone, (Union, Intersection)):
+        return _combined([compile_cone(c) for c in cone.parts],
+                         any if isinstance(cone, Union) else all, one)
+    raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
+
+
+def _combined(parts: list, how, one) -> Form:
+    homs: list = []
+    for f in parts:
+        homs.extend(h for h in f.homs if h not in homs)
+    picks = [(f, [homs.index(h) for h in f.homs]) for f in parts]
+
+    def find(form: Form) -> frozenset:
+        # the identity has the zero sign pattern; any other exception is
+        # listed in an impure part, and off the parts' exceptions every
+        # part is its predicate, and so is the whole
+        out = [one] if form.one != form.value((0,) * len(homs)) else []
+        for e in frozenset().union(*[f.exceptions for f in parts if not f.pure]) - {one}:
+            s = form.signs(e)
+            values = [f.value(tuple([s[i] for i in pos])) for f, pos in picks]
+            inside = [v != (not f.pure and e in f.exceptions) for v, f in zip(values, parts)]
+            if how(values) != how(inside):
+                out.append(e)
+        return frozenset(out)
+    return Form(tuple(homs), all(f.pure for f in parts), how(f.one for f in parts), {},
+                find=find,
+                compute=lambda s: how(f.value(tuple([s[i] for i in pos])) for f, pos in picks))
+
+
+def _inverse_form(base: Form, model: GroupModel) -> Form:
+    """The form of x -> x^-1 in the cone: phi(x^-1) = -phi(x) negates
+    every sign, and the exceptions are inverted."""
+    return Form(base.homs, base.pure, base.one, {},
+                compute=lambda s: base.value(tuple([-v for v in s])),
+                find=lambda _: frozenset(model.inv(e) for e in base.exceptions))
+
+
+def _reader(form: Form, homs):
+    """The form's predicate on joint image vectors laid out by `homs`,
+    which must include the form's homomorphisms.  Its values are read once
+    per sign pattern of the form's own homomorphisms, indexed as a balanced
+    ternary number, and the reader is kept on the form per layout."""
+    layout = _slice_layout(homs)
+    slices = tuple(layout[homs.index(h)] for h in form.homs)
+    pred = form.readers.get(slices)
+    if pred is None:
+        values = [None] * 3 ** len(slices)
+        for signs in product((-1, 0, 1), repeat=len(slices)):
+            i = 0
+            for v in signs:
+                i = 3 * i + v
+            values[i] = form.value(signs)
+
+        def pred(w) -> bool:
+            i = 0
+            for lo, hi in slices:
+                i = 3 * i + _lex_sign(w[lo:hi])
+            return values[i]
+        form.readers[slices] = pred
+    return pred
+
 
 def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
     """The distinct Z^r homomorphisms membership in the cones factors
     through, in order of first appearance, or None if membership in some
     cone is not value-determined (explicit element lists).  A cone that
-    `compile_values` has compiled is read from its stored result; any
-    other is walked, and not compiled."""
+    has been compiled is read from its stored form; any other is walked,
+    and not compiled."""
     homs: list[Homomorphism] = []
     for cone in cones:
-        stored = vars(cone)
-        if "_compiled" not in stored:
+        form = vars(cone).get("_compiled")
+        if form is None:
             if not _collect_homs(cone, homs):
                 return None
-        elif stored["_compiled"] is None:
+        elif not form.pure:
             return None
         else:
-            homs.extend(h for h in stored["_compiled"][0] if h not in homs)
+            homs.extend(h for h in form.homs if h not in homs)
     return homs
 
 
@@ -358,31 +498,18 @@ def compile_values(cone: ConeSet, homs: Optional[list] = None):
     """A value-pure cone compiled to a predicate on joint image vectors.
 
     Returns (homs, pred), or None when the cone is not value-pure.  `homs`
-    defaults to the cone's value_profile, and that result is kept on the
-    node; a caller may pass a longer list to share one layout between
-    cones.  pred(joint_image(homs, x)) is the membership of every x other
-    than the identity: the Identity leaf reads False, so the identity
-    itself is decided by `member`.  Each pullback leaf reads a fixed slice
-    of the vector, resolved here once, and reads only that slice's lex
-    sign: pred is a function of the per-slice sign pattern, which
-    `sums_hold` relies on.  A node added to the compiler (a conjugate or
-    orbit node, say) must keep this or stay uncompiled.  Value-purity is
-    read from the stored result whether or not `homs` is passed, so the
-    tree is walked for it once.
+    defaults to the cone's own homomorphisms; a caller may pass a longer
+    list to share one layout between cones.  pred(joint_image(homs, x)) is
+    the membership of every x other than the identity, which `member`
+    decides.  pred reads only the lex sign of each homomorphism's slice of
+    the vector, which `sums_hold` relies on.  A node added to the compiler
+    (a conjugate or orbit node, say) must keep this or stay uncompiled.
     """
-    stored = vars(cone)
-    if "_compiled" not in stored:
-        own: list = []
-        pure = _collect_homs(cone, own)
-        object.__setattr__(cone, "_compiled", (own, _compile_on(cone, own)) if pure else None)
-    compiled = stored["_compiled"]
-    if homs is None or compiled is None or homs == compiled[0]:
-        return compiled
-    return homs, _compile_on(cone, homs)
-
-
-def _compile_on(cone: ConeSet, homs: list):
-    return _compile(cone, dict(zip(homs, _slice_layout(homs))))
+    form = compile_cone(cone)
+    if not form.pure:
+        return None
+    homs = list(form.homs) if homs is None else homs
+    return homs, _reader(form, homs)
 
 
 def _slice_layout(homs) -> list[tuple[int, int]]:
@@ -405,57 +532,6 @@ def compile_shared(*cones: ConeSet):
     if homs is None:
         return None
     return homs, [compile_values(cone, homs)[1] for cone in cones]
-
-
-def _compile(node: ConeSet, slices: dict):
-    if isinstance(node, Pullback):
-        lo, hi = slices[node.hom]
-        return _region_predicate(node.region, lo, hi)
-    if isinstance(node, Identity):
-        return _never
-    if isinstance(node, Union):
-        return _any_of(tuple(_compile(c, slices) for c in node.parts))
-    if isinstance(node, Intersection):
-        return _all_of(tuple(_compile(c, slices) for c in node.parts))
-    if isinstance(node, Complement):
-        return _negation(_compile(node.part, slices))
-    raise ModelMismatch("node is not value-pure")
-
-
-def _region_predicate(region: str, lo: int, hi: int):
-    if region == "lex_pos":
-        return lambda w: _lex_sign(w[lo:hi]) > 0
-    if region == "lex_nonneg":
-        return lambda w: _lex_sign(w[lo:hi]) >= 0
-    if region == "lex_zero":
-        return lambda w: not any(w[lo:hi])
-    raise ParseError(f"unknown lex region {region!r}")
-
-
-def _never(w) -> bool:
-    return False
-
-
-def _any_of(preds: tuple):
-    def pred(w):
-        for p in preds:
-            if p(w):
-                return True
-        return False
-    return pred
-
-
-def _all_of(preds: tuple):
-    def pred(w):
-        for p in preds:
-            if not p(w):
-                return False
-        return True
-    return pred
-
-
-def _negation(inner):
-    return lambda w: not inner(w)
 
 
 def sums_hold(pred, homs, us, vs) -> bool:
@@ -490,6 +566,94 @@ def _sign_buckets(vecs, layout) -> dict:
         key = tuple(_lex_sign(w[lo:hi]) for lo, hi in layout)
         buckets.setdefault(key, []).append(w)
     return buckets
+
+
+class ProductScan:
+    """The first y, in ascending order over the ball indices `ys`, whose
+    product with a ball element a (a*y on the left, y*a on the right)
+    leaves a target form.  Both products have the image w_a + w_y, so the
+    target's predicate is read once per pair of image classes of the ball
+    under `homs` (which must include the target's), and the first failure
+    by class is kept per class of a.  The verdict flips only for the y
+    with a*y (or y*a) among the target's exceptions, one y per exception.
+    No other product is formed."""
+
+    def __init__(self, model: GroupModel, ball: list, index_of: dict, homs,
+                 target: Form, ys: frozenset):
+        self.model, self.ball, self.index_of = model, ball, index_of
+        self.cls, self.keys = model.element_classes(homs, ball)
+        self.pred = _reader(target, homs)
+        self.exceptions = target.exceptions
+        self.ys, self.yset = sorted(ys), ys
+        self.rows: dict = {}       # class of a -> {class of y: verdict}
+        self.row_first: dict = {}  # class of a -> position in ys of its first failure by class
+
+    def holds(self, ca: int, cy: int) -> bool:
+        row = self.rows.setdefault(ca, {})
+        v = row.get(cy)
+        if v is None:
+            v = row[cy] = self.pred(tuple(map(add, self.keys[ca], self.keys[cy])))
+        return v
+
+    def _failure(self, ca: int, start: int, flips) -> Optional[int]:
+        """The first position from `start` whose y fails by class with
+        class ca and is not in `flips`."""
+        ys, cls = self.ys, self.cls
+        return next((k for k in range(start, len(ys))
+                     if not self.holds(ca, cls[ys[k]]) and ys[k] not in flips), None)
+
+    def first(self, a: int, left: bool = True) -> Optional[int]:
+        """The first y in ys with ball[a] * ball[y] (left) or
+        ball[y] * ball[a] outside the target, or None."""
+        ca = self.cls[a]
+        if ca not in self.row_first:
+            self.row_first[ca] = self._failure(ca, 0, ())
+        found = self.row_first[ca]
+        flips = set()
+        if self.exceptions:
+            mul, ai = self.model.mul, self.model.inv(self.ball[a])
+            for e in self.exceptions:
+                i = self.index_of.get(mul(ai, e) if left else mul(e, ai))
+                if i in self.yset:
+                    flips.add(i)
+        if found is not None and self.ys[found] in flips:
+            found = self._failure(ca, found + 1, flips)
+        # a flipped y fails exactly when its class passes
+        failing = [y for y in flips if self.holds(ca, self.cls[y])]
+        if found is not None:
+            failing.append(self.ys[found])
+        return min(failing, default=None)
+
+    def first_pair(self) -> Optional[tuple[int, int]]:
+        """The first (x, y) in ys x ys, in BFS order, with xy outside the
+        target, for ys inside the target: 1y = y stays in it, so the row of
+        the identity (ball index 0) is skipped."""
+        for x in self.ys:
+            if x == 0:
+                continue
+            y = self.first(x)
+            if y is not None:
+                return x, y
+        return None
+
+
+def conjugate_escapes(model: GroupModel, cone: ConeSet, g, ball: list,
+                      index_of: dict) -> list[int]:
+    """Ascending indices of the ball members h of the cone whose conjugate
+    g^-1 h g is not a member.  The conjugate has the image of h, so it
+    leaves the cone exactly when one of the two is among the compiled
+    form's exceptions and the other is not: only the conjugates of the
+    exceptions are formed."""
+    exceptions = compile_cone(cone).exceptions
+    members = ball_members(cone, ball, index_of)
+    out = []
+    for e in exceptions:
+        if model.conj(g, e) not in exceptions:  # h = e
+            out.append(index_of.get(e))
+        c = model.conj(model.inv(g), e)         # h = g e g^-1, whose conjugate is e
+        if c not in exceptions:
+            out.append(index_of.get(c))
+    return sorted(i for i in out if i in members)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +691,12 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
-                    cap: int = DEFAULT_BALL_CAP, force_naive: bool = False) -> Verdict:
+                    cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """Check x, y in cone => xy in cone.
 
     Finite models are checked exactly over all pairs.  Infinite models are
-    checked over the radius ball; products are evaluated globally through
-    the cone predicate.  The first counterexample in BFS pair order wins.
+    checked over the radius ball; products are decided globally by the
+    cone's compiled form.  The first counterexample in BFS pair order wins.
     """
     check_model(model, cone)
     if radius < 1 and model.kind != "finite":
@@ -540,26 +704,15 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     ball, index_of, rad = model.scan_domain(radius, cap)
     memset = ball_members(cone, ball, index_of)
 
-    compiled = None if force_naive else compile_values(cone)
+    compiled = compile_values(cone)
     if compiled is not None and _closure_clean_by_values(model, compiled, ball, index_of,
                                                          memset):
         return Verdict("verified", radius_checked=rad)
-
-    # naive pair scan (first failing pair in BFS order decides the witness)
-    mul = model.mul
-    member_elems = [ball[i] for i in sorted(memset)]
-    memo: dict = {}
-    for x in member_elems:
-        for y in member_elems:
-            p = mul(x, y)
-            v = memo.get(p)
-            if v is None:
-                idx = index_of.get(p)
-                v = (idx in memset) if idx is not None else cone.member(p)
-                memo[p] = v
-            if not v:
-                return Verdict("counterexample", witness=(x, y), radius_checked=rad)
-    return Verdict("verified", radius_checked=rad)
+    form = compile_cone(cone)
+    bad = ProductScan(model, ball, index_of, form.homs, form, memset).first_pair()
+    if bad is None:
+        return Verdict("verified", radius_checked=rad)
+    return Verdict("counterexample", witness=(ball[bad[0]], ball[bad[1]]), radius_checked=rad)
 
 
 def _closure_clean_by_values(model, compiled, ball, index_of, memset) -> bool:

@@ -15,10 +15,12 @@ from .cones import (
     ConeSet,
     CoverPair,
     Verdict,
+    ProductScan,
     ball_members,
+    compile_cone,
     compile_shared,
-    compile_values,
     complement,
+    conjugate_escapes,
     explicit,
     finite_bits,
     identity_cone,
@@ -43,23 +45,6 @@ from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
 A_SIDE = "A_side"
-
-
-class _Memo:
-    """Per-call membership cache for one cone (products repeat heavily)."""
-
-    __slots__ = ("cone", "cache")
-
-    def __init__(self, cone: ConeSet):
-        self.cone = cone
-        self.cache: dict = {}
-
-    def __call__(self, x) -> bool:
-        v = self.cache.get(x)
-        if v is None:
-            v = self.cone.member(x)
-            self.cache[x] = v
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -146,47 +131,35 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
                            cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
     B - H is stable under multiplication by H on both sides.  Value-pure
-    covers are first decided per image class."""
+    covers are first decided per image class; otherwise each h's first
+    escaping x is read from the compiled forms of A - {1} and B - H
+    (`ProductScan`)."""
     ball, index_of, rad = model.scan_domain(radius, cap)
     h_cone = symmetric_part(model, cover.b)
     compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
     if compiled is not None and _saturation_clean_by_classes(*compiled):
         return Verdict("verified", radius_checked=rad)
 
-    a_mem, b_mem, h_mem = _Memo(cover.a), _Memo(cover.b), _Memo(h_cone)
     h_set = ball_members(h_cone, ball, index_of)
-    a_star = ball_members(cover.a, ball, index_of) - {0}
-    bh_set = ball_members(cover.b, ball, index_of) - h_set
+    sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}",
+              ball_members(cover.a, ball, index_of) - {0}),
+             (intersection(cover.b, complement(h_cone)), "B - H",
+              ball_members(cover.b, ball, index_of) - h_set))
+    homs: list = []
+    for side, _, _ in sides:
+        homs.extend(h for h in compile_cone(side).homs if h not in homs)
+    scans = [None, None]  # built when first needed
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
-    hmem = [ball[i] for i in sorted(h_set) if i]
-    amem = [ball[i] for i in sorted(a_star)]
-    bh = [ball[i] for i in sorted(bh_set)]
-
-    # a product inside the ball reads the stored sets; outside it, it is
-    # not the identity
-    def in_a_minus_one(x):
-        i = index_of.get(x)
-        return i in a_star if i is not None else a_mem(x)
-
-    def in_b_minus_h(x):
-        i = index_of.get(x)
-        return i in bh_set if i is not None else b_mem(x) and not h_mem(x)
-
-    for h in hmem:
-        for x in amem:
-            if not in_a_minus_one(model.mul(h, x)):
-                return Verdict("counterexample", witness=(h, x), radius_checked=rad,
-                               note="left product leaves A - {1}")
-            if not in_a_minus_one(model.mul(x, h)):
-                return Verdict("counterexample", witness=(h, x), radius_checked=rad,
-                               note="right product leaves A - {1}")
-        for x in bh:
-            if not in_b_minus_h(model.mul(h, x)):
-                return Verdict("counterexample", witness=(h, x), radius_checked=rad,
-                               note="left product leaves B - H")
-            if not in_b_minus_h(model.mul(x, h)):
-                return Verdict("counterexample", witness=(h, x), radius_checked=rad,
-                               note="right product leaves B - H")
+    for h in sorted(h_set - {0}):
+        for k, (side, name, members) in enumerate(sides):
+            if scans[k] is None:
+                scans[k] = ProductScan(model, ball, index_of, homs, compile_cone(side), members)
+            left, right = scans[k].first(h, left=True), scans[k].first(h, left=False)
+            x = min((i for i in (left, right) if i is not None), default=None)
+            if x is not None:
+                hand = "left" if x == left else "right"
+                return Verdict("counterexample", witness=(ball[h], ball[x]), radius_checked=rad,
+                               note=f"{hand} product leaves {name}")
     return Verdict("verified", radius_checked=rad)
 
 
@@ -347,16 +320,11 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
             if name == "B'":
                 # prefer a pair whose product lands in the moved piece: the
                 # exact case the construction's closure argument excludes
-                ha_mem = _Memo(ha)
-                bmem = [ball[i] for i in sorted(ball_members(b_new, ball, index_of))]
-                hit = next(
-                    ((b1, b2) for b1 in bmem for b2 in bmem
-                     if model.mul(b1, b2) != model.identity()
-                     and ha_mem(model.mul(b1, b2))),
-                    None,
-                )
+                outside = compile_cone(union(complement(ha), identity_cone(model)))
+                hit = ProductScan(model, ball, index_of, outside.homs, outside,
+                                  ball_members(b_new, ball, index_of)).first_pair()
                 if hit is not None:
-                    witness = hit
+                    witness = (ball[hit[0]], ball[hit[1]])
             raise ClosureViolation(
                 f"{name} is not closed at the working radius",
                 witness=witness, check=f"closure_{name}",
@@ -369,15 +337,14 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
         raise ClosureViolation("A does not grow strictly", check="a_strict")
     if not (b_star < b_old):
         raise ClosureViolation("B does not shrink strictly", check="b_strict")
-    one = model.identity()
-    for i in sorted(a_star):
-        x = ball[i]
-        if x != one and not b_new.member(model.inv(x)):
+    inverse = model.inverse_index(ball, index_of)
+    for i in sorted(a_star - {0}):
+        if inverse[i] not in b_star:
             raise ClosureViolation("inverse of an A' element is missing from B'",
-                                   witness=(x,), check="inverse_property")
-        if x != one and a_new.member(model.inv(x)):
+                                   witness=(ball[i],), check="inverse_property")
+        if inverse[i] in a_star:
             raise ClosureViolation("A' contains a nontrivial symmetric pair",
-                                   witness=(x,), check="no_subgroup")
+                                   witness=(ball[i],), check="no_subgroup")
     return refined
 
 
@@ -411,18 +378,16 @@ class DescentState:
 def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: int):
     """First (g, h) in BFS order with a conjugate of h by g escaping N.
     Cones whose AST proves conjugation stability are exact: no scan."""
-    if compile_values(n_cone) is not None:
+    if compile_cone(n_cone).pure:
         return None
     ball, index_of, _ = model.scan_domain(radius, cap)
-    nmem = [ball[i] for i in sorted(ball_members(n_cone, ball, index_of))]
-    member = _Memo(n_cone)
     for g in ball:
         if g == model.identity():
             continue
-        for h in nmem:
-            if not member(model.conj(g, h)) or \
-               not member(model.conj(model.inv(g), h)):
-                return g, h
+        bad = conjugate_escapes(model, n_cone, g, ball, index_of) + \
+            conjugate_escapes(model, n_cone, model.inv(g), ball, index_of)
+        if bad:
+            return g, ball[min(bad)]
     return None
 
 

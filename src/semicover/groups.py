@@ -212,8 +212,9 @@ def _product_for(model: "GroupModel"):
         r, orders = model.rank, model.orders
         if not orders:
             return lambda x, y: tuple(map(add, x, y))
-        return lambda x, y: tuple(map(add, x[:r], y[:r])) + tuple(
-            (a + b) % o for a, b, o in zip(x[r:], y[r:], orders))
+        moduli = (None,) * r + orders  # None: a free coordinate
+        return lambda x, y: tuple([a + b if o is None else (a + b) % o
+                                   for a, b, o in zip(x, y, moduli)])
     if kind == "free":
         return _free_product
     if kind == "heisenberg":
@@ -534,10 +535,19 @@ class GroupModel:
         Z^r has phi(x * s) = phi(x) + phi(s), so each element's image is its
         parent's plus its step's.  Only the steps are mapped, and each
         distinct (parent class, step) pair costs one vector addition."""
+        return self._classes(homs, ball)[1]
+
+    def element_classes(self, homs, ball: list) -> tuple[list, list]:
+        """(cls, keys) for the same classes as `image_classes`: cls[i] is
+        the class number of ball[i] and keys[c] the joint image of class c.
+        Class 0 is the zero vector's, which holds the identity."""
+        return self._classes(homs, ball)[2:]
+
+    def _classes(self, homs, ball: list) -> tuple:
         key = (len(ball),) + tuple(h._key() for h in homs)
         hit = self._class_cache.get(key)
         if hit is not None and hit[0] is ball:
-            return hit[1]
+            return hit
         parent, via, steps = self._tree(ball)
         step_images = [joint_image(homs, s) for s in steps]
         n_steps = len(step_images)
@@ -562,8 +572,8 @@ class GroupModel:
                 moves[move] = c
             cls[i] = c
             members[c].append(i)
-        self._class_cache[key] = (ball, classes)
-        return classes
+        hit = self._class_cache[key] = (ball, classes, cls, keys)
+        return hit
 
     # -- selector strings
 
@@ -655,28 +665,37 @@ def parse_element(model: GroupModel, text: str):
     if kind in ("free", "klein_bottle"):
         if s in ("1", ""):
             return model.identity()
-        gens = model.generators()
         letters = model.generator_letters()
-        pos = 0
-        result = model.identity()
+        tokens, pos, total = [], 0, 0
         for m in _WORD_TOKEN.finditer(s):
             if m.start() != pos:
                 raise ParseError(f"unexpected character at {s[pos:]!r}")
             pos = m.end()
             ch = m.group(1)
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            low = ch.lower()
-            if low not in letters:
+            if ch.lower() not in letters:
                 raise ParseError(f"unknown generator letter {ch!r}")
-            g = gens[letters.index(low)]
-            if ch.isupper():
-                exp = -exp
-            step = g if exp > 0 else model.inv(g)
-            for _ in range(abs(exp)):
-                result = model.mul(result, step)
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+            total += abs(exp)
+            if total > DEFAULT_BALL_CAP:
+                raise ParseError(f"word {text!r} has more than {DEFAULT_BALL_CAP} letters")
+            tokens.append((letters.index(ch.lower()), -exp if ch.isupper() else exp))
         if pos != len(s):
             raise ParseError(f"unexpected character at {s[pos:]!r}")
-        return result
+        if kind == "klein_bottle":
+            # a^e = (0, e) and b^e = (e, 0) in the normal form b^m a^n
+            result = model.identity()
+            for g, exp in tokens:
+                result = model.mul(result, (0, exp) if g == 0 else (exp, 0))
+            return result
+        word: list = []  # freely reduced as it is built
+        for g, exp in tokens:
+            v = g + 1 if exp > 0 else -(g + 1)
+            count = abs(exp)
+            while count and word and word[-1] == -v:
+                word.pop()
+                count -= 1
+            word.extend([v] * count)
+        return tuple(word)
     raise ParseError(f"cannot parse elements for model {kind}")
 
 

@@ -23,6 +23,7 @@ from .cones import (
     compile_values,
     complement,
     cone_to_obj,
+    conjugate_escapes,
     ext_equal,
     finite_bits,
     identity_cone,
@@ -205,21 +206,8 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
         # abelian-image leaves cannot distinguish conjugates: exact verdict
         out["kernel_conjugation_stable"] = Verdict("verified", radius_checked=0)
     else:
-        conj_bad = None
-        memo: dict = {}
-        kmem = sorted(kset)
-        for g in ball:
-            for i in kmem:
-                c = model.conj(g, ball[i])
-                v = memo.get(c)
-                if v is None:
-                    v = kern.member(c)
-                    memo[c] = v
-                if not v:
-                    conj_bad = (g, ball[i])
-                    break
-            if conj_bad:
-                break
+        escapes = ((g, conjugate_escapes(model, kern, g, ball, index_of)) for g in ball)
+        conj_bad = next(((g, ball[bad[0]]) for g, bad in escapes if bad), None)
         out["kernel_conjugation_stable"] = (
             Verdict("verified", radius_checked=rad) if conj_bad is None
             else Verdict("counterexample", witness=conj_bad, radius_checked=rad)
@@ -401,13 +389,9 @@ def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
     # conjugators from a small ball (all of a finite group); explicit-set
     # inputs only
     probe = model.scan_domain(min(radius, 2), cap)[0]
-    nmem = [ball[i] for i in sorted(ball_members(n, ball, index_of))]
     for g in probe:
-        for h in nmem:
-            if not n.member(model.conj(g, h)):
-                raise NotNormalized(
-                    f"maximal subgroup not normal at conjugator {g!r}"
-                )
+        if conjugate_escapes(model, n, g, ball, index_of):
+            raise NotNormalized(f"maximal subgroup not normal at conjugator {g!r}")
     return n
 
 

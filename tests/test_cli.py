@@ -279,8 +279,9 @@ def test_exit_two_on_bad_cone_json(tmp_path, capsys):
     ("z^1xC0", A_CONE, []),
     ("free:0", A_CONE, []),
     ("z^1xC2", A_CONE, ["--radius", "0"]),
+    ("free:2", {"op": "explicit", "elements": ["a^99999999999999999999999"]}, []),
 ], ids=["string-image", "bool-image", "number-element", "order-zero-factor",
-        "free-rank-zero", "radius-zero"])
+        "free-rank-zero", "radius-zero", "word-over-ball-cap"])
 def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extra):
     a = tmp_path / "a.cone"
     a.write_text(json.dumps(a_cone))

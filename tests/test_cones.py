@@ -26,7 +26,15 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover.cones import LEX_REGIONS, CoverPair, ball_members, compile_values, sums_hold
+from semicover.cones import (
+    LEX_REGIONS,
+    CoverPair,
+    ball_members,
+    compile_cone,
+    compile_values,
+    finite_bits,
+    sums_hold,
+)
 from semicover.covers import check_coset_saturation, check_inverse_duality, reduce_cover
 from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
@@ -188,17 +196,24 @@ def test_free2_pullback_closed_radius5():
     assert is_subsemigroup(fr, cone, 5).ok
 
 
+def _closure_oracle(model, cone, radius):
+    """(status, witness) of closure by every pair: the first (x, y) in BFS
+    order over the cone's domain members whose product fails node
+    `member()`."""
+    members = [x for x in model.scan_domain(radius)[0] if cone.member(x)]
+    bad = next(((x, y) for x in members for y in members
+                if not cone.member(model.mul(x, y))), None)
+    return ("verified", None) if bad is None else ("counterexample", bad)
+
+
 def test_fast_path_agrees_with_naive_scan():
-    # the value-class shortcut must be extensionally identical to the scan
+    # the value-class shortcut and the scan must agree with every pair
     rng = random.Random(7)
     for model in INFINITE_MODELS:
         zoo = [c for c in _cone_zoo(model) if c is not None]
         for cone in rng.sample(zoo, k=min(5, len(zoo))):
-            fast = is_subsemigroup(model, cone, 3)
-            slow = is_subsemigroup(model, cone, 3, force_naive=True)
-            assert fast.status == slow.status, (model.kind, cone)
-            if fast.status == "counterexample":
-                assert fast.witness == slow.witness
+            v = is_subsemigroup(model, cone, 3)
+            assert (v.status, v.witness) == _closure_oracle(model, cone, 3), (model.kind, cone)
 
 
 @st.composite
@@ -221,7 +236,8 @@ def _cone_trees(draw, model, explicit_leaves, homs=None):
     """Nested union/intersection/complement trees over pullbacks through
     one or two homomorphisms (drawn unless given; none on a finite model)
     and the identity; with `explicit_leaves`, also explicit include and
-    exclude lists, so value-pure subtrees sit inside mixed ones."""
+    exclude lists (and bitsets on a finite model), so value-pure subtrees
+    sit inside mixed ones."""
     if homs is None and model.kind != "finite":
         homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
     leaves = [st.just(identity_cone(model))]
@@ -232,6 +248,9 @@ def _cone_trees(draw, model, explicit_leaves, homs=None):
         leaves.append(st.builds(lambda xs, mode: explicit(model, xs, mode),
                                 st.lists(st.sampled_from(ball), max_size=4),
                                 st.sampled_from(("include", "exclude"))))
+        if model.kind == "finite":
+            leaves.append(st.builds(lambda xs: finite_bits(model, xs),
+                                    st.lists(st.sampled_from(ball), max_size=4)))
     return draw(st.recursive(st.one_of(*leaves), lambda k: st.one_of(
         st.builds(union, k, k), st.builds(intersection, k, k), st.builds(complement, k)),
         max_leaves=6))
@@ -251,9 +270,8 @@ def test_value_classes_agree_with_element_scan(data):
     cone = data.draw(_cone_trees(model, explicit_leaves=data.draw(st.booleans())))
     assert ball_members(cone, ball, idx) == {i for i, x in enumerate(ball) if cone.member(x)}
 
-    fast = is_subsemigroup(model, cone, radius)
-    slow = is_subsemigroup(model, cone, radius, force_naive=True)
-    assert (fast.status, fast.witness) == (slow.status, slow.witness)
+    v = is_subsemigroup(model, cone, radius)
+    assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
 
     kernel = data.draw(st.one_of(st.just(None), _cone_trees(model, explicit_leaves=False)))
     if kernel is None:
@@ -296,7 +314,7 @@ def test_ball_members_memo_follows_the_ball(data):
 def _element_path(model, pair):
     """The same pair with each side padded by an empty explicit list:
     membership is unchanged, but neither side is value-pure any more, so
-    the lemma checks run their element scan."""
+    the lemma checks skip the class certificate and run their scan."""
     empty = explicit(model, [])
     return CoverPair(model, union(pair.a, empty), union(pair.b, empty), pair.radius)
 
@@ -333,6 +351,89 @@ def test_lemma_checks_by_class_agree_with_element_scan(data):
     _lemma_checks_agree(model, CoverPair(model, a, b, radius))
     # with A = {1} the A - {1} half is vacuous and B - H alone decides
     _lemma_checks_agree(model, CoverPair(model, identity_cone(model), b, radius))
+
+
+FORM_MODELS = INFINITE_MODELS + [
+    GroupModel.finite(dihedral(3, name="S3")),
+    GroupModel.finite(load_finite_group(D4_TABLE.read_text(), name="D4")),
+]
+
+
+def _saturation_oracle(model, cover, radius):
+    """(status, witness, note) of coset saturation by node `member()`: for
+    each h in H - {1} in BFS order, the A - {1} elements x and then the
+    B - H ones, hx before xh."""
+    one = model.identity()
+
+    def in_h(x):
+        return cover.b.member(x) and cover.b.member(model.inv(x))
+
+    def in_a_star(x):
+        return x != one and cover.a.member(x)
+
+    def in_b_minus_h(x):
+        return cover.b.member(x) and not in_h(x)
+
+    ball = model.scan_domain(radius)[0]
+    for h in (x for x in ball if x != one and in_h(x)):
+        for inside, name in ((in_a_star, "A - {1}"), (in_b_minus_h, "B - H")):
+            for x in filter(inside, ball):
+                for side, p in (("left", model.mul(h, x)), ("right", model.mul(x, h))):
+                    if not inside(p):
+                        return "counterexample", (h, x), f"{side} product leaves {name}"
+    return "verified", None, ""
+
+
+def _form_member(form, x) -> bool:
+    # membership by a compiled form: the sign predicate XOR the exceptions
+    return form.value(form.signs(x)) != (x in form.exceptions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compiled_forms_agree_with_member(data):
+    # a cone's compiled form (sign table plus exceptions) must give node
+    # member() on ball(r + 2), which holds products that leave ball(r), the
+    # listed elements and the identity; so must the form of its inverse.
+    # The closure and saturation scans, which read the forms, must match
+    # scans by member() on covers with an explicit bump moved across
+    model = data.draw(st.sampled_from(FORM_MODELS))
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    cone = data.draw(_cone_trees(model, explicit_leaves=True))
+    form = compile_cone(cone)
+    inverse = invert_cone(model, cone)  # its form is derived from the cone's
+    for x in model.ball(radius + 2):
+        assert _form_member(form, x) == cone.member(x), x
+        assert _form_member(compile_cone(inverse), x) == cone.member(model.inv(x)), x
+
+    v = is_subsemigroup(model, cone, radius)
+    assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
+
+    # B is drawn symmetric half the time, so that H = B n B^-1 is large
+    b = data.draw(_cone_trees(model, explicit_leaves=True))
+    if data.draw(st.booleans()):
+        b = union(b, invert_cone(model, b))
+    bump = explicit(model, [data.draw(st.sampled_from(model.ball(radius)))])
+    cover = CoverPair(model, union(cone, bump), intersection(b, complement(bump)), radius)
+    v = check_coset_saturation(model, cover, radius)
+    assert (v.status, v.witness, v.note) == _saturation_oracle(model, cover, radius)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scans_of_explicit_lists_agree_with_member(data):
+    # on explicit lists every verdict comes from the exceptions, and on a
+    # non-abelian group hx and xh land on different ones
+    model = data.draw(st.sampled_from(FORM_MODELS))
+    ball = model.ball(2)
+    masks = st.lists(st.booleans(), min_size=len(ball), max_size=len(ball))
+    a = explicit(model, [x for x, keep in zip(ball, data.draw(masks)) if keep])
+    b = explicit(model, [x for x, keep in zip(ball, data.draw(masks)) if keep])
+    v = is_subsemigroup(model, a, 2)
+    assert (v.status, v.witness) == _closure_oracle(model, a, 2)
+    cover = CoverPair(model, a, union(b, invert_cone(model, b)), 2)
+    v = check_coset_saturation(model, cover, 2)
+    assert (v.status, v.witness, v.note) == _saturation_oracle(model, cover, 2)
 
 
 def test_saturation_zero_sum_falls_back_to_the_scan():

@@ -474,5 +474,11 @@ def test_word_syntax_variants():
     fr = GroupModel.free(2)
     assert parse_element(fr, "abAB") == (1, 2, -1, -2)
     assert parse_element(fr, "a^3") == (1, 1, 1)
+    # words are freely reduced as written, and Klein bottle powers are closed forms
+    assert parse_element(fr, "a^5A^2b^-1B") == (1, 1, 1, -2, -2)
+    assert parse_element(kb, "a^3b^-2") == (-2, 3)
     with pytest.raises(ParseError):
         parse_element(fr, "xyz!")
+    for model in (fr, kb):  # more letters than the ball cap
+        with pytest.raises(ParseError):
+            parse_element(model, "a^99999999999999999999999")
