@@ -307,7 +307,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+DIGIT_CAP = 100_000  # int<->str conversion is quadratic: 0.1 s at this size
+
+
 def main(argv=None) -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(DIGIT_CAP)
+    try:
+        return _run(argv)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an integer has more than {DIGIT_CAP} digits", file=sys.stderr)
+        return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

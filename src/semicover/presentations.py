@@ -24,8 +24,6 @@ class PresentationData:
     relators: list[str]
     exponent_matrix: list[list[int]]
     snf_diagonal: list[int]
-    snf_left: list[list[int]]
-    snf_right: list[list[int]]
     free_rank: int
     torsion: list[int]
     z_surjection: Optional[Homomorphism]
@@ -118,13 +116,9 @@ def analyze_presentation(text: str, radius: int = 6,
     """
     gens, relators = parse_presentation(text)
     matrix = [word_exponents(w, gens) for w in relators]
-    if matrix:
-        d, left, right = smith_normal_form(matrix, dim_cap)
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    else:
-        d, left, right = [], [], [[1 if i == j else 0 for j in range(len(gens))]
-                                  for i in range(len(gens))]
-        diag = []
+    d, _, right = (smith_normal_form(matrix, dim_cap) if matrix else
+                   ([], [], [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]))
+    diag = [d[i][i] for i in range(min(len(d), len(gens)))]
     free_rank, torsion, free_cols, _ = cokernel_from_snf(d, right, len(gens))
 
     z_surjection = None
@@ -136,6 +130,9 @@ def analyze_presentation(text: str, radius: int = 6,
                              f"got {radius}")
         model = GroupModel.free(len(gens))
         images = [tuple(right[i][j] for j in free_cols) for i in range(len(gens))]
+        if free_rank == 1 and next(v for (v,) in images if v) < 0:
+            # a map onto Z is unique up to sign: its first nonzero image is > 0
+            images = [(-v,) for (v,) in images]
         z_surjection = Homomorphism(model, GroupModel.zr(free_rank), images=images)
         cover = pullback_cover(model, z_surjection, standard_lex_cone(free_rank), radius)
         verdict = Verdict("verified", radius_checked=radius,
@@ -148,8 +145,6 @@ def analyze_presentation(text: str, radius: int = 6,
         relators=relators,
         exponent_matrix=matrix,
         snf_diagonal=diag,
-        snf_left=left,
-        snf_right=right,
         free_rank=free_rank,
         torsion=torsion,
         z_surjection=z_surjection,

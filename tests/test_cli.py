@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, report shapes, determinism, error mapping."""
 
 import json
+import re
+import sys
+import time
 
 import pytest
 
-from semicover.cli import main
+from semicover.cli import DIGIT_CAP, main
 from semicover.fixtures import fixture, table_text
 
 A_CONE = {"op": "pullback", "images": [[1], [0]], "region": "lex_nonneg"}
@@ -301,3 +304,53 @@ def test_output_file(tmp_path, cover_files, capsys):
                  "--radius", "6", "--output", str(out_path)])
     assert code == 1
     assert json.loads(out_path.read_text())["model"] == "z^1xC2"
+
+
+NINES = "9" * 5000
+HUGE = "1" + "0" * 3999
+MILLION = "9" * 1_000_000
+OVER_HALF = "1" + "0" * (DIGIT_CAP * 3 // 5)
+PAST_CAP = f"error: an integer has more than {DIGIT_CAP} digits\n"
+ANALYZE = ["analyze", "--presentation", "p.fp", "--radius", "2"]
+CHECK_Z = ["check-cover", "--model", "z^1xC2", "--A", "a.cone", "--B", "b.cone"]
+CHECK_FREE = ["check-cover", "--model", "free:2", "--A", "a.cone", "--B", "b.cone"]
+
+
+def pullback_file(image: str) -> str:
+    return '{"op": "pullback", "images": [[%s], [0]], "region": "lex_nonneg"}' % image
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no int<->str digit limit")
+@pytest.mark.parametrize("files, argv, expected, err", [
+    ({"p.fp": f"gens: a b\nrel: a^{NINES}b\n"}, ANALYZE, 0, ""),
+    ({"p.fp": f"gens: a b c\nrel: a^{HUGE}b^{HUGE}1c^{HUGE}7\nrel: a^{HUGE}3b^{HUGE}c\n"},
+     ANALYZE, 0, ""),
+    ({"a.cone": pullback_file("1" + "0" * 4999), "b.cone": json.dumps(B_CONE)}, CHECK_Z, 1, ""),
+    ({"a.cone": json.dumps({"op": "explicit", "elements": [f"a^{NINES}"]}),
+      "b.cone": json.dumps(B_CONE)}, CHECK_FREE, 2, "error: "),
+    # past the cap: the conversion is refused at once instead of taking seconds
+    ({"p.fp": f"gens: a b\nrel: a^{MILLION}b\n"}, ANALYZE, 2, PAST_CAP),
+    ({"p.fp": f"gens: a b c\nrel: a^{OVER_HALF}b^{OVER_HALF}1c\nrel: a^{OVER_HALF}3b^{OVER_HALF}c\n"},
+     ANALYZE, 2, PAST_CAP),
+    ({"a.cone": pullback_file(MILLION), "b.cone": json.dumps(B_CONE)}, CHECK_Z, 2, PAST_CAP),
+    ({"a.cone": json.dumps({"op": "explicit", "elements": [f"a^{MILLION}"]}),
+      "b.cone": json.dumps(B_CONE)}, CHECK_FREE, 2, PAST_CAP),
+], ids=["relator-exponent", "surjection-image", "pullback-image", "explicit-element",
+        "relator-exponent-past-cap", "surjection-image-past-cap", "pullback-image-past-cap",
+        "explicit-element-past-cap"])
+def test_integers_past_the_digit_limit(tmp_path, capsys, files, argv, expected, err):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    assert main(argv) == expected
+    assert time.perf_counter() - start < 2.0  # unbounded, a million digits take 8 s to parse
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == (expected == 2)
+    assert sys.get_int_max_str_digits() == limit
+    if expected == 2:
+        assert captured.out == ""
+    else:
+        assert re.search(r"\d{4301}", captured.out)  # the report holds the integer

@@ -1,5 +1,8 @@
 """Presentation parsing and the abelian witness test."""
 
+import math
+import random
+
 import pytest
 
 from semicover.errors import ParseError
@@ -92,3 +95,36 @@ def test_report_object_shape():
     assert obj["abelianization"] == "Z + Z/2"
     assert obj["snf_diagonal"] == [2]
     assert obj["z_surjection"] == [[0], [1]]
+
+
+def exponent_text(gens, rows):
+    lines = ["gens: " + " ".join(gens)]
+    for row in rows:
+        lines.append("rel: " + ("".join(f"{g}^{e}" for g, e in zip(gens, row) if e) or "1"))
+    return "\n".join(lines) + "\n"
+
+
+def test_rank_one_surjection_is_canonical():
+    """A map onto Z is unique up to sign, and the reported one has a
+    positive first nonzero image, so it does not depend on the order or
+    signs of the relators, nor on trivial ones."""
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 6)
+        gens = [chr(ord("a") + i) for i in range(n)]
+        rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n - 1)]
+        data = analyze_presentation(exponent_text(gens, rows), radius=1)
+        if data.free_rank != 1:
+            continue
+        images = data.z_surjection.images
+        values = [v for (v,) in images]
+        assert next(v for v in values if v) > 0
+        assert math.gcd(*values) == 1
+        assert all(sum(e * v for e, v in zip(row, values)) == 0 for row in rows)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        for variant in (shuffled, [[-e for e in rows[0]]] + rows[1:], rows + [[0] * n]):
+            again = analyze_presentation(exponent_text(gens, variant), radius=1)
+            assert again.z_surjection.images == images, (rows, variant)
+        checked += 1

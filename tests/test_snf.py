@@ -4,6 +4,7 @@ independent sympy oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicover.errors import MatrixTooLarge
 from semicover.snf import cokernel_from_snf, smith_normal_form
@@ -135,3 +136,53 @@ def test_deterministic_output():
     first = smith_normal_form(m)
     second = smith_normal_form([row[:] for row in m])
     assert first == second
+
+
+TRANSFORM_BITS_CAP = 2048
+
+
+def transform_bits(m) -> int:
+    _, left, right = smith_normal_form(m)
+    return max(abs(v).bit_length() for mat in (left, right) for row in mat for v in row)
+
+
+@pytest.mark.parametrize("bound", [30, 1000])
+def test_seeded_10x11_matrices_keep_transforms_small(bound):
+    # with Euclid swap chains, bound 30 gave 183,421-bit transform entries
+    # and bound 1000 did not finish in 90 s
+    rng = random.Random(1)
+    m = [[rng.randint(-bound, bound) for _ in range(11)] for _ in range(10)]
+    check_decomposition(m)
+    assert transform_bits(m) < TRANSFORM_BITS_CAP
+
+
+def test_acceptance_battery_keeps_transforms_small():
+    # the matrices of acceptance #8; Euclid swap chains reached 104,326 bits
+    rng = random.Random(8)
+    for _ in range(200):
+        rows = rng.randint(1, 10)
+        cols = rng.randint(1, 10)
+        m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        assert transform_bits(m) < TRANSFORM_BITS_CAP, m
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(1, 11))
+    entry = st.integers(-1000, 1000)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=1000)
+@given(integer_matrices())
+def test_decomposition_properties(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    diag = check_decomposition(m)
+    theirs = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+    assert [v for v in diag if v] == sorted(abs(int(v)) for v in theirs if v)
+    _, left, right = smith_normal_form(m)
+    # json and str() refuse integers past 4,300 decimal digits by default
+    assert all(abs(v) < 10 ** 4300 for mat in (left, right) for row in mat for v in row)
