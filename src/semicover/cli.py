@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .cones import cone_from_obj, cone_to_obj
+from .cones import cone_from_obj, cone_to_obj, is_cover_pair
 from .covering import (
     DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_SUBGROUP_CAP,
@@ -43,7 +43,6 @@ from .errors import (
 )
 from .groups import format_element, load_finite_group, parse_model
 from .presentations import analyze_presentation
-from .cones import is_cover_pair
 from .suites import run_suite
 
 INPUT_ERRORS = (
@@ -61,7 +60,10 @@ def _load_model(selector: str):
 
 
 def _load_cone(model, path: str):
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nests too deeply") from None
     return cone_from_obj(model, obj)
 
 

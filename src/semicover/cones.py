@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional
 
 from .errors import ModelMismatch, ParseError
@@ -19,23 +19,18 @@ from .groups import (
     GroupModel,
     Homomorphism,
     format_element,
+    joint_image,
+    lex_sign,
     parse_element,
+    sign_pattern,
+    slice_layout,
 )
 
 LEX_REGIONS = ("lex_pos", "lex_nonneg", "lex_zero")
 
 
-def _lex_sign(vec) -> int:
-    for v in vec:
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-    return 0
-
-
 def region_test(region: str, vec) -> bool:
-    s = _lex_sign(vec)
+    s = lex_sign(vec)
     if region == "lex_pos":
         return s > 0
     if region == "lex_nonneg":
@@ -338,20 +333,21 @@ class Form:
     membership differs from the predicate.  They are found on first use,
     from `one`, the identity's membership, and the listed elements below.
     `pure` marks a cone without explicit lists (value-pure): the predicate
-    decides every element but the identity.
+    decides every element but the identity.  `reader` reads the predicate
+    off joint image vectors; `ProductScan` reads it off the sign patterns
+    of image classes.
 
     A parent's form is built from its children's stored forms, so a fresh
     wrapper node costs O(children).  A form never refers to a cone node,
     so forms kept on nodes make no reference cycles."""
 
-    __slots__ = ("homs", "pure", "one", "table", "compute", "find", "_exceptions", "readers")
+    __slots__ = ("homs", "pure", "one", "table", "compute", "find", "_exceptions")
 
     def __init__(self, homs: tuple, pure: bool, one: bool, table: dict,
                  exceptions: frozenset = frozenset(), compute=None, find=None):
         self.homs, self.pure, self.one, self.table = homs, pure, one, table
         self.compute, self.find = compute, find
         self._exceptions = None if find else exceptions
-        self.readers: dict = {}  # slices -> predicate, see `_reader`
 
     @property
     def exceptions(self) -> frozenset:
@@ -366,7 +362,28 @@ class Form:
         return v
 
     def signs(self, x) -> tuple:
-        return tuple([_lex_sign(h.apply(x)) for h in self.homs])
+        return tuple([lex_sign(h.apply(x)) for h in self.homs])
+
+    def reader(self, homs):
+        """The predicate on joint image vectors laid out by `homs`, which
+        must include the form's homomorphisms: the value at the lex signs
+        of their slices, read off a list indexed by the signs as a
+        balanced ternary number."""
+        layout = slice_layout(homs)
+        slices = [layout[homs.index(h)] for h in self.homs]
+        values = [None] * 3 ** len(slices)
+        for signs in product((-1, 0, 1), repeat=len(slices)):
+            i = 0
+            for v in signs:
+                i = 3 * i + v
+            values[i] = self.value(signs)
+
+        def pred(w) -> bool:
+            i = 0
+            for lo, hi in slices:
+                i = 3 * i + lex_sign(w[lo:hi])
+            return values[i]
+        return pred
 
 
 # a pullback leaf's table, complete and so never written to
@@ -400,15 +417,13 @@ def _build_form(cone: ConeSet) -> Form:
         return Form(inner.homs, inner.pure, not inner.one, {},
                     compute=lambda s: not inner.value(s), find=lambda _: inner.exceptions)
     if isinstance(cone, (Union, Intersection)):
-        return _combined([compile_cone(c) for c in cone.parts],
-                         any if isinstance(cone, Union) else all, one)
+        return _combined(cone.parts, any if isinstance(cone, Union) else all, one)
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
-def _combined(parts: list, how, one) -> Form:
-    homs: list = []
-    for f in parts:
-        homs.extend(h for h in f.homs if h not in homs)
+def _combined(cones: tuple, how, one) -> Form:
+    parts = [compile_cone(c) for c in cones]
+    homs = joint_homs(*cones)
     picks = [(f, [homs.index(h) for h in f.homs]) for f in parts]
 
     def find(form: Form) -> frozenset:
@@ -436,164 +451,124 @@ def _inverse_form(base: Form, model: GroupModel) -> Form:
                 find=lambda _: frozenset(model.inv(e) for e in base.exceptions))
 
 
-def _reader(form: Form, homs):
-    """The form's predicate on joint image vectors laid out by `homs`,
-    which must include the form's homomorphisms.  Its values are read once
-    per sign pattern of the form's own homomorphisms, indexed as a balanced
-    ternary number, and the reader is kept on the form per layout."""
-    layout = _slice_layout(homs)
-    slices = tuple(layout[homs.index(h)] for h in form.homs)
-    pred = form.readers.get(slices)
-    if pred is None:
-        values = [None] * 3 ** len(slices)
-        for signs in product((-1, 0, 1), repeat=len(slices)):
-            i = 0
-            for v in signs:
-                i = 3 * i + v
-            values[i] = form.value(signs)
-
-        def pred(w) -> bool:
-            i = 0
-            for lo, hi in slices:
-                i = 3 * i + _lex_sign(w[lo:hi])
-            return values[i]
-        form.readers[slices] = pred
-    return pred
+def joint_homs(*cones: ConeSet) -> list[Homomorphism]:
+    """The distinct homomorphisms of the cones' forms, in order of first
+    appearance: a layout for a `ProductScan` reading all of them."""
+    homs: list = []
+    for cone in cones:
+        homs.extend(h for h in compile_cone(cone).homs if h not in homs)
+    return homs
 
 
 def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
     """The distinct Z^r homomorphisms membership in the cones factors
-    through, in order of first appearance, or None if membership in some
-    cone is not value-determined (explicit element lists).  A cone that
-    has been compiled is read from its stored form; any other is walked,
-    and not compiled."""
-    homs: list[Homomorphism] = []
-    for cone in cones:
-        form = vars(cone).get("_compiled")
-        if form is None:
-            if not _collect_homs(cone, homs):
-                return None
-        elif not form.pure:
-            return None
-        else:
-            homs.extend(h for h in form.homs if h not in homs)
-    return homs
-
-
-def _collect_homs(node: ConeSet, homs: list) -> bool:
-    if isinstance(node, Pullback):
-        if node.hom not in homs:
-            homs.append(node.hom)
-        return True
-    if isinstance(node, Identity):
-        return True
-    if isinstance(node, (Union, Intersection)):
-        return all(_collect_homs(c, homs) for c in node.parts)
-    if isinstance(node, Complement):
-        return _collect_homs(node.part, homs)
-    return False
-
-
-def compile_values(cone: ConeSet, homs: Optional[list] = None):
-    """A value-pure cone compiled to a predicate on joint image vectors.
-
-    Returns (homs, pred), or None when the cone is not value-pure.  `homs`
-    defaults to the cone's own homomorphisms; a caller may pass a longer
-    list to share one layout between cones.  pred(joint_image(homs, x)) is
-    the membership of every x other than the identity, which `member`
-    decides.  pred reads only the lex sign of each homomorphism's slice of
-    the vector, which `sums_hold` relies on.  A node added to the compiler
-    (a conjugate or orbit node, say) must keep this or stay uncompiled.
-    """
-    form = compile_cone(cone)
-    if not form.pure:
-        return None
-    homs = list(form.homs) if homs is None else homs
-    return homs, _reader(form, homs)
-
-
-def _slice_layout(homs) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of each homomorphism's slice of the joint image."""
-    out, pos = [], 0
-    for h in homs:
-        out.append((pos, pos + h.rank()))
-        pos += h.rank()
-    return out
-
-
-def compile_shared(*cones: ConeSet):
-    """Value-pure cones compiled on one shared joint-image layout.
-
-    Returns (homs, preds) with one predicate per cone (see
-    `compile_values`); `homs` lists the cones' homomorphisms in order of
-    first appearance.  None when any cone is not value-pure.
-    """
-    homs = value_profile(*cones)
-    if homs is None:
-        return None
-    return homs, [compile_values(cone, homs)[1] for cone in cones]
-
-
-def sums_hold(pred, homs, us, vs) -> bool:
-    """Whether pred(u + v) holds for every u in us and v in vs.
-
-    `pred` must read only the lex sign of each slice of the layout of
-    `homs`, as every compiled predicate does.  Z^r under lex is a totally
-    ordered group, so a slice of u + v has the sign of a nonzero summand
-    unless u and v have opposite nonzero signs there.  Vectors are grouped
-    by sign pattern: a bucket pair with no opposite slice is decided by one
-    sum, and only the other bucket pairs are summed class by class.
-    """
-    layout = _slice_layout(homs)
-    u_buckets = _sign_buckets(us, layout)
-    v_buckets = u_buckets if vs is us else _sign_buckets(vs, layout)
-    for i, (su, xs) in enumerate(u_buckets.items()):
-        for j, (sv, ys) in enumerate(v_buckets.items()):
-            if vs is us and j < i:
-                continue  # u + v = v + u: the pair (j, i) was seen
-            if any(a * b < 0 for a, b in zip(su, sv)):
-                pairs = ((x, y) for x in xs for y in ys)
-            else:
-                pairs = ((xs[0], ys[0]),)
-            if not all(pred(tuple(map(add, x, y))) for x, y in pairs):
-                return False
-    return True
-
-
-def _sign_buckets(vecs, layout) -> dict:
-    buckets: dict = {}
-    for w in vecs:
-        key = tuple(_lex_sign(w[lo:hi]) for lo, hi in layout)
-        buckets.setdefault(key, []).append(w)
-    return buckets
+    through, in order of first appearance (`joint_homs`), or None if
+    membership in some cone is not value-determined (explicit element
+    lists)."""
+    if all(compile_cone(cone).pure for cone in cones):
+        return joint_homs(*cones)
+    return None
 
 
 class ProductScan:
-    """The first y, in ascending order over the ball indices `ys`, whose
-    product with a ball element a (a*y on the left, y*a on the right)
-    leaves a target form.  Both products have the image w_a + w_y, so the
-    target's predicate is read once per pair of image classes of the ball
-    under `homs` (which must include the target's), and the first failure
-    by class is kept per class of a.  The verdict flips only for the y
-    with a*y (or y*a) among the target's exceptions, one y per exception.
-    No other product is formed."""
+    """Products of ball elements a with the ball members y of the cone `ys`,
+    a*y on the left and y*a on the right, read against the form of the
+    cone `target`.  Both have the image w_a + w_y, so the target's
+    predicate is decided once per pair of image classes of the ball under
+    `homs` (which must include the homomorphisms of the target and of
+    every cone whose classes are read), from the classes' sign patterns:
+    Z^r under lex is a totally ordered group, so a slice of w_a + w_y has
+    the sign of a nonzero summand unless the two have opposite signs there,
+    and only such pairs are summed.  The verdict differs from the predicate
+    exactly for the products among the target's exceptions.
+
+    `clean` decides the members of a whole cone at once; `first` finds the
+    first failing y of one a, forming only the products that can be
+    exceptions."""
 
     def __init__(self, model: GroupModel, ball: list, index_of: dict, homs,
-                 target: Form, ys: frozenset):
+                 target: ConeSet, ys: ConeSet):
         self.model, self.ball, self.index_of = model, ball, index_of
-        self.cls, self.keys = model.element_classes(homs, ball)
-        self.pred = _reader(target, homs)
-        self.exceptions = target.exceptions
-        self.ys, self.yset = sorted(ys), ys
+        self.homs, self.layout = homs, slice_layout(homs)
+        self.cls, self.keys, self.signs, self.all_buckets = model.element_classes(homs, ball)
+        self.target = compile_cone(target)
+        self.picks = [homs.index(h) for h in self.target.homs]
+        self.y_cone = ys
+        self.yset = self.ys = None  # its ball members, and in ascending order, once scanned
+        self.values: dict = {}     # sign pattern under homs -> the target's value
         self.rows: dict = {}       # class of a -> {class of y: verdict}
         self.row_first: dict = {}  # class of a -> position in ys of its first failure by class
+
+    def value(self, signs: tuple) -> bool:
+        """The target's value at a sign pattern under homs."""
+        v = self.values.get(signs)
+        if v is None:
+            v = self.values[signs] = self.target.value(tuple([signs[i] for i in self.picks]))
+        return v
 
     def holds(self, ca: int, cy: int) -> bool:
         row = self.rows.setdefault(ca, {})
         v = row.get(cy)
         if v is None:
-            v = row[cy] = self.pred(tuple(map(add, self.keys[ca], self.keys[cy])))
+            s = _merged(self.signs[ca], self.signs[cy])
+            if s is None:
+                s = sign_pattern(tuple(map(add, self.keys[ca], self.keys[cy])), self.layout)
+            v = row[cy] = self.value(s)
         return v
+
+    def buckets(self, cone: ConeSet) -> dict:
+        """The image classes holding a ball member of the cone other than
+        the identity, by sign pattern.  A value-pure cone's are read off its
+        form, one value per pattern; any other's off its member set, which
+        the scan by element reads as well."""
+        form = compile_cone(cone)
+        if form.pure:
+            picks = [self.homs.index(h) for h in form.homs]
+            return {s: cs for s, cs in self.all_buckets.items()
+                    if form.value(tuple([s[i] for i in picks]))}
+        out: dict = {}
+        members = ball_members(cone, self.ball, self.index_of) - {0}
+        for c in set(map(self.cls.__getitem__, members)):
+            out.setdefault(self.signs[c], []).append(c)
+        return out
+
+    def clean(self, xs: ConeSet) -> bool:
+        """Whether a*y and y*a lie in the target for all ball members a of
+        the cone `xs` and y of `ys` other than the identity, decided per
+        pair of sign buckets of image classes.  A pair with no opposite
+        slice is decided by one lookup of the merged pattern, so those go
+        first; any other pair class by class.  No product is an exception
+        unless a pair of classes sums to an exception's image, which only
+        pairs with the exception's pattern can.  False means only that the
+        scan by element (`first`) must decide."""
+        y_buckets = self.buckets(self.y_cone)
+        x_buckets = y_buckets if xs is self.y_cone else self.buckets(xs)
+        pairs = [(_merged(sx, sy), cxs, cys) for sx, cxs in x_buckets.items()
+                 for sy, cys in y_buckets.items()]
+        if not all(self.value(s) for s, _, _ in pairs if s is not None):
+            return False
+        keys, hits = self.keys, {}
+        for e in self.target.exceptions:
+            w = joint_image(self.homs, e)
+            hits.setdefault(sign_pattern(w, self.layout), set()).add(w)
+        every = set().union(*hits.values())
+        for s, cxs, cys in pairs:
+            if s is None and not all(self.holds(ca, cy) for ca in cxs for cy in cys):
+                return False
+            images = every if s is None else hits.get(s)
+            if images:
+                y_keys = {keys[c] for c in cys}
+                if any(tuple(map(sub, w, keys[c])) in y_keys for w in images for c in cxs):
+                    return False
+        return True
+
+    def _members(self) -> list:
+        """The ball members of ys in ascending order, read when a scan by
+        element starts."""
+        if self.ys is None:
+            self.yset = ball_members(self.y_cone, self.ball, self.index_of)
+            self.ys = sorted(self.yset)
+        return self.ys
 
     def _failure(self, ca: int, start: int, flips) -> Optional[int]:
         """The first position from `start` whose y fails by class with
@@ -605,14 +580,15 @@ class ProductScan:
     def first(self, a: int, left: bool = True) -> Optional[int]:
         """The first y in ys with ball[a] * ball[y] (left) or
         ball[y] * ball[a] outside the target, or None."""
+        self._members()
         ca = self.cls[a]
         if ca not in self.row_first:
             self.row_first[ca] = self._failure(ca, 0, ())
         found = self.row_first[ca]
         flips = set()
-        if self.exceptions:
+        if self.target.exceptions:
             mul, ai = self.model.mul, self.model.inv(self.ball[a])
-            for e in self.exceptions:
+            for e in self.target.exceptions:
                 i = self.index_of.get(mul(ai, e) if left else mul(e, ai))
                 if i in self.yset:
                     flips.add(i)
@@ -626,15 +602,29 @@ class ProductScan:
 
     def first_pair(self) -> Optional[tuple[int, int]]:
         """The first (x, y) in ys x ys, in BFS order, with xy outside the
-        target, for ys inside the target: 1y = y stays in it, so the row of
-        the identity (ball index 0) is skipped."""
-        for x in self.ys:
+        target, for ys inside the target, or None; `clean` is tried first.
+        1y = y and x1 = x stay in the target, so the identity (ball index
+        0) is left out of the x's."""
+        if self.clean(self.y_cone):
+            return None
+        for x in self._members():
             if x == 0:
                 continue
             y = self.first(x)
             if y is not None:
                 return x, y
         return None
+
+
+def _merged(su: tuple, sv: tuple) -> Optional[tuple]:
+    """The sign pattern of u + v read off those of u and v, or None when
+    some slice of the two has opposite signs and only the sum can tell."""
+    out = []
+    for a, b in zip(su, sv):
+        if a * b < 0:
+            return None
+        out.append(a or b)
+    return tuple(out)
 
 
 def conjugate_escapes(model: GroupModel, cone: ConeSet, g, ball: list,
@@ -670,6 +660,18 @@ class Verdict:
     radius_checked: int = 0
     note: str = ""
 
+    @classmethod
+    def of(cls, witness: Optional[tuple], rad: int) -> "Verdict":
+        """Verified at radius rad without a witness, else a counterexample."""
+        if witness is None:
+            return cls("verified", radius_checked=rad)
+        return cls("counterexample", witness=witness, radius_checked=rad)
+
+    @classmethod
+    def first_failure(cls, ball: list, i: Optional[int], rad: int) -> "Verdict":
+        """`of` the ball element of index i, or of no witness when i is None."""
+        return cls.of(None if i is None else (ball[i],), rad)
+
     @property
     def ok(self) -> bool:
         return self.status == "verified"
@@ -696,42 +698,16 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
 
     Finite models are checked exactly over all pairs.  Infinite models are
     checked over the radius ball; products are decided globally by the
-    cone's compiled form.  The first counterexample in BFS pair order wins.
+    cone's compiled form, per pair of image classes and element by element
+    only where that does not settle it (`ProductScan.first_pair`).  The
+    first counterexample in BFS pair order wins.
     """
     check_model(model, cone)
     if radius < 1 and model.kind != "finite":
         raise ValueError("radius must be >= 1 for infinite models")
     ball, index_of, rad = model.scan_domain(radius, cap)
-    memset = ball_members(cone, ball, index_of)
-
-    compiled = compile_values(cone)
-    if compiled is not None and _closure_clean_by_values(model, compiled, ball, index_of,
-                                                         memset):
-        return Verdict("verified", radius_checked=rad)
-    form = compile_cone(cone)
-    bad = ProductScan(model, ball, index_of, form.homs, form, memset).first_pair()
-    if bad is None:
-        return Verdict("verified", radius_checked=rad)
-    return Verdict("counterexample", witness=(ball[bad[0]], ball[bad[1]]), radius_checked=rad)
-
-
-def _closure_clean_by_values(model, compiled, ball, index_of, memset) -> bool:
-    """Class-level closure certificate for value-pure cones: membership of a
-    non-identity element depends only on its joint image, so `sums_hold`
-    over the member image classes decides it.  True means definitely
-    closed on the ball; False defers to the element-level scan."""
-    homs, pred = compiled
-    if 0 not in memset:
-        # a member pair multiplying to 1 inside the ball would be a violation
-        for i in memset:
-            j = index_of.get(model.inv(ball[i]))
-            if j is not None and j in memset:
-                return False
-    # a sum outside the cone is either a genuine violation or the
-    # product-equals-identity corner; the scan decides and picks the
-    # earliest witness
-    classes = [w for w in model.image_classes(homs, ball) if pred(w)]
-    return sums_hold(pred, homs, classes, classes)
+    bad = ProductScan(model, ball, index_of, compile_cone(cone).homs, cone, cone).first_pair()
+    return Verdict.of(None if bad is None else (ball[bad[0]], ball[bad[1]]), rad)
 
 
 @dataclass
@@ -782,26 +758,16 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     n = len(ball)
 
     missing = min(model.full_index(ball) - (mem_a | mem_b), default=None)
-    flags["covers"] = (
-        Verdict("verified", radius_checked=rad) if missing is None
-        else Verdict("counterexample", witness=(ball[missing],), radius_checked=rad)
-    )
-    out_a = next((i for i in range(n) if i not in mem_a), None)
-    flags["proper_A"] = (
-        Verdict("verified", witness=(ball[out_a],), radius_checked=rad) if out_a is not None
-        else Verdict("counterexample", radius_checked=rad, note="side A contains the whole ball")
-    )
-    out_b = next((i for i in range(n) if i not in mem_b), None)
-    flags["proper_B"] = (
-        Verdict("verified", witness=(ball[out_b],), radius_checked=rad) if out_b is not None
-        else Verdict("counterexample", radius_checked=rad, note="side B contains the whole ball")
-    )
+    flags["covers"] = Verdict.first_failure(ball, missing, rad)
+    for side, mem in (("A", mem_a), ("B", mem_b)):
+        out = next((i for i in range(n) if i not in mem), None)
+        flags[f"proper_{side}"] = (
+            Verdict("verified", witness=(ball[out],), radius_checked=rad) if out is not None
+            else Verdict("counterexample", radius_checked=rad,
+                         note=f"side {side} contains the whole ball"))
     if check_intersection:
         bad = next((i for i in sorted(mem_a & mem_b) if i != 0), None)
-        flags["trivial_intersection"] = (
-            Verdict("verified", radius_checked=rad) if bad is None
-            else Verdict("counterexample", witness=(ball[bad],), radius_checked=rad)
-        )
+        flags["trivial_intersection"] = Verdict.first_failure(ball, bad, rad)
     pair = CoverPair(model, a, b, radius, flags)
     if check_duality:
         from .covers import check_inverse_duality  # local: avoids an import cycle
@@ -853,7 +819,13 @@ def cone_to_obj(cone: ConeSet) -> dict:
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
-def cone_from_obj(model: GroupModel, obj: dict) -> ConeSet:
+MAX_SPEC_DEPTH = 100  # cone nodes nested in one spec; evaluation recurses per level
+
+
+def cone_from_obj(model: GroupModel, obj: dict, depth: int = 1) -> ConeSet:
+    """The cone a JSON spec describes; `depth` is the spec's nesting level."""
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError(f"cone spec nests deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict) or "op" not in obj:
         raise ParseError("cone spec must be an object with an 'op' field")
     op = obj["op"]
@@ -872,12 +844,12 @@ def cone_from_obj(model: GroupModel, obj: dict) -> ConeSet:
         args = obj.get("args")
         if not isinstance(args, list) or not args:
             raise ParseError(f"{op} needs a nonempty 'args' list")
-        parts = [cone_from_obj(model, a) for a in args]
+        parts = [cone_from_obj(model, a, depth + 1) for a in args]
         return union(*parts) if op == "union" else intersection(*parts)
     if op == "complement":
         if "arg" not in obj:
             raise ParseError("complement needs an 'arg'")
-        return complement(cone_from_obj(model, obj["arg"]))
+        return complement(cone_from_obj(model, obj["arg"], depth + 1))
     if op == "explicit":
         elems = obj.get("elements")
         if not isinstance(elems, list):

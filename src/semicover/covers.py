@@ -18,7 +18,6 @@ from .cones import (
     ProductScan,
     ball_members,
     compile_cone,
-    compile_shared,
     complement,
     conjugate_escapes,
     explicit,
@@ -27,7 +26,8 @@ from .cones import (
     intersection,
     inverse_pairs,
     is_cover_pair,
-    sums_hold,
+    is_subsemigroup,
+    joint_homs,
     symmetric_part,
     union,
 )
@@ -40,7 +40,8 @@ from .errors import (
     NotACover,
     NothingToRefine,
 )
-from .groups import DEFAULT_BALL_CAP, FiniteGroup, GroupModel
+from .covering import subsemigroup_census, two_cover_search
+from .groups import DEFAULT_BALL_CAP, FiniteGroup, GroupModel, element_order
 from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
@@ -102,59 +103,26 @@ _A_INVERSE = "inverse of an A element is not in B - H"
 _BH_INVERSE = "inverse of a B - H element is not in A - {1}"
 
 
-def _class_predicates(model: GroupModel, a: ConeSet, b: ConeSet, h: ConeSet, ball: list):
-    """(homs, classes, in_a, in_b, in_h): the shared layout's homomorphisms,
-    the ball's image classes and the three predicates on that layout, when
-    both sides are value-pure; else None.  A predicate decides every
-    element other than the identity, which the classes leave out."""
-    shared = compile_shared(a, b, h)
-    if shared is None:
-        return None
-    homs, preds = shared
-    return (homs, model.image_classes(homs, ball), *preds)
-
-
-def _saturation_clean_by_classes(homs, classes, in_a, in_b, in_h) -> bool:
-    """Class-level saturation certificate: hx and xh both have image u + v
-    for h in H class u and x in class v, so `sums_hold` over the H classes
-    and the classes of A - {1}, then of B - H, decides it.  A zero sum may
-    be the identity, so it counts as a failure.  True means saturated on
-    the ball; False defers to the element scan, which picks the witness."""
-    h_classes = [w for w in classes if in_h(w)]
-    a_classes = [w for w in classes if in_a(w)]
-    bh_classes = [w for w in classes if in_b(w) and not in_h(w)]
-    return sums_hold(lambda s: any(s) and in_a(s), homs, h_classes, a_classes) and \
-        sums_hold(lambda s: any(s) and in_b(s) and not in_h(s), homs, h_classes, bh_classes)
-
-
 def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
                            cap: int = DEFAULT_BALL_CAP) -> Verdict:
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
-    B - H is stable under multiplication by H on both sides.  Value-pure
-    covers are first decided per image class; otherwise each h's first
-    escaping x is read from the compiled forms of A - {1} and B - H
-    (`ProductScan`)."""
+    B - H is stable under multiplication by H on both sides.  The compiled
+    forms of A - {1} and B - H are read by one `ProductScan` each: when
+    both are clean over H - {1} the cover is saturated on the ball, and
+    otherwise each h's first escaping x is found element by element."""
     ball, index_of, rad = model.scan_domain(radius, cap)
     h_cone = symmetric_part(model, cover.b)
-    compiled = _class_predicates(model, cover.a, cover.b, h_cone, ball)
-    if compiled is not None and _saturation_clean_by_classes(*compiled):
+    sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
+             (intersection(cover.b, complement(h_cone)), "B - H"))
+    homs = joint_homs(*(side for side, _ in sides))
+    scans = [(ProductScan(model, ball, index_of, homs, side, side), name) for side, name in sides]
+    if all(scan.clean(h_cone) for scan, _ in scans):
         return Verdict("verified", radius_checked=rad)
-
-    h_set = ball_members(h_cone, ball, index_of)
-    sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}",
-              ball_members(cover.a, ball, index_of) - {0}),
-             (intersection(cover.b, complement(h_cone)), "B - H",
-              ball_members(cover.b, ball, index_of) - h_set))
-    homs: list = []
-    for side, _, _ in sides:
-        homs.extend(h for h in compile_cone(side).homs if h not in homs)
-    scans = [None, None]  # built when first needed
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
-    for h in sorted(h_set - {0}):
-        for k, (side, name, members) in enumerate(sides):
-            if scans[k] is None:
-                scans[k] = ProductScan(model, ball, index_of, homs, compile_cone(side), members)
-            left, right = scans[k].first(h, left=True), scans[k].first(h, left=False)
+    h_set = ball_members(h_cone, ball, index_of) - {0}
+    for h in sorted(h_set):
+        for scan, name in scans:
+            left, right = scan.first(h, left=True), scan.first(h, left=False)
             x = min((i for i in (left, right) if i is not None), default=None)
             if x is not None:
                 hand = "left" if x == left else "right"
@@ -310,8 +278,6 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
     if not verify:
         return refined
 
-    from .cones import is_subsemigroup
-
     ball, index_of, _ = model.scan_domain(radius, cap)
     for name, cone in (("B'", b_new), ("A'", a_new)):
         v = is_subsemigroup(model, cone, radius, cap)
@@ -320,9 +286,9 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
             if name == "B'":
                 # prefer a pair whose product lands in the moved piece: the
                 # exact case the construction's closure argument excludes
-                outside = compile_cone(union(complement(ha), identity_cone(model)))
-                hit = ProductScan(model, ball, index_of, outside.homs, outside,
-                                  ball_members(b_new, ball, index_of)).first_pair()
+                outside = union(complement(ha), identity_cone(model))
+                hit = ProductScan(model, ball, index_of, joint_homs(outside, b_new), outside,
+                                  b_new).first_pair()
                 if hit is not None:
                     witness = (ball[hit[0]], ball[hit[1]])
             raise ClosureViolation(
@@ -472,8 +438,6 @@ def torsion_obstruction(group: FiniteGroup, exhaustive_cap: int = 8) -> TorsionR
     admits no two-piece cover: every generator g of order n satisfies
     g^(n-1) = g^-1, forcing g into the maximal subgroup of B.  Small groups
     additionally get an exhaustive search confirming zero covers."""
-    from .groups import element_order
-
     traces = []
     for g in range(1, group.order):
         n, wit = element_order(group, g)
@@ -487,7 +451,5 @@ def torsion_obstruction(group: FiniteGroup, exhaustive_cap: int = 8) -> TorsionR
     )
     exhaustive = None
     if group.order <= exhaustive_cap:
-        from .covering import subsemigroup_census, two_cover_search
-
         exhaustive = two_cover_search(group, subsemigroup_census(group, exhaustive_cap))
     return TorsionReport(group.name, group.order, traces, conclusion, exhaustive)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .cones import ConeSet, pullback
+from .cones import ConeSet, complement, pullback
+from .errors import ParseError
 from .groups import FiniteGroup, GroupModel, Homomorphism
 
 
@@ -119,8 +120,6 @@ def fixture(name: str) -> FiniteGroup:
     try:
         return _BUILDERS[name]()
     except KeyError:
-        from .errors import ParseError
-
         raise ParseError(f"unknown fixture {name!r}; known: {sorted(_BUILDERS)}") from None
 
 
@@ -174,7 +173,5 @@ def z_cross_c2_halves(model: GroupModel) -> tuple[ConeSet, ConeSet]:
     non-positives cross C2 (overlapping on {0} x C2)."""
     hom = Homomorphism(model, GroupModel.zr(1), images=[(1,), (0,)])
     a = pullback(hom, "lex_nonneg")
-    from .cones import complement
-
     b = complement(pullback(hom, "lex_pos"))
     return a, b

@@ -537,10 +537,13 @@ class GroupModel:
         distinct (parent class, step) pair costs one vector addition."""
         return self._classes(homs, ball)[1]
 
-    def element_classes(self, homs, ball: list) -> tuple[list, list]:
-        """(cls, keys) for the same classes as `image_classes`: cls[i] is
-        the class number of ball[i] and keys[c] the joint image of class c.
-        Class 0 is the zero vector's, which holds the identity."""
+    def element_classes(self, homs, ball: list) -> tuple[list, list, list, dict]:
+        """(cls, keys, signs, buckets) for the same classes as
+        `image_classes`: cls[i] is the class number of ball[i], keys[c] the
+        joint image of class c and signs[c] its `sign_pattern`, and buckets
+        maps each sign pattern to the classes that hold an element other
+        than the identity.  Class 0 is the zero vector's, which holds the
+        identity."""
         return self._classes(homs, ball)[2:]
 
     def _classes(self, homs, ball: list) -> tuple:
@@ -551,11 +554,13 @@ class GroupModel:
         parent, via, steps = self._tree(ball)
         step_images = [joint_image(homs, s) for s in steps]
         n_steps = len(step_images)
+        layout = slice_layout(homs)
         zero = (0,) * sum(h.rank() for h in homs)
-        keys, members, class_of = [zero], [[]], {zero: 0}
+        keys, signs, members, class_of = [zero], [(0,) * len(homs)], [[]], {zero: 0}
         cls = [0] * len(ball)
         moves: dict[int, int] = {}
         classes: dict = {}
+        buckets: dict = {}
         for i in range(1, len(ball)):
             p, k = parent[i], via[i]
             move = cls[p] * n_steps + k
@@ -566,13 +571,15 @@ class GroupModel:
                 if c is None:
                     c = class_of[w] = len(keys)
                     keys.append(w)
+                    signs.append(sign_pattern(w, layout))
                     members.append([])
                 if not members[c]:  # the identity's class may fill late
                     classes[w] = members[c]
+                    buckets.setdefault(signs[c], []).append(c)
                 moves[move] = c
             cls[i] = c
             members[c].append(i)
-        hit = self._class_cache[key] = (ball, classes, cls, keys)
+        hit = self._class_cache[key] = (ball, classes, cls, keys, signs, buckets)
         return hit
 
     # -- selector strings
@@ -828,6 +835,31 @@ def joint_image(homs, x) -> tuple:
     for h in homs:
         out += h.apply(x)
     return out
+
+
+def slice_layout(homs) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of each homomorphism's slice of the joint image."""
+    out, pos = [], 0
+    for h in homs:
+        out.append((pos, pos + h.rank()))
+        pos += h.rank()
+    return out
+
+
+def lex_sign(vec) -> int:
+    """The sign of a Z^r vector under the lexicographic order."""
+    for v in vec:
+        if v > 0:
+            return 1
+        if v < 0:
+            return -1
+    return 0
+
+
+def sign_pattern(vec, layout) -> tuple:
+    """The lex sign of each slice of a joint image vector, for slices
+    given by `slice_layout`."""
+    return tuple([lex_sign(vec[lo:hi]) for lo, hi in layout])
 
 
 def zr_identity_hom(rank: int) -> Homomorphism:

@@ -19,8 +19,7 @@ from .cones import (
     Verdict,
     ball_members,
     check_model,
-    compile_shared,
-    compile_values,
+    compile_cone,
     complement,
     cone_to_obj,
     conjugate_escapes,
@@ -35,6 +34,7 @@ from .cones import (
     pullback,
     symmetric_part,
     union,
+    value_profile,
     Pullback,
     Union as UnionNode,
     Intersection as IntersectionNode,
@@ -43,7 +43,7 @@ from .cones import (
     FiniteBits,
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
-from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image
+from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image, zr_identity_hom
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,6 @@ def _pull_back(node: ConeSet, hom: Homomorphism) -> ConeSet:
 
 def standard_lex_cone(rank: int) -> ConeSet:
     """The non-negative lex cone on Z^rank."""
-    from .groups import zr_identity_hom
-
     return pullback(zr_identity_hom(rank), "lex_nonneg")
 
 
@@ -107,13 +105,15 @@ class LeftOrderComparator:
 
     def __post_init__(self):
         check_model(self.model, self.cone)
-        self._compiled = compile_values(self.cone)
+        form = compile_cone(self.cone)
+        self._homs = form.homs
+        self._pred = form.reader(form.homs) if form.pure else None
         self._images: dict = {}  # validated element -> joint image
 
     def le(self, x, y) -> bool:
-        if self._compiled is not None and x != y:
+        if self._pred is not None and x != y:
             # a value-pure cone reads x^-1 y off image(y) - image(x)
-            return self._compiled[1](tuple(map(sub, self._image(y), self._image(x))))
+            return self._pred(tuple(map(sub, self._image(y), self._image(x))))
         model = self.model
         v = model.mul(model.inv(x), y)
         model.validate(v)
@@ -124,7 +124,7 @@ class LeftOrderComparator:
             return self._images[x]
         except (KeyError, TypeError):
             self.model.validate(x)  # so x is an int or a tuple of ints
-        w = self._images[x] = joint_image(self._compiled[0], x)
+        w = self._images[x] = joint_image(self._homs, x)
         return w
 
     def lt(self, x, y) -> bool:
@@ -197,35 +197,23 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     kset = ball_members(kern, ball, index_of)
     pairs = inverse_pairs(model, ball, index_of, kern)
     bad = next((i for i, j in pairs if i in kset and j not in kset), None)
-    out["kernel_inverse_closed"] = (
-        Verdict("verified", radius_checked=rad) if bad is None
-        else Verdict("counterexample", witness=(ball[bad],), radius_checked=rad)
-    )
+    out["kernel_inverse_closed"] = Verdict.first_failure(ball, bad, rad)
 
-    if compile_values(kern) is not None:
+    if compile_cone(kern).pure:
         # abelian-image leaves cannot distinguish conjugates: exact verdict
         out["kernel_conjugation_stable"] = Verdict("verified", radius_checked=0)
     else:
         escapes = ((g, conjugate_escapes(model, kern, g, ball, index_of)) for g in ball)
         conj_bad = next(((g, ball[bad[0]]) for g, bad in escapes if bad), None)
-        out["kernel_conjugation_stable"] = (
-            Verdict("verified", radius_checked=rad) if conj_bad is None
-            else Verdict("counterexample", witness=conj_bad, radius_checked=rad)
-        )
+        out["kernel_conjugation_stable"] = Verdict.of(conj_bad, rad)
 
     inv_cone = invert_cone(model, cone)
     cmem = ball_members(cone, ball, index_of)
     imem = ball_members(inv_cone, ball, index_of)
     missing = min(model.full_index(ball) - (cmem | imem), default=None)
-    out["cone_covers"] = (
-        Verdict("verified", radius_checked=rad) if missing is None
-        else Verdict("counterexample", witness=(ball[missing],), radius_checked=rad)
-    )
+    out["cone_covers"] = Verdict.first_failure(ball, missing, rad)
     stray = min(cmem & imem - kset, default=None)
-    out["cone_antisymmetric_mod_kernel"] = (
-        Verdict("verified", radius_checked=rad) if stray is None
-        else Verdict("counterexample", witness=(ball[stray],), radius_checked=rad)
-    )
+    out["cone_antisymmetric_mod_kernel"] = Verdict.first_failure(ball, stray, rad)
     return out
 
 
@@ -242,22 +230,23 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
 
     When both cones are value-pure the scan collapses further, to the image
     of the doubled ball under the shared homomorphisms (computed directly
-    as sums of generator images); otherwise the doubled ball is enumerated.
+    as sums of generator images), read by the two forms' readers
+    (`Form.reader`); otherwise the doubled ball is enumerated.
 
     Returns None when verified, else a failing product (element or image
     vector, whichever granularity the scan ran at).
     """
     model = witness.model
     cone, kern = witness.cone, witness.kernel
-    shared = compile_shared(cone, kern) if model.kind != "finite" else None
+    homs = value_profile(cone, kern) if model.kind != "finite" else None
 
     def condition(le_xy, le_yx, in_kernel):
         lt_xy = le_xy and not le_yx
         lt_yx = le_yx and not le_xy
         return (lt_xy + lt_yx + in_kernel) == 1
 
-    if shared is not None:
-        homs, (in_cone, in_kernel) = shared
+    if homs is not None:
+        in_cone, in_kernel = compile_cone(cone).reader(homs), compile_cone(kern).reader(homs)
         # the joint images of ball(2r) are exactly the <= 2r-fold signed
         # sums of the generator images: a small vector-space BFS
         steps = []
@@ -383,7 +372,7 @@ def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
         bad = sorted(k for k, v in flags.flags.items() if not v.ok)
         raise NotNormalized(f"cover fails {', '.join(bad)}")
     n = symmetric_part(model, cover.b)
-    if compile_values(n) is not None:
+    if compile_cone(n).pure:
         return n  # conjugation stable by AST shape
     ball, index_of, _ = model.scan_domain(radius, cap)
     # conjugators from a small ball (all of a finite group); explicit-set
@@ -412,20 +401,11 @@ def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6,
     bn = ball_members(b_new, ball, index_of)
     b1 = ball_members(c1.b, ball, index_of)
     stray = next((i for i in sorted(bn - b1)), None)
-    merged.flags["b_shrinks"] = (
-        Verdict("verified", radius_checked=rad) if stray is None
-        else Verdict("counterexample", witness=(ball[stray],), radius_checked=rad)
-    )
+    merged.flags["b_shrinks"] = Verdict.first_failure(ball, stray, rad)
     an = ball_members(a_new, ball, index_of)
     a1 = ball_members(c1.a, ball, index_of)
     stray = next((i for i in sorted(a1 - an)), None)
-    merged.flags["a_grows"] = (
-        Verdict("verified", radius_checked=rad) if stray is None
-        else Verdict("counterexample", witness=(ball[stray],), radius_checked=rad)
-    )
+    merged.flags["a_grows"] = Verdict.first_failure(ball, stray, rad)
     diff = ext_equal(model, symmetric_part(model, b_new), intersection(n1, n2), radius, cap)
-    merged.flags["merged_kernel"] = (
-        Verdict("verified", radius_checked=rad) if diff is None
-        else Verdict("counterexample", witness=diff, radius_checked=rad)
-    )
+    merged.flags["merged_kernel"] = Verdict.of(diff, rad)
     return merged

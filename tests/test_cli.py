@@ -8,6 +8,7 @@ import time
 import pytest
 
 from semicover.cli import DIGIT_CAP, main
+from semicover.cones import MAX_SPEC_DEPTH
 from semicover.fixtures import fixture, table_text
 
 A_CONE = {"op": "pullback", "images": [[1], [0]], "region": "lex_nonneg"}
@@ -273,6 +274,40 @@ def test_exit_two_on_bad_cone_json(tmp_path, capsys):
     b.write_text(json.dumps(B_CONE))
     code = main(["check-cover", "--model", "z^1xC2", "--A", str(a), "--B", str(b)])
     assert code == 2
+
+
+def _nested_spec(levels: int) -> str:
+    """A_CONE as a spec `levels` cone nodes deep: an even number of
+    complements around a one-part union.  Written as text, since the json
+    encoder itself recurses per level."""
+    wraps = levels - 2
+    inner = json.dumps({"op": "union", "args": [A_CONE]})
+    return '{"op": "complement", "arg": ' * wraps + inner + "}" * wraps
+
+
+@pytest.mark.parametrize("levels", [500, 5000])
+def test_exit_two_on_deeply_nested_cone(tmp_path, capsys, levels):
+    # 500 levels used to overflow the stack in cone evaluation and 5000 in
+    # json.loads, each ending in a traceback and exit 1
+    a = tmp_path / "a.cone"
+    a.write_text(_nested_spec(levels))
+    b = tmp_path / "b.cone"
+    b.write_text(json.dumps(B_CONE))
+    code = main(["check-cover", "--model", "z^2", "--A", str(a), "--B", str(b)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_witness_runs_at_the_spec_depth_cap(tmp_path, capsys):
+    a = tmp_path / "a.cone"
+    a.write_text(_nested_spec(MAX_SPEC_DEPTH))
+    b = tmp_path / "b.cone"
+    b.write_text(json.dumps(B_CONE))
+    code, out = run_cli(capsys, "witness", "--model", "z^1xC2", "--A", str(a), "--B", str(b),
+                        "--radius", "3")
+    assert code == 0
+    assert all(v["status"] == "verified" for v in json.loads(out)["verdicts"].values())
 
 
 @pytest.mark.parametrize("model, a_cone, extra", [

@@ -29,13 +29,18 @@ from semicover import (
 from semicover.cones import (
     LEX_REGIONS,
     CoverPair,
+    ProductScan,
     ball_members,
     compile_cone,
-    compile_values,
     finite_bits,
-    sums_hold,
+    joint_homs,
 )
-from semicover.covers import check_coset_saturation, check_inverse_duality, reduce_cover
+from semicover.covers import (
+    check_coset_saturation,
+    check_inverse_duality,
+    order_witness_from_cover,
+    reduce_cover,
+)
 from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
 from semicover.groups import zr_identity_hom
@@ -314,23 +319,24 @@ def test_ball_members_memo_follows_the_ball(data):
 def _element_path(model, pair):
     """The same pair with each side padded by an empty explicit list:
     membership is unchanged, but neither side is value-pure any more, so
-    the lemma checks skip the class certificate and run their scan."""
+    the duality check pairs every element with its inverse."""
     empty = explicit(model, [])
     return CoverPair(model, union(pair.a, empty), union(pair.b, empty), pair.radius)
 
 
 def _lemma_checks_agree(model, pair):
-    slow = _element_path(model, pair)
-    for check in (check_coset_saturation, check_inverse_duality):
-        fast = check(model, pair, pair.radius)
-        assert fast == check(model, slow, pair.radius), (check.__name__, model.kind)
+    v = check_coset_saturation(model, pair, pair.radius)
+    assert (v.status, v.witness, v.note) == _saturation_oracle(model, pair, pair.radius), \
+        model.kind
+    v = check_inverse_duality(model, pair, pair.radius)
+    assert v == check_inverse_duality(model, _element_path(model, pair), pair.radius), model.kind
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_lemma_checks_by_class_agree_with_element_scan(data):
     # saturation and duality decided per image class must give the status,
-    # witness and note of the element scan: on reduced pullback covers, on
+    # witness and note of a scan by element: on reduced pullback covers, on
     # their swap, on the unreduced pair whose shared kernel lies in both A
     # and H, and on arbitrary value-pure pairs over one or two maps
     model = data.draw(st.sampled_from(INFINITE_MODELS))
@@ -449,25 +455,65 @@ def test_saturation_zero_sum_falls_back_to_the_scan():
     assert v == check_coset_saturation(m, _element_path(m, pair), 4)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_clean_product_scan_has_no_failing_pair(data):
+    # `clean` decides per class and per sign bucket; when it holds, no pair
+    # of non-identity members of xs x ys may multiply out of the target on
+    # either side, and on a target without exceptions it is exact
+    model = data.draw(st.sampled_from(FORM_MODELS))
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    ball, idx = model.scan_domain(radius)[:2]
+    target, x_cone, y_cone = (data.draw(_cone_trees(model, explicit_leaves=True))
+                              for _ in range(3))
+    homs = joint_homs(x_cone, target, y_cone)
+    scan = ProductScan(model, ball, idx, homs, target, y_cone)
+    clean = scan.clean(x_cone)
+    xs, ys = (ball_members(c, ball, idx) - {0} for c in (x_cone, y_cone))
+    # the classes read off the forms are those of the member sets
+    for cone, members in ((x_cone, xs), (y_cone, ys)):
+        read = {c for cs in scan.buckets(cone).values() for c in cs}
+        assert read == {scan.cls[i] for i in members}
+    failing = any(not target.member(p) for a in xs for y in ys
+                  for p in (model.mul(ball[a], ball[y]), model.mul(ball[y], ball[a])))
+    if clean:
+        assert not failing
+    if not compile_cone(target).exceptions:
+        assert clean == (not failing)
+
+
+@pytest.mark.parametrize("model", [GroupModel.zr(2), GroupModel.heisenberg(),
+                                   GroupModel.free(2)], ids=lambda m: m.selector())
+@pytest.mark.parametrize("images", [[(0,), (-2,)], [(1, -1), (2, 1)]], ids=["axis", "plane"])
+def test_pullback_verdicts_are_decided_per_class(monkeypatch, model, images):
+    # on pullback covers every closure and saturation verdict holds, and
+    # `clean` must decide each one without the scan by element
+    def first(*args, **kwargs):
+        raise AssertionError("the scan by element ran")
+
+    monkeypatch.setattr(ProductScan, "first", first)
+    hom = Homomorphism(model, GroupModel.zr(len(images[0])), images=images)
+    cover = pullback_cover(model, hom, radius=3)
+    reduced = reduce_cover(model, cover.a, cover.b, 3)
+    for pair in (cover, reduced):
+        assert pair.flags["closed_A"].ok and pair.flags["closed_B"].ok
+        assert check_coset_saturation(model, pair, 3).ok
+    _, verdicts = order_witness_from_cover(model, cover.a, cover.b, 3)
+    assert verdicts["kernel_closed"].ok
+
+
 @st.composite
 def _layout_and_pred(draw):
     """One or two homomorphisms of rank 1 or 2, their slice bounds in the
-    joint image, and a predicate compiled on that layout; sometimes
-    wrapped the way saturation wraps it, failing on the zero vector."""
+    joint image, and a cone's predicate read on that layout."""
     model = GroupModel.zr(2)
     homs = [draw(_value_homs(model)) for _ in range(draw(st.integers(1, 2)))]
     cone = draw(_cone_trees(model, explicit_leaves=False, homs=homs))
-    _, pred = compile_values(cone, homs)
-    if draw(st.booleans()):
-        compiled = pred
-
-        def pred(w):
-            return any(w) and compiled(w)
     bounds = []
     for h in homs:
         lo = bounds[-1][1] if bounds else 0
         bounds.append((lo, lo + h.rank()))
-    return homs, bounds, pred
+    return homs, bounds, compile_cone(cone).reader(homs)
 
 
 def _sign_pattern(w, bounds):
@@ -476,29 +522,6 @@ def _sign_pattern(w, bounds):
         nonzero = [v for v in w[lo:hi] if v]
         signs.append((nonzero[0] > 0) - (nonzero[0] < 0) if nonzero else 0)
     return tuple(signs)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_sums_hold_matches_all_pairs(data):
-    # the bucketed check must agree with summing every pair: vectors with
-    # entries in [-2, 2] give opposite-sign bucket pairs and zero sums.
-    # Each rotation of the lists puts another vector first in its bucket,
-    # where a bucket pair decided by one sum takes its representative.
-    homs, bounds, pred = data.draw(_layout_and_pred())
-    width = bounds[-1][1]
-    vectors = st.lists(st.tuples(*[st.integers(-2, 2)] * width), max_size=8)
-    us = data.draw(vectors)
-    same = data.draw(st.booleans())
-    vs = us if same else data.draw(vectors)
-    expected = all(pred(tuple(a + b for a, b in zip(u, v))) for u in us for v in vs)
-    for i in range(max(len(us), 1)):
-        rot_us = us[i:] + us[:i]
-        if same:
-            assert sums_hold(pred, homs, rot_us, rot_us) == expected
-            continue
-        for j in range(max(len(vs), 1)):
-            assert sums_hold(pred, homs, rot_us, vs[j:] + vs[:j]) == expected
 
 
 @st.composite
