@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from .errors import ModelMismatch, ParseError
 from .groups import (
     DEFAULT_BALL_CAP,
+    Domain,
     GroupModel,
     Homomorphism,
     format_element,
@@ -50,7 +51,7 @@ class ConeSet:
     Besides its fields a node keeps two memos, outside the dataclass fields
     so that equality, hashing and repr ignore them: its compiled form
     (`compile_cone`: the sign-pattern table and the exceptions) and its
-    member set on the last ball asked for (`ball_members`)."""
+    member set on the last domain asked for (`ball_members`)."""
 
     model: GroupModel
 
@@ -254,64 +255,63 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 
 
 # ---------------------------------------------------------------------------
-# Ball membership (set algebra over an enumerated ball)
+# Domain membership (set algebra over a ball or a finite group)
 # ---------------------------------------------------------------------------
 
-def ball_members(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
-    """Indices of ball elements belonging to the cone (ball[0] is the
-    identity).  A pullback leaf is evaluated once per image class of the
-    ball under its homomorphism; every other node combines its children's
-    sets.  The result is kept on the node with the very `ball` list it was
-    computed for, and replaced when another ball is asked for, so each
-    node, shared or not, is evaluated once per ball."""
+def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
+    """Indices of the domain's elements belonging to the cone (index 0 is
+    the identity).  A pullback leaf is evaluated once per image class of
+    the domain under its homomorphism; every other node combines its
+    children's sets.  The result is kept on the node with the domain it
+    was computed for, and replaced when another domain is asked for, so
+    each node, shared or not, is evaluated once per domain."""
     stored = vars(cone).get("_members")
-    if stored is not None and stored[0] is ball:
+    if stored is not None and stored[0] is domain:
         return stored[1]
-    out = _evaluate(cone, ball, index_of)
-    object.__setattr__(cone, "_members", (ball, out))
+    out = _evaluate(cone, domain)
+    object.__setattr__(cone, "_members", (domain, out))
     return out
 
 
-def _evaluate(cone: ConeSet, ball: list, index_of: dict) -> frozenset:
+def _evaluate(cone: ConeSet, domain: Domain) -> frozenset:
     if isinstance(cone, Pullback):
-        out = [0] if cone.member(ball[0]) else []
-        for w, idxs in cone.model.image_classes([cone.hom], ball).items():
+        out = [0] if cone.member(domain.elements[0]) else []
+        for w, idxs in domain.classes([cone.hom]).members.items():
             if region_test(cone.region, w):
                 out.extend(idxs)
         return frozenset(out)
     if isinstance(cone, Identity):
         return frozenset((0,))
     if isinstance(cone, Union):
-        return frozenset().union(*(ball_members(c, ball, index_of) for c in cone.parts))
+        return frozenset().union(*(ball_members(c, domain) for c in cone.parts))
     if isinstance(cone, Intersection):
-        sets = [ball_members(c, ball, index_of) for c in cone.parts]
+        sets = [ball_members(c, domain) for c in cone.parts]
         return sets[0].intersection(*sets[1:])
     if isinstance(cone, Complement):
-        return cone.model.full_index(ball) - ball_members(cone.part, ball, index_of)
+        return domain.indices - ball_members(cone.part, domain)
     if isinstance(cone, ExplicitSet):
-        inside = frozenset(index_of[e] for e in cone.elements if e in index_of)
-        if cone.mode == "include":
-            return inside
-        return cone.model.full_index(ball) - inside
+        index = domain.index
+        inside = frozenset(index[e] for e in cone.elements if e in index)
+        return inside if cone.mode == "include" else domain.indices - inside
     if isinstance(cone, FiniteBits):
-        return frozenset(i for i, x in enumerate(ball) if x in cone.indices)
+        return frozenset(i for i, x in enumerate(domain.elements) if x in cone.indices)
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
-def inverse_pairs(model: GroupModel, ball: list, index_of: dict, *cones: ConeSet) -> list:
-    """(i, j) pairs, ascending in i, with ball[j] standing for the inverse
-    of ball[i], for deciding inverse conditions on the cones' member sets.
-    `ball` must be inverse-closed, as balls and finite groups are.
+def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet) -> list:
+    """(i, j) pairs, ascending in i, with element j of the domain standing
+    for the inverse of element i, for deciding inverse conditions on the
+    cones' member sets.
 
     When the cones are value-pure, each element other than the identity
     has the membership of its joint image class, and x^-1 for x in class w
     lies in class -w: i runs over the identity and the first index of each
     class, and the first failing i is the first failing element in BFS
-    order.  Otherwise i runs over the whole ball (`inverse_index`)."""
+    order.  Otherwise i runs over the whole domain (`Domain.inverses`)."""
     homs = value_profile(*cones)
     if homs is None:
-        return list(enumerate(model.inverse_index(ball, index_of)))
-    classes = model.image_classes(homs, ball)
+        return list(enumerate(domain.inverses(model.inv)))
+    classes = domain.classes(homs).members
     return [(0, 0)] + [(idxs[0], classes[tuple(-c for c in w)][0])
                        for w, idxs in classes.items()]
 
@@ -471,10 +471,10 @@ def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
 
 
 class ProductScan:
-    """Products of ball elements a with the ball members y of the cone `ys`,
+    """Products of domain elements a with the members y of the cone `ys`,
     a*y on the left and y*a on the right, read against the form of the
     cone `target`.  Both have the image w_a + w_y, so the target's
-    predicate is decided once per pair of image classes of the ball under
+    predicate is decided once per pair of image classes of the domain under
     `homs` (which must include the homomorphisms of the target and of
     every cone whose classes are read), from the classes' sign patterns:
     Z^r under lex is a totally ordered group, so a slice of w_a + w_y has
@@ -486,15 +486,14 @@ class ProductScan:
     first failing y of one a, forming only the products that can be
     exceptions."""
 
-    def __init__(self, model: GroupModel, ball: list, index_of: dict, homs,
-                 target: ConeSet, ys: ConeSet):
-        self.model, self.ball, self.index_of = model, ball, index_of
+    def __init__(self, model: GroupModel, domain: Domain, homs, target: ConeSet, ys: ConeSet):
+        self.model, self.domain = model, domain
         self.homs, self.layout = homs, slice_layout(homs)
-        self.cls, self.keys, self.signs, self.all_buckets = model.element_classes(homs, ball)
+        _, self.cls, self.keys, self.signs, self.all_buckets = domain.classes(homs)
         self.target = compile_cone(target)
         self.picks = [homs.index(h) for h in self.target.homs]
         self.y_cone = ys
-        self.yset = self.ys = None  # its ball members, and in ascending order, once scanned
+        self.yset = self.ys = None  # its members, and in ascending order, once scanned
         self.values: dict = {}     # sign pattern under homs -> the target's value
         self.rows: dict = {}       # class of a -> {class of y: verdict}
         self.row_first: dict = {}  # class of a -> position in ys of its first failure by class
@@ -517,7 +516,7 @@ class ProductScan:
         return v
 
     def buckets(self, cone: ConeSet) -> dict:
-        """The image classes holding a ball member of the cone other than
+        """The image classes holding a member of the cone other than
         the identity, by sign pattern.  A value-pure cone's are read off its
         form, one value per pattern; any other's off its member set, which
         the scan by element reads as well."""
@@ -527,13 +526,13 @@ class ProductScan:
             return {s: cs for s, cs in self.all_buckets.items()
                     if form.value(tuple([s[i] for i in picks]))}
         out: dict = {}
-        members = ball_members(cone, self.ball, self.index_of) - {0}
+        members = ball_members(cone, self.domain) - {0}
         for c in set(map(self.cls.__getitem__, members)):
             out.setdefault(self.signs[c], []).append(c)
         return out
 
     def clean(self, xs: ConeSet) -> bool:
-        """Whether a*y and y*a lie in the target for all ball members a of
+        """Whether a*y and y*a lie in the target for all members a of
         the cone `xs` and y of `ys` other than the identity, decided per
         pair of sign buckets of image classes.  A pair with no opposite
         slice is decided by one lookup of the merged pattern, so those go
@@ -563,10 +562,10 @@ class ProductScan:
         return True
 
     def _members(self) -> list:
-        """The ball members of ys in ascending order, read when a scan by
+        """The members of ys in ascending order, read when a scan by
         element starts."""
         if self.ys is None:
-            self.yset = ball_members(self.y_cone, self.ball, self.index_of)
+            self.yset = ball_members(self.y_cone, self.domain)
             self.ys = sorted(self.yset)
         return self.ys
 
@@ -578,8 +577,8 @@ class ProductScan:
                      if not self.holds(ca, cls[ys[k]]) and ys[k] not in flips), None)
 
     def first(self, a: int, left: bool = True) -> Optional[int]:
-        """The first y in ys with ball[a] * ball[y] (left) or
-        ball[y] * ball[a] outside the target, or None."""
+        """The first y in ys with x_a * x_y (left) or x_y * x_a outside
+        the target, x_i being element i of the domain, or None."""
         self._members()
         ca = self.cls[a]
         if ca not in self.row_first:
@@ -587,9 +586,10 @@ class ProductScan:
         found = self.row_first[ca]
         flips = set()
         if self.target.exceptions:
-            mul, ai = self.model.mul, self.model.inv(self.ball[a])
+            mul, ai = self.model.mul, self.model.inv(self.domain.elements[a])
+            index = self.domain.index
             for e in self.target.exceptions:
-                i = self.index_of.get(mul(ai, e) if left else mul(e, ai))
+                i = index.get(mul(ai, e) if left else mul(e, ai))
                 if i in self.yset:
                     flips.add(i)
         if found is not None and self.ys[found] in flips:
@@ -600,19 +600,20 @@ class ProductScan:
             failing.append(self.ys[found])
         return min(failing, default=None)
 
-    def first_pair(self) -> Optional[tuple[int, int]]:
-        """The first (x, y) in ys x ys, in BFS order, with xy outside the
-        target, for ys inside the target, or None; `clean` is tried first.
-        1y = y and x1 = x stay in the target, so the identity (ball index
-        0) is left out of the x's."""
+    def first_pair(self) -> Optional[tuple]:
+        """The first elements (x, y) in ys x ys, in BFS order, with xy
+        outside the target, for ys inside the target, or None; `clean` is
+        tried first.  1y = y and x1 = x stay in the target, so the identity
+        (index 0) is left out of the x's."""
         if self.clean(self.y_cone):
             return None
+        elements = self.domain.elements
         for x in self._members():
             if x == 0:
                 continue
             y = self.first(x)
             if y is not None:
-                return x, y
+                return elements[x], elements[y]
         return None
 
 
@@ -627,22 +628,21 @@ def _merged(su: tuple, sv: tuple) -> Optional[tuple]:
     return tuple(out)
 
 
-def conjugate_escapes(model: GroupModel, cone: ConeSet, g, ball: list,
-                      index_of: dict) -> list[int]:
-    """Ascending indices of the ball members h of the cone whose conjugate
+def conjugate_escapes(model: GroupModel, cone: ConeSet, g, domain: Domain) -> list[int]:
+    """Ascending indices of the domain's members h of the cone whose conjugate
     g^-1 h g is not a member.  The conjugate has the image of h, so it
     leaves the cone exactly when one of the two is among the compiled
     form's exceptions and the other is not: only the conjugates of the
     exceptions are formed."""
     exceptions = compile_cone(cone).exceptions
-    members = ball_members(cone, ball, index_of)
+    members, index = ball_members(cone, domain), domain.index
     out = []
     for e in exceptions:
         if model.conj(g, e) not in exceptions:  # h = e
-            out.append(index_of.get(e))
+            out.append(index.get(e))
         c = model.conj(model.inv(g), e)         # h = g e g^-1, whose conjugate is e
         if c not in exceptions:
-            out.append(index_of.get(c))
+            out.append(index.get(c))
     return sorted(i for i in out if i in members)
 
 
@@ -661,16 +661,18 @@ class Verdict:
     note: str = ""
 
     @classmethod
-    def of(cls, witness: Optional[tuple], rad: int) -> "Verdict":
-        """Verified at radius rad without a witness, else a counterexample."""
+    def of(cls, witness: Optional[tuple], domain: Domain, note: str = "") -> "Verdict":
+        """Verified on the domain without a witness, else a counterexample
+        with the note; either carries the domain's radius."""
         if witness is None:
-            return cls("verified", radius_checked=rad)
-        return cls("counterexample", witness=witness, radius_checked=rad)
+            return cls("verified", radius_checked=domain.radius)
+        return cls("counterexample", witness=witness, radius_checked=domain.radius, note=note)
 
     @classmethod
-    def first_failure(cls, ball: list, i: Optional[int], rad: int) -> "Verdict":
-        """`of` the ball element of index i, or of no witness when i is None."""
-        return cls.of(None if i is None else (ball[i],), rad)
+    def first_failure(cls, domain: Domain, i: Optional[int], note: str = "") -> "Verdict":
+        """`of` the domain's element of index i, or of no witness when i is
+        None."""
+        return cls.of(None if i is None else (domain.elements[i],), domain, note)
 
     @property
     def ok(self) -> bool:
@@ -703,11 +705,9 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     first counterexample in BFS pair order wins.
     """
     check_model(model, cone)
-    if radius < 1 and model.kind != "finite":
-        raise ValueError("radius must be >= 1 for infinite models")
-    ball, index_of, rad = model.scan_domain(radius, cap)
-    bad = ProductScan(model, ball, index_of, compile_cone(cone).homs, cone, cone).first_pair()
-    return Verdict.of(None if bad is None else (ball[bad[0]], ball[bad[1]]), rad)
+    domain = model.domain(radius, cap)
+    return Verdict.of(ProductScan(model, domain, compile_cone(cone).homs, cone, cone).first_pair(),
+                      domain)
 
 
 @dataclass
@@ -745,29 +745,27 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     (optionally) trivial intersection and inverse duality."""
     check_model(model, a)
     check_model(model, b)
-    if radius < 1 and model.kind != "finite":
-        raise ValueError("radius must be >= 1")
-    ball, index_of, rad = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
+    elements, rad = domain.elements, domain.radius
 
     flags = {
         "closed_A": is_subsemigroup(model, a, radius, cap),
         "closed_B": is_subsemigroup(model, b, radius, cap),
     }
-    mem_a = ball_members(a, ball, index_of)
-    mem_b = ball_members(b, ball, index_of)
-    n = len(ball)
+    mem_a = ball_members(a, domain)
+    mem_b = ball_members(b, domain)
 
-    missing = min(model.full_index(ball) - (mem_a | mem_b), default=None)
-    flags["covers"] = Verdict.first_failure(ball, missing, rad)
+    missing = min(domain.indices - (mem_a | mem_b), default=None)
+    flags["covers"] = Verdict.first_failure(domain, missing)
     for side, mem in (("A", mem_a), ("B", mem_b)):
-        out = next((i for i in range(n) if i not in mem), None)
+        out = next((i for i in range(len(elements)) if i not in mem), None)
         flags[f"proper_{side}"] = (
-            Verdict("verified", witness=(ball[out],), radius_checked=rad) if out is not None
+            Verdict("verified", witness=(elements[out],), radius_checked=rad) if out is not None
             else Verdict("counterexample", radius_checked=rad,
                          note=f"side {side} contains the whole ball"))
     if check_intersection:
-        bad = next((i for i in sorted(mem_a & mem_b) if i != 0), None)
-        flags["trivial_intersection"] = Verdict.first_failure(ball, bad, rad)
+        bad = min((mem_a & mem_b) - {0}, default=None)
+        flags["trivial_intersection"] = Verdict.first_failure(domain, bad)
     pair = CoverPair(model, a, b, radius, flags)
     if check_duality:
         from .covers import check_inverse_duality  # local: avoids an import cycle
@@ -777,17 +775,13 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
 
 def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int,
               cap: int = DEFAULT_BALL_CAP) -> Optional[tuple]:
-    """None when the cones agree on the ball, else the first differing
+    """None when the cones agree on the domain, else the first differing
     element in BFS order."""
     check_model(model, c1)
     check_model(model, c2)
-    ball, index_of, _ = model.scan_domain(radius, cap)
-    m1 = ball_members(c1, ball, index_of)
-    m2 = ball_members(c2, ball, index_of)
-    diff = m1 ^ m2
-    if not diff:
-        return None
-    return (ball[min(diff)],)
+    domain = model.domain(radius, cap)
+    diff = ball_members(c1, domain) ^ ball_members(c2, domain)
+    return (domain.elements[min(diff)],) if diff else None
 
 
 # ---------------------------------------------------------------------------

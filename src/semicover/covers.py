@@ -65,13 +65,14 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
     """Split I = A n B by where inverses land.  For a genuine cover one of
     the two parts is empty; both nonempty is reported as a LemmaViolation
     with the concrete non-closure evidence it implies."""
-    ball, index_of, _ = model.scan_domain(radius, cap)
-    mem_a, mem_b = ball_members(a, ball, index_of), ball_members(b, ball, index_of)
+    domain = model.domain(radius, cap)
+    elements, index = domain.elements, domain.index
+    mem_a, mem_b = ball_members(a, domain), ball_members(b, domain)
     imem = sorted(mem_a & mem_b)
     i_a, i_b = [], []
     for i in imem:
-        x = ball[i]
-        j = index_of[model.inv(x)]  # the domain is inverse-closed
+        x = elements[i]
+        j = index[model.inv(x)]  # the domain is inverse-closed
         in_a, in_b = j in mem_a, j in mem_b
         if in_a and not in_b:
             i_a.append(x)
@@ -92,7 +93,7 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
             witness=(x, y), non_closure=evidence,
         )
     side = A_SIDE if i_a else B_SIDE
-    return IntersectionSplit(side, i_a, i_b, [ball[i] for i in imem])
+    return IntersectionSplit(side, i_a, i_b, [elements[i] for i in imem])
 
 
 # ---------------------------------------------------------------------------
@@ -110,49 +111,45 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     forms of A - {1} and B - H are read by one `ProductScan` each: when
     both are clean over H - {1} the cover is saturated on the ball, and
     otherwise each h's first escaping x is found element by element."""
-    ball, index_of, rad = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
     h_cone = symmetric_part(model, cover.b)
     sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
              (intersection(cover.b, complement(h_cone)), "B - H"))
     homs = joint_homs(*(side for side, _ in sides))
-    scans = [(ProductScan(model, ball, index_of, homs, side, side), name) for side, name in sides]
+    scans = [(ProductScan(model, domain, homs, side, side), name) for side, name in sides]
     if all(scan.clean(h_cone) for scan, _ in scans):
-        return Verdict("verified", radius_checked=rad)
+        return Verdict.of(None, domain)
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
-    h_set = ball_members(h_cone, ball, index_of) - {0}
-    for h in sorted(h_set):
+    elements = domain.elements
+    for h in sorted(ball_members(h_cone, domain) - {0}):
         for scan, name in scans:
             left, right = scan.first(h, left=True), scan.first(h, left=False)
             x = min((i for i in (left, right) if i is not None), default=None)
             if x is not None:
                 hand = "left" if x == left else "right"
-                return Verdict("counterexample", witness=(ball[h], ball[x]), radius_checked=rad,
-                               note=f"{hand} product leaves {name}")
-    return Verdict("verified", radius_checked=rad)
+                return Verdict.of((elements[h], elements[x]), domain,
+                                  f"{hand} product leaves {name}")
+    return Verdict.of(None, domain)
 
 
 def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
                           cap: int = DEFAULT_BALL_CAP) -> Verdict:
-    """(A - {1})^-1 = B - H, both inclusions checked on the ball, from the
+    """(A - {1})^-1 = B - H, both inclusions checked on the domain, from the
     sides' member sets.  Each element is paired with the index of its
     inverse, one pair per image class on a value-pure cover
     (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
     is not, as H = B n B^-1."""
-    ball, index_of, rad = model.scan_domain(radius, cap)
-    mem_a = ball_members(cover.a, ball, index_of)
-    mem_b = ball_members(cover.b, ball, index_of)
+    domain = model.domain(radius, cap)
+    mem_a = ball_members(cover.a, domain)
+    mem_b = ball_members(cover.b, domain)
     a_star = mem_a - {0}
-    pairs = inverse_pairs(model, ball, index_of, cover.a, cover.b)
+    pairs = inverse_pairs(model, domain, cover.a, cover.b)
     bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)), None)
     if bad is not None:
-        return Verdict("counterexample", witness=(ball[bad],), radius_checked=rad,
-                       note=_A_INVERSE)
+        return Verdict.first_failure(domain, bad, _A_INVERSE)
     bad = next((i for i, j in pairs if i in mem_b and j not in mem_b and j not in a_star),
                None)
-    if bad is not None:
-        return Verdict("counterexample", witness=(ball[bad],), radius_checked=rad,
-                       note=_BH_INVERSE)
-    return Verdict("verified", radius_checked=rad)
+    return Verdict.first_failure(domain, bad, _BH_INVERSE)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,9 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     if split.side == A_SIDE:
         a, b = b, a
 
-    ball, index_of, _ = model.scan_domain(radius, cap)
-    i_cone = intersection(a, b)
-    i_ball = ball_members(i_cone, ball, index_of)
-    h_ball = ball_members(symmetric_part(model, b), ball, index_of)
+    domain = model.domain(radius, cap)
+    i_ball = ball_members(intersection(a, b), domain)
+    h_ball = ball_members(symmetric_part(model, b), domain)
     nontrivial_i = len(i_ball) > 1
 
     def build(a_side: ConeSet, b_side: ConeSet) -> CoverPair:
@@ -229,10 +225,10 @@ def conjugate_split(model: GroupModel, cover: CoverPair, g,
     A, H_B the part landing in B.
     Ball-local: the split sets are explicit element lists."""
     radius = cover.radius if radius is None else radius
-    ball, index_of, _ = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
     one = model.identity()
     h_cone = symmetric_part(model, cover.b)
-    hmem = [ball[i] for i in sorted(ball_members(h_cone, ball, index_of))]
+    hmem = [domain.elements[i] for i in sorted(ball_members(h_cone, domain))]
     if all(x == one for x in hmem):
         raise IdentityOnlyH("the maximal subgroup of B is trivial on the ball")
     h_a, h_b = [], []
@@ -278,7 +274,7 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
     if not verify:
         return refined
 
-    ball, index_of, _ = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
     for name, cone in (("B'", b_new), ("A'", a_new)):
         v = is_subsemigroup(model, cone, radius, cap)
         if not v.ok:
@@ -287,30 +283,28 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
                 # prefer a pair whose product lands in the moved piece: the
                 # exact case the construction's closure argument excludes
                 outside = union(complement(ha), identity_cone(model))
-                hit = ProductScan(model, ball, index_of, joint_homs(outside, b_new), outside,
-                                  b_new).first_pair()
-                if hit is not None:
-                    witness = (ball[hit[0]], ball[hit[1]])
+                witness = ProductScan(model, domain, joint_homs(outside, b_new), outside,
+                                      b_new).first_pair() or witness
             raise ClosureViolation(
                 f"{name} is not closed at the working radius",
                 witness=witness, check=f"closure_{name}",
             )
-    a_old = ball_members(cover.a, ball, index_of)
-    a_star = ball_members(a_new, ball, index_of)
-    b_old = ball_members(cover.b, ball, index_of)
-    b_star = ball_members(b_new, ball, index_of)
+    a_old = ball_members(cover.a, domain)
+    a_star = ball_members(a_new, domain)
+    b_old = ball_members(cover.b, domain)
+    b_star = ball_members(b_new, domain)
     if not (a_old < a_star):
         raise ClosureViolation("A does not grow strictly", check="a_strict")
     if not (b_star < b_old):
         raise ClosureViolation("B does not shrink strictly", check="b_strict")
-    inverse = model.inverse_index(ball, index_of)
+    inverse = domain.inverses(model.inv)
     for i in sorted(a_star - {0}):
         if inverse[i] not in b_star:
             raise ClosureViolation("inverse of an A' element is missing from B'",
-                                   witness=(ball[i],), check="inverse_property")
+                                   witness=(domain.elements[i],), check="inverse_property")
         if inverse[i] in a_star:
             raise ClosureViolation("A' contains a nontrivial symmetric pair",
-                                   witness=(ball[i],), check="no_subgroup")
+                                   witness=(domain.elements[i],), check="no_subgroup")
     return refined
 
 
@@ -346,14 +340,14 @@ def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: i
     Cones whose AST proves conjugation stability are exact: no scan."""
     if compile_cone(n_cone).pure:
         return None
-    ball, index_of, _ = model.scan_domain(radius, cap)
-    for g in ball:
+    domain = model.domain(radius, cap)
+    for g in domain.elements:
         if g == model.identity():
             continue
-        bad = conjugate_escapes(model, n_cone, g, ball, index_of) + \
-            conjugate_escapes(model, n_cone, model.inv(g), ball, index_of)
+        bad = conjugate_escapes(model, n_cone, g, domain) + \
+            conjugate_escapes(model, n_cone, model.inv(g), domain)
         if bad:
-            return g, ball[min(bad)]
+            return g, domain.elements[min(bad)]
     return None
 
 
@@ -365,7 +359,7 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
     conjugator is always the first one in BFS order, so runs are
     reproducible."""
     radius = cover.radius if radius is None else radius
-    ball, index_of, _ = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
     current = cover
     history: list = []
     step = 0
@@ -378,9 +372,9 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
         if step >= max_depth:
             return DescentState(current, step, history, "depth_exceeded")
         g, h = violation
-        v_before = len(ball_members(current.b, ball, index_of))
+        v_before = len(ball_members(current.b, domain))
         current = refine_pair(model, current, g, radius, cap)
-        v_after = len(ball_members(current.b, ball, index_of))
+        v_after = len(ball_members(current.b, domain))
         if not v_after < v_before:
             raise ClosureViolation("descent did not strictly shrink the B side",
                                    check="descent_monotone")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BallTooLarge,
@@ -253,16 +253,16 @@ class GroupModel:
         self.rank = rank
         self.orders = tuple(orders)
         self.free_rank = free_rank
-        self._balls: dict[int, tuple] = {}  # radius -> (ball, index, parent, via, steps)
-        self._class_cache: dict[tuple, tuple] = {}
-        self._inverse_cache: dict[int, tuple] = {}
-        self._domain: Optional[tuple] = None  # a finite model's scan domain
-        self._full: tuple = ((), frozenset())  # (elements, their index set)
+        # radius -> the ball's Domain; None -> a finite model's whole group
+        self._balls: dict[Optional[int], Domain] = {}
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
         if kind == "free" and free_rank < 1:
             raise ValueError("free model requires rank >= 1")
         self._product = _product_for(self)
+        # equality and hashing read this; a finite model's hashes its table
+        self.key = ("finite", hash(group)) if kind == "finite" else \
+            (kind, rank, self.orders, free_rank)
 
     # -- constructors
 
@@ -288,16 +288,11 @@ class GroupModel:
 
     # -- identity / arithmetic
 
-    def _key(self):
-        if self.kind == "finite":
-            return ("finite", hash(self.group))
-        return (self.kind, self.rank, self.orders, self.free_rank)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupModel) and self._key() == other._key()
+        return isinstance(other, GroupModel) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"GroupModel({self.selector()})"
@@ -428,9 +423,10 @@ class GroupModel:
         """All products of at most `radius` generators/inverses, BFS order
         with generator-index tiebreak.  Element 0 is the identity.
 
-        The enumeration also records its spanning tree: element i > 0 is
-        ball[parent[i]] * steps[via[i]], with parent[i] < i, where steps
-        lists each generator and then its inverse when that differs.
+        The enumeration is kept as a `Domain` (see `domain`) with its index
+        map and spanning tree: element i > 0 is ball[parent[i]] *
+        steps[via[i]], with parent[i] < i, where steps lists each generator
+        and then its inverse when that differs.
 
         A step that undoes the one an element was reached by leads back to
         its parent, which is indexed already, so it is skipped: x * s is
@@ -438,10 +434,10 @@ class GroupModel:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         cached = self._balls.get(radius)
-        if (len(cached[0]) if cached else 1) > cap:  # every ball holds 1
+        if (len(cached.elements) if cached else 1) > cap:  # every ball holds 1
             raise BallTooLarge(f"ball exceeds cap {cap}")
         if cached is not None:
-            return cached[0]
+            return cached.elements
         steps = []
         for g in self.generators():
             steps.append(g)
@@ -472,115 +468,28 @@ class GroupModel:
             if len(out) == hi:
                 break
             lo = hi
-        self._balls[radius] = (out, index, parent, via, steps)
+        self._balls[radius] = Domain(out, index, radius, parent, via, steps)
         return out
 
-    def ball_index(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> dict:
-        """{x: i for i, x in enumerate(self.ball(radius, cap))}, the map the
-        enumeration built."""
-        if radius not in self._balls or len(self._balls[radius][0]) > cap:
-            self.ball(radius, cap)  # enumerates, or raises BallTooLarge
-        return self._balls[radius][1]
-
-    def scan_domain(self, radius: int, cap: int = DEFAULT_BALL_CAP):
-        """(elements, index map, radius checked) for a ball-local scan: the
-        whole of a finite group, checked exactly (radius 0), or the ball.
-        A finite model builds its domain once and hands out the same list."""
+    def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> "Domain":
+        """The elements a scan at `radius` decides a verdict on: the whole
+        of a finite group, built once and checked exactly (radius 0), or
+        the Cayley ball of that radius, enumerated by `ball`.  A ball of
+        radius 0 is the identity alone, on which no ball-local verdict
+        means anything, so it is refused."""
         if self.kind == "finite":
-            if self._domain is None:
+            whole = self._balls.get(None)
+            if whole is None:
                 elements = list(self.group.elements())
-                self._domain = (elements, {x: x for x in elements}, 0)
-            return self._domain
-        return self.ball(radius, cap), self.ball_index(radius, cap), radius
-
-    def full_index(self, elements: list) -> frozenset:
-        """frozenset(range(len(elements))), the index set that complements
-        are taken in.  Kept in one slot with the very list it was built for
-        and replaced when another list is asked for."""
-        stored, full = self._full
-        if stored is not elements:
-            full = frozenset(range(len(elements)))
-            self._full = (elements, full)
-        return full
-
-    def _tree(self, elements: list) -> tuple[list, list, list]:
-        """(parent, via, steps) of the spanning tree of `elements`: the one
-        `ball` recorded if it enumerated this very list, else the star tree
-        in which element i is 1 * elements[i]."""
-        for out, _, parent, via, steps in self._balls.values():
-            if out is elements:
-                return parent, via, steps
-        return [0] * len(elements), range(len(elements)), elements
-
-    def inverse_index(self, elements: list, index_of: dict) -> list:
-        """The index of each element's inverse in `elements`, which must be
-        inverse-closed, as balls and finite groups are; `index_of` is its
-        index map.  Memoized like `image_classes`, per length while
-        `elements` is the list last seen for it."""
-        hit = self._inverse_cache.get(len(elements))
-        if hit is not None and hit[0] is elements:
-            return hit[1]
-        inv = self.inv
-        out = [index_of[inv(x)] for x in elements]
-        self._inverse_cache[len(elements)] = (elements, out)
-        return out
-
-    def image_classes(self, homs, ball: list) -> dict:
-        """Indices 1.. of `ball` grouped by their joint image under `homs`
-        (see `joint_image`): ascending index lists, keys in order of first
-        index.  Memoized per ball length and hom list while `ball` is the
-        list last seen for them; callers must not mutate it or the result.
-
-        Walks the spanning tree of `ball` (see `_tree`): a homomorphism into
-        Z^r has phi(x * s) = phi(x) + phi(s), so each element's image is its
-        parent's plus its step's.  Only the steps are mapped, and each
-        distinct (parent class, step) pair costs one vector addition."""
-        return self._classes(homs, ball)[1]
-
-    def element_classes(self, homs, ball: list) -> tuple[list, list, list, dict]:
-        """(cls, keys, signs, buckets) for the same classes as
-        `image_classes`: cls[i] is the class number of ball[i], keys[c] the
-        joint image of class c and signs[c] its `sign_pattern`, and buckets
-        maps each sign pattern to the classes that hold an element other
-        than the identity.  Class 0 is the zero vector's, which holds the
-        identity."""
-        return self._classes(homs, ball)[2:]
-
-    def _classes(self, homs, ball: list) -> tuple:
-        key = (len(ball),) + tuple(h._key() for h in homs)
-        hit = self._class_cache.get(key)
-        if hit is not None and hit[0] is ball:
-            return hit
-        parent, via, steps = self._tree(ball)
-        step_images = [joint_image(homs, s) for s in steps]
-        n_steps = len(step_images)
-        layout = slice_layout(homs)
-        zero = (0,) * sum(h.rank() for h in homs)
-        keys, signs, members, class_of = [zero], [(0,) * len(homs)], [[]], {zero: 0}
-        cls = [0] * len(ball)
-        moves: dict[int, int] = {}
-        classes: dict = {}
-        buckets: dict = {}
-        for i in range(1, len(ball)):
-            p, k = parent[i], via[i]
-            move = cls[p] * n_steps + k
-            c = moves.get(move)
-            if c is None:
-                w = tuple(map(add, keys[cls[p]], step_images[k]))
-                c = class_of.get(w)
-                if c is None:
-                    c = class_of[w] = len(keys)
-                    keys.append(w)
-                    signs.append(sign_pattern(w, layout))
-                    members.append([])
-                if not members[c]:  # the identity's class may fill late
-                    classes[w] = members[c]
-                    buckets.setdefault(signs[c], []).append(c)
-                moves[move] = c
-            cls[i] = c
-            members[c].append(i)
-        hit = self._class_cache[key] = (ball, classes, cls, keys, signs, buckets)
-        return hit
+                n = len(elements)
+                # the star tree: element i is 1 * elements[i]
+                whole = self._balls[None] = Domain(elements, {x: x for x in elements}, 0,
+                                                   [0] * n, range(n), elements)
+            return whole
+        if radius < 1:
+            raise ValueError("radius must be >= 1 for infinite models")
+        self.ball(radius, cap)
+        return self._balls[radius]
 
     # -- selector strings
 
@@ -632,6 +541,109 @@ def parse_model(selector: str, loader=None) -> GroupModel:
             raise ParseError(f"cyclic factor orders must be >= 1 in {selector!r}")
         return GroupModel.zr(rank, orders)
     raise ParseError(f"unknown model selector {selector!r}")
+
+
+# ---------------------------------------------------------------------------
+# Scan domains
+# ---------------------------------------------------------------------------
+
+class ImageClasses(NamedTuple):
+    """Indices 1.. of a domain grouped by their joint image under a hom
+    list (see `joint_image`).  `members` maps each image to its ascending
+    index list, keys in order of first index; cls[i] is the class number of
+    element i, keys[c] the joint image of class c and signs[c] its
+    `sign_pattern`; `buckets` maps each sign pattern to the classes that
+    hold an element other than the identity.  Class 0 is the zero
+    vector's, which holds the identity."""
+
+    members: dict
+    cls: list
+    keys: list
+    signs: list
+    buckets: dict
+
+
+class Domain:
+    """The elements one scan decides its verdicts on, from
+    `GroupModel.domain`: a Cayley ball (`radius` >= 1, ball-local verdicts)
+    or the whole of a finite group (`radius` 0, exact verdicts).  `index`
+    maps each element to its position, and the spanning tree has element
+    i > 0 equal to elements[parent[i]] * steps[via[i]].
+
+    What derives from the elements alone is built on first use and kept
+    here: the full index set, the inverse index and the image classes of
+    each hom list.  A domain refers to neither its model nor any
+    homomorphism, so it makes no reference cycle with them or with the
+    cone nodes that keep their member sets on it.  Callers must not mutate
+    a domain or anything it hands out."""
+
+    __slots__ = ("elements", "index", "radius", "parent", "via", "steps",
+                 "_indices", "_inverses", "_classes")
+
+    def __init__(self, elements: list, index: dict, radius: int, parent, via, steps):
+        self.elements, self.index, self.radius = elements, index, radius
+        self.parent, self.via, self.steps = parent, via, steps
+        self._indices: Optional[frozenset] = None
+        self._inverses: Optional[list] = None
+        self._classes: dict = {}  # the hom list's keys -> ImageClasses
+
+    @property
+    def indices(self) -> frozenset:
+        """frozenset(range(len(elements))), the index set that complements
+        are taken in."""
+        if self._indices is None:
+            self._indices = frozenset(range(len(self.elements)))
+        return self._indices
+
+    def inverses(self, inv) -> list:
+        """The index of each element's inverse, for `inv` the model's
+        inversion; balls and finite groups are inverse-closed."""
+        if self._inverses is None:
+            index = self.index
+            self._inverses = [index[inv(x)] for x in self.elements]
+        return self._inverses
+
+    def classes(self, homs) -> ImageClasses:
+        """The elements' classes under the joint image of `homs`.
+
+        Walks the spanning tree: a homomorphism into Z^r has
+        phi(x * s) = phi(x) + phi(s), so each element's image is its
+        parent's plus its step's.  Only the steps are mapped, and each
+        distinct (parent class, step) pair costs one vector addition."""
+        key = tuple([h._key() for h in homs])
+        hit = self._classes.get(key)
+        if hit is not None:
+            return hit
+        parent, via = self.parent, self.via
+        step_images = [joint_image(homs, s) for s in self.steps]
+        n_steps = len(step_images)
+        layout = slice_layout(homs)
+        zero = (0,) * sum(h.rank() for h in homs)
+        keys, signs, members, class_of = [zero], [(0,) * len(homs)], [[]], {zero: 0}
+        cls = [0] * len(self.elements)
+        moves: dict[int, int] = {}
+        classes: dict = {}
+        buckets: dict = {}
+        for i in range(1, len(cls)):
+            p, k = parent[i], via[i]
+            move = cls[p] * n_steps + k
+            c = moves.get(move)
+            if c is None:
+                w = tuple(map(add, keys[cls[p]], step_images[k]))
+                c = class_of.get(w)
+                if c is None:
+                    c = class_of[w] = len(keys)
+                    keys.append(w)
+                    signs.append(sign_pattern(w, layout))
+                    members.append([])
+                if not members[c]:  # the identity's class may fill late
+                    classes[w] = members[c]
+                    buckets.setdefault(signs[c], []).append(c)
+                moves[move] = c
+            cls[i] = c
+            members[c].append(i)
+        hit = self._classes[key] = ImageClasses(classes, cls, keys, signs, buckets)
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +832,7 @@ class Homomorphism:
         return Homomorphism(self.source, outer.target, images=new_images)
 
     def _key(self):
-        return (self.source._key(), self.target._key(), self.images, self.table_map)
+        return (self.source.key, self.target.key, self.images, self.table_map)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Homomorphism) and self._key() == other._key()

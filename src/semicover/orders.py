@@ -137,17 +137,17 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
     Raises NotACone with the first failing element."""
     check_model(model, cone)
     inv_cone = invert_cone(model, cone)
-    ball, index_of, _ = model.scan_domain(radius, cap)
-    mem = ball_members(cone, ball, index_of)
-    mem_inv = ball_members(inv_cone, ball, index_of)
-    missing = min(model.full_index(ball) - (mem | mem_inv), default=None)
+    domain = model.domain(radius, cap)
+    mem = ball_members(cone, domain)
+    mem_inv = ball_members(inv_cone, domain)
+    missing = min(domain.indices - (mem | mem_inv), default=None)
     if missing is not None:
         raise NotACone("cone union its inverse misses an element",
-                       witness=(ball[missing],))
-    bad = next((i for i in sorted(mem & mem_inv) if i != 0), None)
+                       witness=(domain.elements[missing],))
+    bad = min((mem & mem_inv) - {0}, default=None)
     if bad is not None:
         raise NotACone("cone meets its inverse off the identity",
-                       witness=(ball[bad],))
+                       witness=(domain.elements[bad],))
 
 
 def order_from_cone(model: GroupModel, cone: ConeSet, radius: int,
@@ -189,31 +189,32 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     model = witness.model
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
-    ball, index_of, rad = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
+    elements = domain.elements
     kern, cone = witness.kernel, witness.cone
     out: dict = {}
     out["kernel_closed"] = is_subsemigroup(model, kern, radius, cap)
 
-    kset = ball_members(kern, ball, index_of)
-    pairs = inverse_pairs(model, ball, index_of, kern)
+    kset = ball_members(kern, domain)
+    pairs = inverse_pairs(model, domain, kern)
     bad = next((i for i, j in pairs if i in kset and j not in kset), None)
-    out["kernel_inverse_closed"] = Verdict.first_failure(ball, bad, rad)
+    out["kernel_inverse_closed"] = Verdict.first_failure(domain, bad)
 
     if compile_cone(kern).pure:
         # abelian-image leaves cannot distinguish conjugates: exact verdict
         out["kernel_conjugation_stable"] = Verdict("verified", radius_checked=0)
     else:
-        escapes = ((g, conjugate_escapes(model, kern, g, ball, index_of)) for g in ball)
-        conj_bad = next(((g, ball[bad[0]]) for g, bad in escapes if bad), None)
-        out["kernel_conjugation_stable"] = Verdict.of(conj_bad, rad)
+        escapes = ((g, conjugate_escapes(model, kern, g, domain)) for g in elements)
+        conj_bad = next(((g, elements[bad[0]]) for g, bad in escapes if bad), None)
+        out["kernel_conjugation_stable"] = Verdict.of(conj_bad, domain)
 
     inv_cone = invert_cone(model, cone)
-    cmem = ball_members(cone, ball, index_of)
-    imem = ball_members(inv_cone, ball, index_of)
-    missing = min(model.full_index(ball) - (cmem | imem), default=None)
-    out["cone_covers"] = Verdict.first_failure(ball, missing, rad)
+    cmem = ball_members(cone, domain)
+    imem = ball_members(inv_cone, domain)
+    missing = min(domain.indices - (cmem | imem), default=None)
+    out["cone_covers"] = Verdict.first_failure(domain, missing)
     stray = min(cmem & imem - kset, default=None)
-    out["cone_antisymmetric_mod_kernel"] = Verdict.first_failure(ball, stray, rad)
+    out["cone_antisymmetric_mod_kernel"] = Verdict.first_failure(domain, stray)
     return out
 
 
@@ -287,7 +288,7 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
                 return (w,)
         return None
 
-    for v in model.scan_domain(2 * radius, cap)[0]:
+    for v in model.domain(2 * radius, cap).elements:
         vi = model.inv(v)
         if not condition(cone.member(v), cone.member(vi), kern.member(v)):
             return (v,)
@@ -329,8 +330,7 @@ def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
 
     # nontriviality: some ball element must map outside cone n cone^-1
     tkernel = intersection(quotient_cone, invert_cone(target, quotient_cone))
-    ball = model.scan_domain(radius, cap)[0]
-    if all(tkernel.member(quotient_hom.apply(x)) for x in ball):
+    if all(tkernel.member(quotient_hom.apply(x)) for x in model.domain(radius, cap).elements):
         raise TrivialQuotient("every ball element maps into the trivial part of the order")
 
     b = pullback_cone(quotient_cone, quotient_hom)
@@ -374,12 +374,11 @@ def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
     n = symmetric_part(model, cover.b)
     if compile_cone(n).pure:
         return n  # conjugation stable by AST shape
-    ball, index_of, _ = model.scan_domain(radius, cap)
+    domain = model.domain(radius, cap)
     # conjugators from a small ball (all of a finite group); explicit-set
     # inputs only
-    probe = model.scan_domain(min(radius, 2), cap)[0]
-    for g in probe:
-        if conjugate_escapes(model, n, g, ball, index_of):
+    for g in model.domain(min(radius, 2), cap).elements:
+        if conjugate_escapes(model, n, g, domain):
             raise NotNormalized(f"maximal subgroup not normal at conjugator {g!r}")
     return n
 
@@ -397,15 +396,11 @@ def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6,
     a_new = union(complement(b_new), identity_cone(model))
     merged = is_cover_pair(model, a_new, b_new, radius, cap, check_duality=True)
 
-    ball, index_of, rad = model.scan_domain(radius, cap)
-    bn = ball_members(b_new, ball, index_of)
-    b1 = ball_members(c1.b, ball, index_of)
-    stray = next((i for i in sorted(bn - b1)), None)
-    merged.flags["b_shrinks"] = Verdict.first_failure(ball, stray, rad)
-    an = ball_members(a_new, ball, index_of)
-    a1 = ball_members(c1.a, ball, index_of)
-    stray = next((i for i in sorted(a1 - an)), None)
-    merged.flags["a_grows"] = Verdict.first_failure(ball, stray, rad)
+    domain = model.domain(radius, cap)
+    stray = min(ball_members(b_new, domain) - ball_members(c1.b, domain), default=None)
+    merged.flags["b_shrinks"] = Verdict.first_failure(domain, stray)
+    stray = min(ball_members(c1.a, domain) - ball_members(a_new, domain), default=None)
+    merged.flags["a_grows"] = Verdict.first_failure(domain, stray)
     diff = ext_equal(model, symmetric_part(model, b_new), intersection(n1, n2), radius, cap)
-    merged.flags["merged_kernel"] = Verdict.of(diff, rad)
+    merged.flags["merged_kernel"] = Verdict.of(diff, domain)
     return merged

@@ -156,16 +156,10 @@ def _reduce_fixed_point(model, red, radius) -> bool:
 def _fault_inject(model, red, radius):
     """Move the first B - H - {1} ball element into A; at least one lemma
     verifier must report a counterexample."""
-    ball = model.ball(radius)
-    index_of = model.ball_index(radius)
+    domain = model.domain(radius)
     h_cone = symmetric_part(model, red.b)
-    bmem = sorted(ball_members(red.b, ball, index_of))
-    moved = None
-    for i in bmem:
-        x = ball[i]
-        if x != model.identity() and not h_cone.member(x):
-            moved = x
-            break
+    members = (domain.elements[i] for i in sorted(ball_members(red.b, domain)))
+    moved = next((x for x in members if x != model.identity() and not h_cone.member(x)), None)
     if moved is None:
         return None
     bump = explicit(model, [moved])

@@ -67,24 +67,24 @@ def test_acceptance_1_z_cross_c2_round_trip():
     budget = Budget(1.0)
     m = GroupModel.zr(1, (2,))
     a, b = z_cross_c2_halves(m)
-    ball = m.ball(8)
-    idx = m.ball_index(8)
+    domain = m.domain(8)
+    ball = domain.elements
 
     pair = is_cover_pair(m, a, b, 8)
     ti = pair.flags["trivial_intersection"]
     assert ti.status == "counterexample"
-    inter = {ball[i] for i in ball_members(intersection(a, b), ball, idx)}
+    inter = {ball[i] for i in ball_members(intersection(a, b), domain)}
     assert inter == {(0, 0), (0, 1)}  # the full {0} x C2 overlap
 
     red = reduce_cover(m, a, b, 8)
     assert all(v.ok for v in red.flags.values())
     # the degenerate branch fired: the non-negative side is now B
     assert contains(m, red.b, (1, 0)) and not contains(m, red.b, (-1, 0))
-    sym = {ball[i] for i in ball_members(symmetric_part(m, red.b), ball, idx)}
+    sym = {ball[i] for i in ball_members(symmetric_part(m, red.b), domain)}
     assert sym == {(0, 0), (0, 1)}
 
     w, _ = order_witness_from_cover(m, a, b, 8)
-    kernel = {ball[i] for i in ball_members(w.kernel, ball, idx)}
+    kernel = {ball[i] for i in ball_members(w.kernel, domain)}
     assert kernel == {(0, 0), (0, 1)}
     cmp_ = w.comparator()
     for x in ball:
@@ -237,15 +237,15 @@ def test_acceptance_7_cover_merging():
         by_model.setdefault(model.selector(), (model, []))[1].append((name, cover))
     merged_count = 0
     for selector, (model, covers) in sorted(by_model.items()):
-        ball = model.ball(6)
-        idx = model.ball_index(6)
+        domain = model.domain(6)
+        ball = domain.elements
         for n1, c1 in covers:
             for n2, c2 in covers:
                 merged = merge_covers(c1, c2, radius=6)
-                a1 = ball_members(c1.a, ball, idx)
-                b1 = ball_members(c1.b, ball, idx)
-                a_new = ball_members(merged.a, ball, idx)
-                b_new = ball_members(merged.b, ball, idx)
+                a1 = ball_members(c1.a, domain)
+                b1 = ball_members(c1.b, domain)
+                a_new = ball_members(merged.a, domain)
+                b_new = ball_members(merged.b, domain)
                 assert a1 <= a_new, (n1, n2)
                 assert b_new <= b1, (n1, n2)
                 kern = intersection(symmetric_part(model, c1.b),

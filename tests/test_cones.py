@@ -205,7 +205,7 @@ def _closure_oracle(model, cone, radius):
     """(status, witness) of closure by every pair: the first (x, y) in BFS
     order over the cone's domain members whose product fails node
     `member()`."""
-    members = [x for x in model.scan_domain(radius)[0] if cone.member(x)]
+    members = [x for x in model.domain(radius).elements if cone.member(x)]
     bad = next(((x, y) for x in members for y in members
                 if not cone.member(model.mul(x, y))), None)
     return ("verified", None) if bad is None else ("counterexample", bad)
@@ -271,9 +271,10 @@ def test_value_classes_agree_with_element_scan(data):
     # scan must agree with element-by-element membership
     model = data.draw(st.sampled_from(INFINITE_MODELS))
     radius = PROPERTY_RADIUS.get(model.kind, 3)
-    ball, idx = model.ball(radius), model.ball_index(radius)
+    domain = model.domain(radius)
+    ball = domain.elements
     cone = data.draw(_cone_trees(model, explicit_leaves=data.draw(st.booleans())))
-    assert ball_members(cone, ball, idx) == {i for i, x in enumerate(ball) if cone.member(x)}
+    assert ball_members(cone, domain) == {i for i, x in enumerate(ball) if cone.member(x)}
 
     v = is_subsemigroup(model, cone, radius)
     assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
@@ -301,19 +302,23 @@ def _tree_nodes(cone):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_ball_members_memo_follows_the_ball(data):
-    # each node keeps its member set for the last ball asked for: asking
-    # for ball(r), ball(r + 1) and ball(r) again must give each ball's own
-    # members, on the root and on every subtree
+    # each node keeps its member set for the last domain asked for: asking
+    # for the domains of radius r, r + 1 and r again must give each one's
+    # own members, on the root and on every subtree.  A finite model's
+    # scans all run on its whole group, so there the whole group alternates
+    # with the domain `ball` keeps for ball(r), the same elements in
+    # another order
     model = data.draw(st.sampled_from([
         GroupModel.zr(2), GroupModel.free(2), GroupModel.heisenberg(),
         GroupModel.finite(load_finite_group(D4_TABLE.read_text(), name="D4"))]))
     cone = data.draw(_cone_trees(model, explicit_leaves=True))
-    r = data.draw(st.integers(0, 2))
+    r = data.draw(st.integers(1, 3))
     for radius in (r, r + 1, r):
-        ball, idx = model.ball(radius), model.ball_index(radius)
-        for node in _tree_nodes(cone):
-            assert ball_members(node, ball, idx) == \
-                {i for i, x in enumerate(ball) if node.member(x)}, (radius, node)
+        model.ball(radius)
+        for domain in (model.domain(radius), model._balls[radius]):
+            for node in _tree_nodes(cone):
+                assert ball_members(node, domain) == \
+                    {i for i, x in enumerate(domain.elements) if node.member(x)}, (radius, node)
 
 
 def _element_path(model, pair):
@@ -380,7 +385,7 @@ def _saturation_oracle(model, cover, radius):
     def in_b_minus_h(x):
         return cover.b.member(x) and not in_h(x)
 
-    ball = model.scan_domain(radius)[0]
+    ball = model.domain(radius).elements
     for h in (x for x in ball if x != one and in_h(x)):
         for inside, name in ((in_a_star, "A - {1}"), (in_b_minus_h, "B - H")):
             for x in filter(inside, ball):
@@ -463,13 +468,14 @@ def test_clean_product_scan_has_no_failing_pair(data):
     # either side, and on a target without exceptions it is exact
     model = data.draw(st.sampled_from(FORM_MODELS))
     radius = PROPERTY_RADIUS.get(model.kind, 3)
-    ball, idx = model.scan_domain(radius)[:2]
+    domain = model.domain(radius)
+    ball = domain.elements
     target, x_cone, y_cone = (data.draw(_cone_trees(model, explicit_leaves=True))
                               for _ in range(3))
     homs = joint_homs(x_cone, target, y_cone)
-    scan = ProductScan(model, ball, idx, homs, target, y_cone)
+    scan = ProductScan(model, domain, homs, target, y_cone)
     clean = scan.clean(x_cone)
-    xs, ys = (ball_members(c, ball, idx) - {0} for c in (x_cone, y_cone))
+    xs, ys = (ball_members(c, domain) - {0} for c in (x_cone, y_cone))
     # the classes read off the forms are those of the member sets
     for cone, members in ((x_cone, xs), (y_cone, ys)):
         read = {c for cs in scan.buckets(cone).values() for c in cs}
@@ -560,9 +566,10 @@ def _evaluate_pullback_cover():
     model = GroupModel.free(2)
     hom = Homomorphism(model, GroupModel.zr(2), images=[(1, 0), (0, 1)])
     pair = pullback_cover(model, hom, radius=3)
-    ball, idx = model.ball(3), model.ball_index(3)
+    domain = model.domain(3)
+    ball = domain.elements
     assert is_subsemigroup(model, pair.a, 3).ok and is_subsemigroup(model, pair.b, 3).ok
-    assert ball_members(pair.a, ball, idx) | ball_members(pair.b, ball, idx) == set(range(len(ball)))
+    assert ball_members(pair.a, domain) | ball_members(pair.b, domain) == set(range(len(ball)))
     witness = cone_from_quotient_order(model, hom, standard_lex_cone(2), radius=3)
     assert totality_mod_kernel(witness, 3) is None
 
@@ -637,9 +644,9 @@ def test_symmetric_part_overlap_cover_is_c2():
     m = GroupModel.zr(1, (2,))
     _, b = z_cross_c2_halves(m)
     sym = symmetric_part(m, b)
-    ball = m.ball(6)
-    idx = m.ball_index(6)
-    members = {ball[i] for i in ball_members(sym, ball, idx)}
+    domain = m.domain(6)
+    ball = domain.elements
+    members = {ball[i] for i in ball_members(sym, domain)}
     assert members == {(0, 0), (0, 1)}
 
 

@@ -113,22 +113,22 @@ def test_reduce_overlap_cover_swap_branch():
     # B keeps the non-negative side after the swap; its symmetric part is
     # the two-element torsion subgroup
     assert contains(m, red.b, (3, 0)) and not contains(m, red.b, (-3, 0))
-    ball = m.ball(8)
-    idx = m.ball_index(8)
+    domain = m.domain(8)
+    ball = domain.elements
     sym = symmetric_part(m, red.b)
-    assert {ball[i] for i in ball_members(sym, ball, idx)} == {(0, 0), (0, 1)}
+    assert {ball[i] for i in ball_members(sym, domain)} == {(0, 0), (0, 1)}
     inter = intersection(red.a, red.b)
-    assert {ball[i] for i in ball_members(inter, ball, idx)} == {(0, 0)}
+    assert {ball[i] for i in ball_members(inter, domain)} == {(0, 0)}
 
 
 def test_reduce_z_split_no_swap():
     m = z_model()
     red = reduce_cover(m, z_nonneg(m), z_nonpos(m), 6)
     assert all(v.ok for v in red.flags.values())
-    ball = m.ball(6)
-    idx = m.ball_index(6)
-    a_set = {ball[i] for i in ball_members(red.a, ball, idx)}
-    b_set = {ball[i] for i in ball_members(red.b, ball, idx)}
+    domain = m.domain(6)
+    ball = domain.elements
+    a_set = {ball[i] for i in ball_members(red.a, domain)}
+    b_set = {ball[i] for i in ball_members(red.b, domain)}
     assert a_set == {(n,) for n in range(0, 7)}      # strict positives plus identity
     assert b_set == {(n,) for n in range(-6, 1)}     # unchanged non-positives
 
@@ -186,18 +186,44 @@ def test_saturation_vacuous_when_h_trivial():
     # the kernel is the commutator subgroup, whose shortest nontrivial
     # element has length four: radius 3 sees only the identity
     sym = symmetric_part(fr, pair.b)
-    ball = fr.ball(3)
-    idx = fr.ball_index(3)
-    assert {ball[i] for i in ball_members(sym, ball, idx)} == {()}
+    domain = fr.domain(3)
+    ball = domain.elements
+    assert {ball[i] for i in ball_members(sym, domain)} == {()}
     assert check_coset_saturation(fr, pair, 3).ok
+
+
+def _z2_pullback_cover():
+    m = GroupModel.zr(2)
+    return m, pullback_cover(m, Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)]), radius=3)
+
+
+@pytest.mark.parametrize("check", ["duality", "saturation", "ext_equal"])
+def test_ball_local_checks_refuse_radius_zero(check):
+    # ball(0) is the identity alone, and radius_checked 0 marks an exact
+    # verdict: on an infinite model a ball-local check at radius 0 must not
+    # return one.  (B, B) fails duality and A, B differ at radius 3.
+    m, pair = _z2_pullback_cover()
+    b_b = CoverPair(m, pair.b, pair.b, 3)
+    run = {"duality": lambda r: check_inverse_duality(m, b_b, r),
+           "saturation": lambda r: check_coset_saturation(m, pair, r),
+           "ext_equal": lambda r: ext_equal(m, pair.a, pair.b, r)}[check]
+    at_three = run(3)
+    if check == "duality":
+        assert at_three.status == "counterexample" and at_three.witness == ((1, 0),)
+    elif check == "saturation":
+        assert at_three.ok and at_three.radius_checked == 3
+    else:
+        assert at_three is not None
+    with pytest.raises(ValueError, match="radius must be >= 1 for infinite models"):
+        run(0)
 
 
 def _fault_injected(model, red, radius):
     """Move the first B - H - {1} element into A."""
-    ball = model.ball(radius)
-    idx = model.ball_index(radius)
+    domain = model.domain(radius)
+    ball = domain.elements
     h = symmetric_part(model, red.b)
-    moved = next(ball[i] for i in sorted(ball_members(red.b, ball, idx))
+    moved = next(ball[i] for i in sorted(ball_members(red.b, domain))
                  if ball[i] != model.identity() and not h.member(ball[i]))
     bump = explicit(model, [moved])
     bad = CoverPair(model, union(red.a, bump),
@@ -208,7 +234,7 @@ def _fault_injected(model, red, radius):
 def _duality_by_members(model, cover, radius):
     """check_inverse_duality's (status, witness, note) from member() on
     each element and its inverse, in BFS order."""
-    ball = model.scan_domain(radius)[0]
+    ball = model.domain(radius).elements
     one = model.identity()
     a, b, h = cover.a, cover.b, symmetric_part(model, cover.b)
 
@@ -230,7 +256,7 @@ def _check_inverse_reads(model, a, b, radius):
     pair = CoverPair(model, a, b, radius)
     v = check_inverse_duality(model, pair, radius)
     assert (v.status, v.witness, v.note) == _duality_by_members(model, pair, radius)
-    ball = model.scan_domain(radius)[0]
+    ball = model.domain(radius).elements
     shared = [x for x in ball if a.member(x) and b.member(x)]
     i_a = [x for x in shared if a.member(model.inv(x)) and not b.member(model.inv(x))]
     i_b = [x for x in shared if b.member(model.inv(x)) and not a.member(model.inv(x))]
@@ -257,9 +283,10 @@ def test_inverse_reads_match_member_on_covers(model, radius):
         cover = random_pullback_cover(model, rng, radius)
         red = reduce_cover(model, cover.a, cover.b, radius)
         moved, bad = _fault_injected(model, red, radius)
-        ball, idx = model.ball(radius), model.ball_index(radius)
+        domain = model.domain(radius)
+        ball = domain.elements
         bump = explicit(model, [moved])
-        back = explicit(model, [ball[max(ball_members(red.a, ball, idx))]])
+        back = explicit(model, [ball[max(ball_members(red.a, domain))]])
         for a, b in ((cover.a, cover.b), (red.a, red.b), (red.b, red.a), (bad.a, bad.b),
                      (intersection(red.a, complement(back)), union(red.b, back)),
                      (union(red.a, bump), red.b), (red.a, union(red.b, back)),
@@ -352,12 +379,11 @@ def test_conjugate_split_klein_finds_moved_part():
     assert (-1, 0) in split.h_a_members
     assert all(k % 2 == 1 and k < 0 for k, n in split.h_a_members)
     # the split carves H into two pieces meeting only at the identity
-    ball = kb.ball(4)
-    idx = kb.ball_index(4)
+    domain = kb.domain(4)
     h = symmetric_part(kb, cover.b)
-    hmem = ball_members(h, ball, idx)
-    a_part = ball_members(split.h_a, ball, idx)
-    b_part = ball_members(split.h_b, ball, idx)
+    hmem = ball_members(h, domain)
+    a_part = ball_members(split.h_a, domain)
+    b_part = ball_members(split.h_b, domain)
     assert a_part | b_part == hmem
     assert a_part & b_part == {0}
 
@@ -371,12 +397,11 @@ def test_refine_nothing_to_move():
 def test_refine_mechanics_on_synthetic_instance():
     kb, cover = klein_synthetic_cover()
     refined = refine_pair(kb, cover, (0, 1), verify=False)
-    ball = kb.ball(4)
-    idx = kb.ball_index(4)
-    a_old = ball_members(cover.a, ball, idx)
-    b_old = ball_members(cover.b, ball, idx)
-    a_new = ball_members(refined.a, ball, idx)
-    b_new = ball_members(refined.b, ball, idx)
+    domain = kb.domain(4)
+    a_old = ball_members(cover.a, domain)
+    b_old = ball_members(cover.b, domain)
+    a_new = ball_members(refined.a, domain)
+    b_new = ball_members(refined.b, domain)
     assert a_old < a_new          # A grows strictly
     assert b_new < b_old          # B shrinks strictly
     assert a_new - a_old == b_old - b_new  # exactly the moved piece changes sides
@@ -449,10 +474,10 @@ def test_reduce_retries_orientation_when_duality_fails():
     red = reduce_cover(m, a, b, 6)
     assert all(v.ok for v in red.flags.values())
     # the B side ends up carrying the nontrivial symmetric part
-    ball = m.ball(6)
-    idx = m.ball_index(6)
+    domain = m.domain(6)
+    ball = domain.elements
     sym = symmetric_part(m, red.b)
-    assert {ball[i] for i in ball_members(sym, ball, idx)} == {(0, 0), (0, 1)}
+    assert {ball[i] for i in ball_members(sym, domain)} == {(0, 0), (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +489,9 @@ def test_descent_abelian_step_zero():
     state = minimal_pair_descent(m, red, max_depth=8)
     assert state.succeeded and state.outcome == "already_normal"
     assert state.step == 0 and state.history == []
-    ball = m.ball(8)
-    idx = m.ball_index(8)
-    assert {ball[i] for i in ball_members(state.normal, ball, idx)} == {(0, 0), (0, 1)}
+    domain = m.domain(8)
+    ball = domain.elements
+    assert {ball[i] for i in ball_members(state.normal, domain)} == {(0, 0), (0, 1)}
 
 
 def test_descent_klein_pullback_step_zero():
@@ -495,9 +520,9 @@ def test_witness_z_cross_c2_cover():
     m, a, b = overlap_model_and_cones()
     w, verdicts = order_witness_from_cover(m, a, b, 8)
     assert verdicts == validate_witness(w, 8) and witness_ok(verdicts)
-    ball = m.ball(8)
-    idx = m.ball_index(8)
-    assert {ball[i] for i in ball_members(w.kernel, ball, idx)} == {(0, 0), (0, 1)}
+    domain = m.domain(8)
+    ball = domain.elements
+    assert {ball[i] for i in ball_members(w.kernel, domain)} == {(0, 0), (0, 1)}
     cmp_ = w.comparator()
     assert cmp_.le((0, 0), (1, 0)) and not cmp_.le((1, 0), (0, 0))
     assert cmp_.le((0, 1), (0, 0)) and cmp_.le((0, 0), (0, 1))  # kernel ties
@@ -564,10 +589,9 @@ def test_witness_a_side_has_no_nontrivial_subgroup():
 def test_refine_strictly_moves_ball_counts():
     kb, cover = klein_synthetic_cover()
     refined = refine_pair(kb, cover, (0, 1), verify=False)
-    ball = kb.ball(4)
-    idx = kb.ball_index(4)
-    assert len(ball_members(refined.b, ball, idx)) < len(ball_members(cover.b, ball, idx))
-    assert len(ball_members(refined.a, ball, idx)) > len(ball_members(cover.a, ball, idx))
+    domain = kb.domain(4)
+    assert len(ball_members(refined.b, domain)) < len(ball_members(cover.b, domain))
+    assert len(ball_members(refined.a, domain)) > len(ball_members(cover.a, domain))
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,14 @@ def test_ball_matches_plain_bfs(model, radius):
     fresh = parse_model(model.selector())
     ball = fresh.ball(radius)
     assert ball == out
-    assert fresh.ball_index(radius) == {x: i for i, x in enumerate(out)}
-    tree_parent, tree_via, tree_steps = fresh._tree(ball)
-    assert (list(tree_parent), list(tree_via), list(tree_steps)) == (parent, via, steps)
+    if radius:
+        domain = fresh.domain(radius)
+        assert domain.elements is ball and domain.radius == radius
+        assert domain.index == {x: i for i, x in enumerate(out)}
+        assert (domain.parent, domain.via, domain.steps) == (parent, via, steps)
+    else:
+        with pytest.raises(ValueError):
+            fresh.domain(0)
     with pytest.raises(BallTooLarge):
         parse_model(model.selector()).ball(radius, cap=len(out) - 1)
     assert parse_model(model.selector()).ball(radius, cap=len(out)) == out
@@ -229,13 +234,13 @@ def test_ball_cap_enforced():
 def test_ball_cap_enforced_on_cached_ball():
     model = GroupModel.free(2)
     assert len(model.ball(4)) == 161
-    assert len(model.ball_index(4)) == 161
+    assert len(model.domain(4).index) == 161
     with pytest.raises(BallTooLarge):
         model.ball(4, cap=10)
     with pytest.raises(BallTooLarge):
-        model.ball_index(4, cap=10)
+        model.domain(4, cap=10)
     assert len(model.ball(4, cap=161)) == 161
-    assert len(model.ball_index(4, cap=161)) == 161
+    assert len(model.domain(4, cap=161).index) == 161
 
 
 # ---------------------------------------------------------------------------
@@ -345,42 +350,62 @@ def _oracle_classes(homs, elements):
 def test_image_classes_match_per_element_images(model, image_lists):
     maps = [Homomorphism(model, GroupModel.zr(len(imgs[0])), images=imgs) for imgs in image_lists]
     hom_lists = [[h] for h in maps] + [[maps[0], maps[2]], [maps[1], maps[2]], [maps[2], maps[0]]]
-    for radius in range(5):
-        ball = model.ball(radius)
-        assert model.ball_index(radius) == {x: i for i, x in enumerate(ball)}
+    for radius in range(1, 5):
+        domain = model.domain(radius)
+        ball = domain.elements
+        assert domain.index == {x: i for i, x in enumerate(ball)}
         for homs in hom_lists:
-            got = model.image_classes(homs, ball)
+            got = domain.classes(homs).members
             assert list(got.items()) == list(_oracle_classes(homs, ball).items())
 
 
 def test_image_classes_on_finite_elements_without_maps():
     model = GroupModel.finite(dihedral(3, name="S3"))
-    elements, _, _ = model.scan_domain(3)
-    assert model.image_classes([], elements) == {(): [1, 2, 3, 4, 5]}
-    assert model.image_classes([], model.ball(2)) == {(): [1, 2, 3, 4, 5]}
+    assert model.domain(3).classes([]).members == {(): [1, 2, 3, 4, 5]}
+    model.ball(2)
+    assert model._balls[2].classes([]).members == {(): [1, 2, 3, 4, 5]}
 
 
 def test_finite_scan_domain_is_built_once():
-    # one domain per finite model, so the memos keyed on the very list
-    # (image classes, inverse indices, cone member sets) hit on every call
+    # one domain per finite model, so the memos kept on it (image classes,
+    # inverse indices, cone member sets) hit on every call
     model = GroupModel.finite(fixture("D4"))
-    first, second = model.scan_domain(3), model.scan_domain(3)
-    assert first[0] is second[0] and first[1] is second[1]
-    assert first[2] == second[2] == 0
-    assert model.image_classes([], first[0]) is model.image_classes([], second[0])
-    inverse = model.inverse_index(first[0], first[1])
+    first = model.domain(3)
+    assert model.domain(1) is first and first.radius == 0
+    assert first.elements == list(range(8)) and first.index == {x: x for x in range(8)}
+    assert first.classes([]) is model.domain(3).classes([])
+    inverse = first.inverses(model.inv)
     assert inverse == model.group.inverse_table
-    assert model.inverse_index(second[0], second[1]) is inverse
+    assert model.domain(3).inverses(model.inv) is inverse
+
+
+def test_finite_whole_group_and_ball_keep_separate_memos():
+    # a finite model's ball(1) holds every element in BFS order: as many as
+    # its whole group, in another order, with image classes and an inverse
+    # index of its own; building one domain's memos must not evict the
+    # other's
+    model = GroupModel.finite(fixture("D4"))
+    whole = model.domain(1)
+    classes, inverse = whole.classes([]), whole.inverses(model.inv)
+    ball = model.ball(1)
+    in_ball = model._balls[1]
+    assert sorted(ball) == whole.elements and ball != whole.elements
+    assert [ball[j] for j in in_ball.inverses(model.inv)] == [model.inv(x) for x in ball]
+    assert in_ball.classes([]).members == {(): list(range(1, 8))}
+    assert in_ball.classes([]) is not classes
+    assert whole.classes([]) is classes and whole.inverses(model.inv) is inverse
+    assert inverse == model.group.inverse_table
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_inverse_index_on_ball(model):
-    ball, idx = model.ball(3), model.ball_index(3)
-    inverse = model.inverse_index(ball, idx)
+    domain = model.domain(3)
+    ball = domain.elements
+    inverse = domain.inverses(model.inv)
     assert [ball[j] for j in inverse] == [model.inv(x) for x in ball]
-    assert model.inverse_index(ball, idx) is inverse
-    small, small_idx = model.ball(2), model.ball_index(2)
-    assert model.inverse_index(small, small_idx) == [small_idx[model.inv(x)] for x in small]
+    assert model.domain(3).inverses(model.inv) is inverse
+    small = model.domain(2)
+    assert small.inverses(model.inv) == [small.index[model.inv(x)] for x in small.elements]
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,9 @@ def test_quotient_order_z_cross_c2():
     m = GroupModel.zr(1, (2,))
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
     w = cone_from_quotient_order(m, phi, standard_lex_cone(1), radius=6)
-    ball = m.ball(6)
-    idx = m.ball_index(6)
-    kernel = {ball[i] for i in ball_members(w.kernel, ball, idx)}
+    domain = m.domain(6)
+    ball = domain.elements
+    kernel = {ball[i] for i in ball_members(w.kernel, domain)}
     assert kernel == {(0, 0), (0, 1)}
     assert witness_ok(validate_witness(w, 6))
 
@@ -91,9 +91,9 @@ def test_quotient_order_identity_hom():
     m = z_model()
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,)])
     w = cone_from_quotient_order(m, phi, standard_lex_cone(1), radius=6)
-    ball = m.ball(6)
-    idx = m.ball_index(6)
-    assert {ball[i] for i in ball_members(w.kernel, ball, idx)} == {(0,)}
+    domain = m.domain(6)
+    ball = domain.elements
+    assert {ball[i] for i in ball_members(w.kernel, domain)} == {(0,)}
 
 
 def test_quotient_order_klein_bottle_b_exponent():
@@ -125,10 +125,10 @@ def test_pullback_cover_z_identity():
     m = z_model()
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,)])
     pair = pullback_cover(m, phi, radius=6)
-    ball = m.ball(6)
-    idx = m.ball_index(6)
-    a = {ball[i] for i in ball_members(pair.a, ball, idx)}
-    b = {ball[i] for i in ball_members(pair.b, ball, idx)}
+    domain = m.domain(6)
+    ball = domain.elements
+    a = {ball[i] for i in ball_members(pair.a, domain)}
+    b = {ball[i] for i in ball_members(pair.b, domain)}
     assert a == {(n,) for n in range(-6, 1)}
     assert b == {(n,) for n in range(0, 7)}
     assert a & b == {(0,)}
@@ -244,9 +244,9 @@ def test_lex_combine_restricts_to_second_order_on_first_kernel():
     w = lex_combine(w1, w2)
     cmp_w = w.comparator()
     cmp_2 = w2.comparator()
-    ball = m.ball(5)
-    idx = m.ball_index(5)
-    kernel1 = [ball[i] for i in ball_members(w1.kernel, ball, idx)]
+    domain = m.domain(5)
+    ball = domain.elements
+    kernel1 = [ball[i] for i in ball_members(w1.kernel, domain)]
     for x in kernel1:
         for y in kernel1:
             assert cmp_w.le(x, y) == cmp_2.le(x, y)
