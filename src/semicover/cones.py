@@ -260,11 +260,13 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 
 def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
     """Indices of the domain's elements belonging to the cone (index 0 is
-    the identity).  A pullback leaf is evaluated once per image class of
-    the domain under its homomorphism; every other node combines its
-    children's sets.  The result is kept on the node with the domain it
-    was computed for, and replaced when another domain is asked for, so
-    each node, shared or not, is evaluated once per domain."""
+    the identity).  A pullback leaf is evaluated once per sign bucket of
+    the domain's image classes under its homomorphism; every other node
+    combines its children's sets.  The result is kept on the node with the
+    domain it was computed for, and replaced when another domain is asked
+    for, so each node, shared or not, is evaluated once per domain.  On a
+    class domain (`scan_domain`) a cone that is not value-pure over its
+    maps raises ModelMismatch: its members need not be whole classes."""
     stored = vars(cone).get("_members")
     if stored is not None and stored[0] is domain:
         return stored[1]
@@ -274,11 +276,15 @@ def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
 
 
 def _evaluate(cone: ConeSet, domain: Domain) -> frozenset:
-    if isinstance(cone, Pullback):
-        out = [0] if cone.member(domain.elements[0]) else []
-        for w, idxs in domain.classes([cone.hom]).members.items():
-            if region_test(cone.region, w):
-                out.extend(idxs)
+    over = domain.hom_keys  # a class domain's maps; None on a ball or finite group
+    if isinstance(cone, Pullback) and (over is None or cone.hom.key in over):
+        members, _, keys, _, buckets = domain.classes([cone.hom])
+        table = _REGION_TABLES[cone.region]  # by the sign of the image
+        out = [0] if table[(0,)] else []
+        for signs, cs in buckets.items():
+            if table[signs]:
+                for c in cs:
+                    out.extend(members[keys[c]])
         return frozenset(out)
     if isinstance(cone, Identity):
         return frozenset((0,))
@@ -289,6 +295,8 @@ def _evaluate(cone: ConeSet, domain: Domain) -> frozenset:
         return sets[0].intersection(*sets[1:])
     if isinstance(cone, Complement):
         return domain.indices - ball_members(cone.part, domain)
+    if over is not None:
+        raise ModelMismatch("a class domain decides only value-pure cones over its maps")
     if isinstance(cone, ExplicitSet):
         index = domain.index
         inside = frozenset(index[e] for e in cone.elements if e in index)
@@ -298,10 +306,12 @@ def _evaluate(cone: ConeSet, domain: Domain) -> frozenset:
     raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
-def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet) -> list:
+def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet,
+                  among: Optional[frozenset] = None) -> list:
     """(i, j) pairs, ascending in i, with element j of the domain standing
     for the inverse of element i, for deciding inverse conditions on the
-    cones' member sets.
+    cones' member sets; with `among`, an index set of the domain, only the
+    pairs whose i is in it.
 
     When the cones are value-pure, each element other than the identity
     has the membership of its joint image class, and x^-1 for x in class w
@@ -310,10 +320,14 @@ def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet) -> list:
     order.  Otherwise i runs over the whole domain (`Domain.inverses`)."""
     homs = value_profile(*cones)
     if homs is None:
-        return list(enumerate(domain.inverses(model.inv)))
-    classes = domain.classes(homs).members
-    return [(0, 0)] + [(idxs[0], classes[tuple(-c for c in w)][0])
-                       for w, idxs in classes.items()]
+        inverse = domain.inverses(model.inv)
+        return list(enumerate(inverse)) if among is None else [(i, inverse[i]) for i in sorted(among)]
+    members, cls, keys, _, _ = domain.classes(homs)
+    if among is None:
+        firsts = [0] + [idxs[0] for idxs in members.values()]
+    else:
+        firsts = [i for i in sorted(among) if not i or members[keys[cls[i]]][0] == i]
+    return [(i, i and members[tuple([-c for c in keys[cls[i]]])][0]) for i in firsts]
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +465,36 @@ def _inverse_form(base: Form, model: GroupModel) -> Form:
                 find=lambda _: frozenset(model.inv(e) for e in base.exceptions))
 
 
-def joint_homs(*cones: ConeSet) -> list[Homomorphism]:
+def joint_homs(*cones: ConeSet) -> tuple:
     """The distinct homomorphisms of the cones' forms, in order of first
     appearance: a layout for a `ProductScan` reading all of them."""
-    homs: list = []
+    homs = ()
     for cone in cones:
-        homs.extend(h for h in compile_cone(cone).homs if h not in homs)
+        more = compile_cone(cone).homs
+        if not homs:
+            homs = more
+        elif more != homs:
+            homs += tuple([h for h in more if h not in homs])
     return homs
 
 
-def value_profile(*cones: ConeSet) -> Optional[list[Homomorphism]]:
+def value_profile(*cones: ConeSet) -> Optional[tuple]:
     """The distinct Z^r homomorphisms membership in the cones factors
     through, in order of first appearance (`joint_homs`), or None if
     membership in some cone is not value-determined (explicit element
     lists)."""
-    if all(compile_cone(cone).pure for cone in cones):
-        return joint_homs(*cones)
-    return None
+    for cone in cones:
+        if not compile_cone(cone).pure:
+            return None
+    return joint_homs(*cones)
+
+
+def scan_domain(model: GroupModel, radius: int, cap: int, *cones: ConeSet) -> Domain:
+    """The domain of a verdict that reads only `cones`: the class domain
+    of their homomorphisms when all are value-pure, else the ball.  Their
+    member sets are then unions of image classes, up to the identity, so
+    the first failing element is the same on both."""
+    return model.domain(radius, cap, value_profile(*cones))
 
 
 class ProductScan:
@@ -482,15 +509,15 @@ class ProductScan:
     and only such pairs are summed.  The verdict differs from the predicate
     exactly for the products among the target's exceptions.
 
-    `clean` decides the members of a whole cone at once; `first` finds the
-    first failing y of one a, forming only the products that can be
-    exceptions."""
+    `clean` decides the members of a whole cone at once, on a class domain
+    as well; `first` finds the first failing y of one a, forming only the
+    products that can be exceptions, on the ball (`by_element`)."""
 
     def __init__(self, model: GroupModel, domain: Domain, homs, target: ConeSet, ys: ConeSet):
         self.model, self.domain = model, domain
         self.homs, self.layout = homs, slice_layout(homs)
         _, self.cls, self.keys, self.signs, self.all_buckets = domain.classes(homs)
-        self.target = compile_cone(target)
+        self.target_cone, self.target = target, compile_cone(target)
         self.picks = [homs.index(h) for h in self.target.homs]
         self.y_cone = ys
         self.yset = self.ys = None  # its members, and in ascending order, once scanned
@@ -561,6 +588,13 @@ class ProductScan:
                     return False
         return True
 
+    def by_element(self, cap: int) -> "ProductScan":
+        """This scan on the ball, for the scan by element."""
+        if self.domain.hom_keys is None:
+            return self
+        return ProductScan(self.model, self.model.domain(self.domain.radius, cap), self.homs,
+                           self.target_cone, self.y_cone)
+
     def _members(self) -> list:
         """The members of ys in ascending order, read when a scan by
         element starts."""
@@ -602,11 +636,9 @@ class ProductScan:
 
     def first_pair(self) -> Optional[tuple]:
         """The first elements (x, y) in ys x ys, in BFS order, with xy
-        outside the target, for ys inside the target, or None; `clean` is
-        tried first.  1y = y and x1 = x stay in the target, so the identity
-        (index 0) is left out of the x's."""
-        if self.clean(self.y_cone):
-            return None
+        outside the target, for ys inside the target, or None.  1y = y and
+        x1 = x stay in the target, so the identity (index 0) is left out of
+        the x's."""
         elements = self.domain.elements
         for x in self._members():
             if x == 0:
@@ -700,14 +732,16 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
 
     Finite models are checked exactly over all pairs.  Infinite models are
     checked over the radius ball; products are decided globally by the
-    cone's compiled form, per pair of image classes and element by element
-    only where that does not settle it (`ProductScan.first_pair`).  The
-    first counterexample in BFS pair order wins.
+    cone's compiled form, per pair of image classes (`ProductScan.clean`)
+    and element by element only where that does not settle it
+    (`ProductScan.first_pair`).  The first counterexample in BFS pair order
+    wins.
     """
     check_model(model, cone)
-    domain = model.domain(radius, cap)
-    return Verdict.of(ProductScan(model, domain, compile_cone(cone).homs, cone, cone).first_pair(),
-                      domain)
+    scan = ProductScan(model, scan_domain(model, radius, cap, cone), compile_cone(cone).homs,
+                       cone, cone)
+    witness = None if scan.clean(cone) else (scan := scan.by_element(cap)).first_pair()
+    return Verdict.of(witness, scan.domain)
 
 
 @dataclass
@@ -745,7 +779,7 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     (optionally) trivial intersection and inverse duality."""
     check_model(model, a)
     check_model(model, b)
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, a, b)
     elements, rad = domain.elements, domain.radius
 
     flags = {
@@ -779,7 +813,7 @@ def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int,
     element in BFS order."""
     check_model(model, c1)
     check_model(model, c2)
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, c1, c2)
     diff = ball_members(c1, domain) ^ ball_members(c2, domain)
     return (domain.elements[min(diff)],) if diff else None
 

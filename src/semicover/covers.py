@@ -28,6 +28,7 @@ from .cones import (
     is_cover_pair,
     is_subsemigroup,
     joint_homs,
+    scan_domain,
     symmetric_part,
     union,
 )
@@ -54,6 +55,10 @@ A_SIDE = "A_side"
 
 @dataclass
 class IntersectionSplit:
+    """I = A n B on the domain.  On value-pure sides `i_a` and `i_b` hold
+    one element per image class (`inverse_pairs`), and on a class domain
+    so does `i_members`; the first element of each is the ball's."""
+
     side: str                 # which side is guaranteed to absorb <I>
     i_a: list                 # x in I with x^-1 in A only
     i_b: list                 # x in I with x^-1 in B only
@@ -65,19 +70,15 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
     """Split I = A n B by where inverses land.  For a genuine cover one of
     the two parts is empty; both nonempty is reported as a LemmaViolation
     with the concrete non-closure evidence it implies."""
-    domain = model.domain(radius, cap)
-    elements, index = domain.elements, domain.index
+    domain = scan_domain(model, radius, cap, a, b)
+    elements = domain.elements
     mem_a, mem_b = ball_members(a, domain), ball_members(b, domain)
-    imem = sorted(mem_a & mem_b)
+    shared = mem_a & mem_b
     i_a, i_b = [], []
-    for i in imem:
-        x = elements[i]
-        j = index[model.inv(x)]  # the domain is inverse-closed
+    for i, j in inverse_pairs(model, domain, a, b, among=shared):
         in_a, in_b = j in mem_a, j in mem_b
-        if in_a and not in_b:
-            i_a.append(x)
-        elif in_b and not in_a:
-            i_b.append(x)
+        if in_a != in_b:
+            (i_a if in_a else i_b).append(elements[i])
     if i_a and i_b:
         x, y = i_a[0], i_b[0]
         z = model.mul(model.inv(x), model.inv(y))
@@ -93,7 +94,7 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
             witness=(x, y), non_closure=evidence,
         )
     side = A_SIDE if i_a else B_SIDE
-    return IntersectionSplit(side, i_a, i_b, [elements[i] for i in imem])
+    return IntersectionSplit(side, i_a, i_b, [elements[i] for i in sorted(shared)])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     forms of A - {1} and B - H are read by one `ProductScan` each: when
     both are clean over H - {1} the cover is saturated on the ball, and
     otherwise each h's first escaping x is found element by element."""
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, cover.a, cover.b)
     h_cone = symmetric_part(model, cover.b)
     sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
              (intersection(cover.b, complement(h_cone)), "B - H"))
@@ -119,6 +120,8 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     scans = [(ProductScan(model, domain, homs, side, side), name) for side, name in sides]
     if all(scan.clean(h_cone) for scan, _ in scans):
         return Verdict.of(None, domain)
+    scans = [(scan.by_element(cap), name) for scan, name in scans]
+    domain = scans[0][0].domain
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
     elements = domain.elements
     for h in sorted(ball_members(h_cone, domain) - {0}):
@@ -139,7 +142,7 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
     inverse, one pair per image class on a value-pure cover
     (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
     is not, as H = B n B^-1."""
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, cover.a, cover.b)
     mem_a = ball_members(cover.a, domain)
     mem_b = ball_members(cover.b, domain)
     a_star = mem_a - {0}
@@ -179,7 +182,7 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     if split.side == A_SIDE:
         a, b = b, a
 
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, a, b)
     i_ball = ball_members(intersection(a, b), domain)
     h_ball = ball_members(symmetric_part(model, b), domain)
     nontrivial_i = len(i_ball) > 1
@@ -359,7 +362,6 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
     conjugator is always the first one in BFS order, so runs are
     reproducible."""
     radius = cover.radius if radius is None else radius
-    domain = model.domain(radius, cap)
     current = cover
     history: list = []
     step = 0
@@ -372,6 +374,7 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
         if step >= max_depth:
             return DescentState(current, step, history, "depth_exceeded")
         g, h = violation
+        domain = model.domain(radius, cap)
         v_before = len(ball_members(current.b, domain))
         current = refine_pair(model, current, g, radius, cap)
         v_after = len(ball_members(current.b, domain))

@@ -15,6 +15,7 @@ enumeration.  Element representations:
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
@@ -201,25 +202,53 @@ def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "H
 # Group models
 # ---------------------------------------------------------------------------
 
-def _product_for(model: "GroupModel"):
-    """The product of the model's kind, resolved once per model: `mul` and
-    `ball` call it directly."""
+def _arithmetic_for(model: "GroupModel"):
+    """The product, the inverse and the identity of the model's kind,
+    resolved once per model: `mul`, `inv` and `ball` call them directly."""
     kind = model.kind
     if kind == "finite":
         table = model.group.table
-        return lambda x, y: table[x][y]
+        return (lambda x, y: table[x][y]), model.group.inverse_table.__getitem__, 0
     if kind == "zr_cross_finite":
         r, orders = model.rank, model.orders
         if not orders:
-            return lambda x, y: tuple(map(add, x, y))
+            return _add, lambda x: tuple([-a for a in x]), (0,) * r
         moduli = (None,) * r + orders  # None: a free coordinate
-        return lambda x, y: tuple([a + b if o is None else (a + b) % o
-                                   for a, b, o in zip(x, y, moduli)])
+        return (lambda x, y: tuple([a + b if o is None else (a + b) % o
+                                    for a, b, o in zip(x, y, moduli)]),
+                lambda x: tuple([-a if o is None else -a % o for a, o in zip(x, moduli)]),
+                (0,) * len(moduli))
     if kind == "free":
-        return _free_product
+        return _free_product, lambda x: tuple([-v for v in reversed(x)]), ()
     if kind == "heisenberg":
-        return _heisenberg_product
-    return _klein_product
+        return _heisenberg_product, lambda x: (-x[0], -x[1], -x[2] + x[0] * x[1]), (0, 0, 0)
+    return _klein_product, lambda x: (-x[0], -x[1] if x[0] % 2 == 0 else x[1]), (0, 0)
+
+
+def _add(x, y):
+    return tuple(map(add, x, y))
+
+
+def _grow(walk: "Domain", lo: int, cap: int, product, onward) -> int:
+    """Append the next BFS layer to `walk`, whose outer layer starts at
+    index lo; return where the new one starts.  Step k is followed by the
+    steps onward[k] only: its inverse leads back to the parent."""
+    out, index, parent, via, steps = walk.elements, walk.index, walk.parent, walk.via, walk.steps
+    every = range(len(steps))
+    hi = len(out)
+    for p in range(lo, hi):
+        x = out[p]
+        for k in onward[via[p]] if p else every:
+            y = product(x, steps[k])
+            if y not in index:
+                index[y] = len(out)
+                out.append(y)
+                parent.append(p)
+                via.append(k)
+                if len(out) > cap:
+                    raise BallTooLarge(f"ball exceeds cap {cap}")
+    walk.radius += 1
+    return hi
 
 
 def _free_product(x, y):
@@ -253,13 +282,15 @@ class GroupModel:
         self.rank = rank
         self.orders = tuple(orders)
         self.free_rank = free_rank
-        # radius -> the ball's Domain; None -> a finite model's whole group
-        self._balls: dict[Optional[int], Domain] = {}
+        # radius -> the ball's Domain; None -> a finite model's whole group;
+        # (radius, hom keys) -> the domain `domain` gave for those homs
+        self._balls: dict = {}
+        self._walk: Optional[tuple] = None  # a ball stopped short, its outer layer's start
         if kind == "finite" and group is None:
             raise ValueError("finite model requires a FiniteGroup")
         if kind == "free" and free_rank < 1:
             raise ValueError("free model requires rank >= 1")
-        self._product = _product_for(self)
+        self._product, self.inv, self._one = _arithmetic_for(self)
         # equality and hashing read this; a finite model's hashes its table
         self.key = ("finite", hash(group)) if kind == "finite" else \
             (kind, rank, self.orders, free_rank)
@@ -298,15 +329,7 @@ class GroupModel:
         return f"GroupModel({self.selector()})"
 
     def identity(self):
-        if self.kind == "finite":
-            return 0
-        if self.kind == "zr_cross_finite":
-            return (0,) * (self.rank + len(self.orders))
-        if self.kind == "free":
-            return ()
-        if self.kind == "heisenberg":
-            return (0, 0, 0)
-        return (0, 0)
+        return self._one
 
     def validate(self, x) -> None:
         kind = self.kind
@@ -338,22 +361,6 @@ class GroupModel:
 
     def mul(self, x, y):
         return self._product(x, y)
-
-    def inv(self, x):
-        kind = self.kind
-        if kind == "finite":
-            return self.group.inverse_table[x]
-        if kind == "zr_cross_finite":
-            r = self.rank
-            free = tuple(-a for a in x[:r])
-            tors = tuple((-a) % o for a, o in zip(x[r:], self.orders))
-            return free + tors
-        if kind == "free":
-            return tuple(-v for v in reversed(x))
-        if kind == "heisenberg":
-            return (-x[0], -x[1], -x[2] + x[0] * x[1])
-        m, n = x
-        return (-m, -n if m % 2 == 0 else n)
 
     def conj(self, g, x):
         """g^-1 * x * g."""
@@ -419,64 +426,53 @@ class GroupModel:
 
     # -- ball enumeration
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list:
+    @cached_property
+    def _steps(self) -> tuple:
+        """The BFS steps, each generator and then its inverse when that
+        differs, and per step k the indices of the steps tried after
+        arriving by k: all but k's inverse, which leads back."""
+        steps = []
+        for g in self.generators():
+            steps += [g] if self.inv(g) == g else [g, self.inv(g)]
+        return steps, [[j for j, s in enumerate(steps) if s != ti] for ti in map(self.inv, steps)]
+
+    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP, homs=None) -> list:
         """All products of at most `radius` generators/inverses, BFS order
         with generator-index tiebreak.  Element 0 is the identity.
 
         The enumeration is kept as a `Domain` (see `domain`) with its index
         map and spanning tree: element i > 0 is ball[parent[i]] *
-        steps[via[i]], with parent[i] < i, where steps lists each generator
-        and then its inverse when that differs.
-
-        A step that undoes the one an element was reached by leads back to
-        its parent, which is indexed already, so it is skipped: x * s is
-        not formed when s is the inverse of steps[via[p]] for x = ball[p]."""
+        steps[via[i]], with parent[i] < i.  Given `homs`, the walk stops
+        after the first layer with an element but the identity of image
+        zero under them; it is kept, and the next call continues it."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        cached = self._balls.get(radius)
-        if (len(cached.elements) if cached else 1) > cap:  # every ball holds 1
+        walk = self._balls.get(radius)
+        if walk is None:
+            walk, lo = self._walk if self._walk and self._walk[0].radius <= radius else (None, 0)
+            self._walk = None  # a walk cut by BallTooLarge is dropped
+            steps, onward = self._steps
+            walk = walk or Domain([self.identity()], {self.identity(): 0}, 0, [0], [0], steps)
+            while walk.radius < radius and (homs is None or walk.kernel_index(homs) is None):
+                lo = _grow(walk, lo, cap, self._product, onward)
+            if walk.radius < radius:
+                self._walk = walk, lo
+            else:
+                self._balls[radius] = walk
+        if len(walk.elements) > cap:  # every ball holds 1
             raise BallTooLarge(f"ball exceeds cap {cap}")
-        if cached is not None:
-            return cached.elements
-        steps = []
-        for g in self.generators():
-            steps.append(g)
-            gi = self.inv(g)
-            if gi != g:
-                steps.append(gi)
-        numbered = list(enumerate(steps))
-        # the steps tried after arriving by step k: all but k's inverse
-        onward = [[(j, s) for j, s in numbered if s != self.inv(t)] for t in steps]
-        out = [self.identity()]
-        index = {out[0]: 0}
-        parent, via = [0], [0]
-        product = self._product
-        lo = 0
-        for _ in range(radius):
-            hi = len(out)
-            for p in range(lo, hi):
-                x = out[p]
-                for k, s in onward[via[p]] if p else numbered:
-                    y = product(x, s)
-                    if y not in index:
-                        index[y] = len(out)
-                        out.append(y)
-                        parent.append(p)
-                        via.append(k)
-                        if len(out) > cap:
-                            raise BallTooLarge(f"ball exceeds cap {cap}")
-            if len(out) == hi:
-                break
-            lo = hi
-        self._balls[radius] = Domain(out, index, radius, parent, via, steps)
-        return out
+        return walk.elements
 
-    def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> "Domain":
+    def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP, homs=None) -> "Domain":
         """The elements a scan at `radius` decides a verdict on: the whole
         of a finite group, built once and checked exactly (radius 0), or
-        the Cayley ball of that radius, enumerated by `ball`.  A ball of
-        radius 0 is the identity alone, on which no ball-local verdict
-        means anything, so it is refused."""
+        the Cayley ball of that radius; ball(0) is the identity alone, on
+        which no ball-local verdict means anything, so it is refused.
+        Given `homs`, which every cone of the scan factors through, it is
+        the ball's class domain (`_class_domain`), unless the whole ball is
+        walked, already or to find the zero class.  `cap` bounds the
+        elements held, on a class domain its representatives plus that
+        walk's."""
         if self.kind == "finite":
             whole = self._balls.get(None)
             if whole is None:
@@ -488,8 +484,54 @@ class GroupModel:
             return whole
         if radius < 1:
             raise ValueError("radius must be >= 1 for infinite models")
-        self.ball(radius, cap)
-        return self._balls[radius]
+        key = radius if homs is None else (radius, tuple([h.key for h in homs]))
+        done = self._balls.get(key)
+        if done is None:
+            self.ball(radius, cap, homs)
+            done = self._balls[key] = self._balls.get(radius) or \
+                self._class_domain(self._walk[0], homs, key, cap)
+        if len(done.elements) > cap:
+            raise BallTooLarge(f"ball exceeds cap {cap}")
+        return done
+
+    def _class_domain(self, prefix: "Domain", homs, key: tuple, cap: int) -> "Domain":
+        """For key (radius, hom keys), the identity, the first element of
+        every other joint image class of ball(radius) under homs, and z,
+        the first element of image zero but the identity, which `prefix`
+        holds, in ball order.  The classes are walked as a ball with the
+        steps' images for steps, and a class first reached from class c by
+        step s has rep(c) * s for first element: the ball numbers an
+        element by its (parent, step), and rep(c) precedes every other
+        element of c and reaches the class by the same step."""
+        radius, hom_keys = key
+        steps, onward = self._steps
+        pc, z = prefix.classes(homs), prefix.kernel_index(homs)
+        walk = Domain([pc.keys[0]], {pc.keys[0]: 0}, 0, [0], [0],
+                      [joint_image(homs, s) for s in steps])
+        lo = 0
+        while walk.radius < radius:
+            lo = _grow(walk, lo, cap - len(prefix.elements), _add, onward)
+        elements, parent, via = [prefix.elements[0]], walk.parent, walk.via
+        for c in range(1, len(parent)):
+            elements.append(self._product(elements[parent[c]], steps[via[c]]))
+        q = len(set(pc.cls[1:z])) + 1  # z's place: after the classes met before it
+        parent = [p + (p >= q) for p in parent]
+        elements.insert(q, prefix.elements[z])
+        parent.insert(q, walk.index[pc.keys[pc.cls[prefix.parent[z]]]])
+        via.insert(q, prefix.via[z])
+        out = Domain(elements, {x: i for i, x in enumerate(elements)}, radius, parent, via,
+                     steps, hom_keys)
+        # its classes under homs: the BFS's, with z in the zero class
+        keys, buckets = walk.elements, {}
+        cls = list(range(len(keys)))
+        cls.insert(q, 0)
+        layout = slice_layout(homs)
+        signs = [sign_pattern(w, layout) for w in keys]
+        for c in cls[1:]:
+            buckets.setdefault(signs[c], []).append(c)
+        members = {keys[c]: [i] for i, c in enumerate(cls) if i}
+        out._classes[hom_keys] = ImageClasses(members, cls, keys, signs, buckets), None
+        return out
 
     # -- selector strings
 
@@ -565,10 +607,12 @@ class ImageClasses(NamedTuple):
 
 class Domain:
     """The elements one scan decides its verdicts on, from
-    `GroupModel.domain`: a Cayley ball (`radius` >= 1, ball-local verdicts)
-    or the whole of a finite group (`radius` 0, exact verdicts).  `index`
+    `GroupModel.domain`: a Cayley ball (`radius` >= 1, ball-local verdicts),
+    the whole of a finite group (`radius` 0, exact verdicts) or a ball's
+    class domain under the maps with keys `hom_keys` (else None).  `index`
     maps each element to its position, and the spanning tree has element
-    i > 0 equal to elements[parent[i]] * steps[via[i]].
+    i > 0 equal to elements[parent[i]] * steps[via[i]]; on a class domain
+    its zero-class element only has that product's image.
 
     What derives from the elements alone is built on first use and kept
     here: the full index set, the inverse index and the image classes of
@@ -577,15 +621,16 @@ class Domain:
     cone nodes that keep their member sets on it.  Callers must not mutate
     a domain or anything it hands out."""
 
-    __slots__ = ("elements", "index", "radius", "parent", "via", "steps",
+    __slots__ = ("elements", "index", "radius", "parent", "via", "steps", "hom_keys",
                  "_indices", "_inverses", "_classes")
 
-    def __init__(self, elements: list, index: dict, radius: int, parent, via, steps):
+    def __init__(self, elements: list, index: dict, radius: int, parent, via, steps,
+                 hom_keys: Optional[tuple] = None):
         self.elements, self.index, self.radius = elements, index, radius
-        self.parent, self.via, self.steps = parent, via, steps
+        self.parent, self.via, self.steps, self.hom_keys = parent, via, steps, hom_keys
         self._indices: Optional[frozenset] = None
         self._inverses: Optional[list] = None
-        self._classes: dict = {}  # the hom list's keys -> ImageClasses
+        self._classes: dict = {}  # the hom list's keys -> (ImageClasses, the walk extending it)
 
     @property
     def indices(self) -> frozenset:
@@ -609,22 +654,37 @@ class Domain:
         Walks the spanning tree: a homomorphism into Z^r has
         phi(x * s) = phi(x) + phi(s), so each element's image is its
         parent's plus its step's.  Only the steps are mapped, and each
-        distinct (parent class, step) pair costs one vector addition."""
-        key = tuple([h._key() for h in homs])
+        distinct (parent class, step) pair costs one vector addition.  On
+        a ball still being walked (`GroupModel.domain`) each call extends
+        the classes over the elements added since the last one."""
+        key = tuple([h.key for h in homs])
         hit = self._classes.get(key)
-        if hit is not None:
-            return hit
-        parent, via = self.parent, self.via
-        step_images = [joint_image(homs, s) for s in self.steps]
-        n_steps = len(step_images)
-        layout = slice_layout(homs)
-        zero = (0,) * sum(h.rank() for h in homs)
-        keys, signs, members, class_of = [zero], [(0,) * len(homs)], [[]], {zero: 0}
-        cls = [0] * len(self.elements)
-        moves: dict[int, int] = {}
-        classes: dict = {}
-        buckets: dict = {}
-        for i in range(1, len(cls)):
+        if hit is None:
+            walk = _class_walk(self.elements, self.parent, self.via,
+                               [joint_image(homs, s) for s in self.steps],
+                               slice_layout(homs), sum(h.rank() for h in homs))
+            hit = self._classes[key] = (next(walk), walk)
+        elif len(hit[0].cls) < len(self.elements):
+            next(hit[1])
+        return hit[0]
+
+    def kernel_index(self, homs) -> Optional[int]:
+        """The first index but 0 with joint image zero under `homs`, or None."""
+        classes = self.classes(homs)
+        return (classes.members.get(classes.keys[0]) or [None])[0]
+
+
+def _class_walk(elements, parent, via, step_images, layout, width):
+    """`Domain.classes`, resumed to classify the elements appended since."""
+    n_steps = len(step_images)
+    zero = (0,) * width
+    keys, signs, members, class_of = [zero], [(0,) * len(layout)], [[]], {zero: 0}
+    cls, moves, classes, buckets = [0], {}, {}, {}
+    hit = ImageClasses(classes, cls, keys, signs, buckets)
+    while True:
+        start = len(cls)
+        cls.extend([0] * (len(elements) - start))
+        for i in range(start, len(cls)):
             p, k = parent[i], via[i]
             move = cls[p] * n_steps + k
             c = moves.get(move)
@@ -642,8 +702,7 @@ class Domain:
                 moves[move] = c
             cls[i] = c
             members[c].append(i)
-        hit = self._classes[key] = ImageClasses(classes, cls, keys, signs, buckets)
-        return hit
+        yield hit
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +827,8 @@ class Homomorphism:
                             for img in images) if images is not None else None
         self.table_map = table_map
         self._cache: dict = {}  # element -> image; pure-function memo
+        # equality and hashing read this
+        self.key = (source.key, target.key, self.images, table_map)
         if (images is None) == (table_map is None):
             raise ValueError("exactly one of images/table_map is required")
         if images is not None:
@@ -831,14 +892,11 @@ class Homomorphism:
         new_images = [outer.apply(img) for img in self.images]
         return Homomorphism(self.source, outer.target, images=new_images)
 
-    def _key(self):
-        return (self.source.key, self.target.key, self.images, self.table_map)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Homomorphism) and self._key() == other._key()
+        return isinstance(other, Homomorphism) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.key)
 
 
 def joint_image(homs, x) -> tuple:

@@ -32,15 +32,14 @@ from .cones import (
     is_cover_pair,
     is_subsemigroup,
     pullback,
+    scan_domain,
     symmetric_part,
     union,
-    value_profile,
     Pullback,
     Union as UnionNode,
     Intersection as IntersectionNode,
     Complement as ComplementNode,
     Identity as IdentityNode,
-    FiniteBits,
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
 from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image, zr_identity_hom
@@ -137,7 +136,7 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
     Raises NotACone with the first failing element."""
     check_model(model, cone)
     inv_cone = invert_cone(model, cone)
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, cone)
     mem = ball_members(cone, domain)
     mem_inv = ball_members(inv_cone, domain)
     missing = min(domain.indices - (mem | mem_inv), default=None)
@@ -189,15 +188,15 @@ def validate_witness(witness: LeftOrderWitness, radius: int,
     model = witness.model
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, witness.kernel, witness.cone)
     elements = domain.elements
     kern, cone = witness.kernel, witness.cone
     out: dict = {}
     out["kernel_closed"] = is_subsemigroup(model, kern, radius, cap)
 
     kset = ball_members(kern, domain)
-    pairs = inverse_pairs(model, domain, kern)
-    bad = next((i for i, j in pairs if i in kset and j not in kset), None)
+    pairs = inverse_pairs(model, domain, kern, among=kset)
+    bad = next((i for i, j in pairs if j not in kset), None)
     out["kernel_inverse_closed"] = Verdict.first_failure(domain, bad)
 
     if compile_cone(kern).pure:
@@ -229,68 +228,14 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
     such products over ball(radius) pairs is exactly ball(2 * radius): any
     word of length <= 2r splits into two halves of length <= r.
 
-    When both cones are value-pure the scan collapses further, to the image
-    of the doubled ball under the shared homomorphisms (computed directly
-    as sums of generator images), read by the two forms' readers
-    (`Form.reader`); otherwise the doubled ball is enumerated.
-
-    Returns None when verified, else a failing product (element or image
-    vector, whichever granularity the scan ran at).
+    When both cones are value-pure the condition depends only on the
+    image class of v, so ball(2r) is cut down to its class domain
+    (`scan_domain`).  Returns None when verified, else a failing product.
     """
-    model = witness.model
-    cone, kern = witness.cone, witness.kernel
-    homs = value_profile(cone, kern) if model.kind != "finite" else None
-
-    def condition(le_xy, le_yx, in_kernel):
-        lt_xy = le_xy and not le_yx
-        lt_yx = le_yx and not le_xy
-        return (lt_xy + lt_yx + in_kernel) == 1
-
-    if homs is not None:
-        in_cone, in_kernel = compile_cone(cone).reader(homs), compile_cone(kern).reader(homs)
-        # the joint images of ball(2r) are exactly the <= 2r-fold signed
-        # sums of the generator images: a small vector-space BFS
-        steps = []
-        for g in model.generators():
-            vec = joint_image(homs, g)
-            steps.append(vec)
-            steps.append(tuple(-v for v in vec))
-        zero = tuple(0 for h in homs for _ in range(h.rank()))
-        seen = {zero}
-        frontier = [zero]
-        for _ in range(2 * radius):
-            nxt = []
-            for w in frontier:
-                for s in steps:
-                    t = tuple(a + b for a, b in zip(w, s))
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-
-        # the identity itself
-        if not condition(cone.member(model.identity()),
-                         cone.member(model.identity()),
-                         kern.member(model.identity())):
-            return (model.identity(),)
-        for w in seen:
-            neg = tuple(-v for v in w)
-            if not condition(in_cone(w), in_cone(neg), in_kernel(w)):
-                if w == zero:
-                    # only real if a nontrivial product has image zero
-                    hit = next((v for v in model.ball(2 * radius, cap)
-                                if v != model.identity()
-                                and not any(joint_image(homs, v))),
-                               None)
-                    if hit is None:
-                        continue
-                    return (hit,)
-                return (w,)
-        return None
-
-    for v in model.domain(2 * radius, cap).elements:
-        vi = model.inv(v)
-        if not condition(cone.member(v), cone.member(vi), kern.member(v)):
+    model, cone, kern = witness.model, witness.cone, witness.kernel
+    for v in scan_domain(model, 2 * radius, cap, cone, kern).elements:
+        le_xy, le_yx = cone.member(v), cone.member(model.inv(v))
+        if (le_xy and not le_yx) + (le_yx and not le_xy) + kern.member(v) != 1:
             return (v,)
     return None
 
@@ -330,7 +275,8 @@ def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
 
     # nontriviality: some ball element must map outside cone n cone^-1
     tkernel = intersection(quotient_cone, invert_cone(target, quotient_cone))
-    if all(tkernel.member(quotient_hom.apply(x)) for x in model.domain(radius, cap).elements):
+    if all(tkernel.member(quotient_hom.apply(x))
+           for x in model.domain(radius, cap, [quotient_hom]).elements):
         raise TrivialQuotient("every ball element maps into the trivial part of the order")
 
     b = pullback_cone(quotient_cone, quotient_hom)
@@ -396,7 +342,7 @@ def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6,
     a_new = union(complement(b_new), identity_cone(model))
     merged = is_cover_pair(model, a_new, b_new, radius, cap, check_duality=True)
 
-    domain = model.domain(radius, cap)
+    domain = scan_domain(model, radius, cap, b_new, c1.b, c1.a, a_new)
     stray = min(ball_members(b_new, domain) - ball_members(c1.b, domain), default=None)
     merged.flags["b_shrinks"] = Verdict.first_failure(domain, stray)
     stray = min(ball_members(c1.a, domain) - ball_members(a_new, domain), default=None)

@@ -9,7 +9,6 @@ order is fixed.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .cones import ext_equal, is_cover_pair, symmetric_part, ball_members, explicit, union, intersection, complement
 from .covers import (

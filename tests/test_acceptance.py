@@ -4,6 +4,7 @@ Every tolerance is exact (set equality or verdict equality on the stated
 ball); runtime budgets are asserted against wall-clock time.
 """
 
+import json
 import random
 import time
 from itertools import combinations
@@ -28,6 +29,7 @@ from semicover import (
     symmetric_part,
     totality_mod_kernel,
 )
+from semicover.cli import main as cli_main
 from semicover.cones import ball_members
 from semicover.covering import (
     DEFAULT_SUBGROUP_CAP,
@@ -277,3 +279,27 @@ def test_acceptance_8_snf_battery():
     budget.check()
     report(8, f"200 exact decompositions with unimodular transforms plus the "
               f"torsion fixture in {budget.elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("selector", ["free:2", "heisenberg"])
+def test_acceptance_9_radius_ladder(selector, tmp_path, capsys):
+    # `witness` on the halves phi >= 0 and phi <= 0 of the axis map onto Z
+    # at radius 50: ball(50) has 3^50 elements on free:2, but every verdict
+    # reads value-pure cones and runs on the ball's image classes
+    budget = Budget(2.0)
+    half = {"op": "pullback", "images": [[1], [0]], "region": "lex_nonneg"}
+    below = {"op": "complement", "arg": dict(half, region="lex_pos")}
+    paths = []
+    for name, cone in (("A", half), ("B", below)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cone))
+    code = cli_main(["witness", "--model", selector, "--A", str(paths[0]), "--B", str(paths[1]),
+                     "--radius", "50"])
+    report_obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and report_obj["radius"] == 50
+    # the kernel's conjugation stability is exact: its cone reads images only
+    radii = {k: v["radius_checked"] for k, v in report_obj["verdicts"].items()}
+    assert radii.pop("kernel_conjugation_stable") == 0
+    assert set(radii.values()) == {50} and len(radii) == 4
+    budget.check()
+    report(9, f"{selector} witness verified at radius 50 in {budget.elapsed:.3f}s")

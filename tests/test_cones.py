@@ -43,7 +43,7 @@ from semicover.covers import (
 )
 from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
-from semicover.groups import zr_identity_hom
+from semicover.groups import joint_image, parse_model, zr_identity_hom
 from semicover.orders import (
     LeftOrderWitness,
     cone_from_quotient_order,
@@ -288,6 +288,62 @@ def test_value_classes_agree_with_element_scan(data):
     scan = next((v for v in model.ball(2 * radius)
                  if not _exactly_one(cone, kernel, v, model.inv(v))), None)
     assert (totality_mod_kernel(witness, radius) is None) == (scan is None)
+
+
+# every model kind, torsion factors included, with the largest radius drawn
+CLASS_DOMAIN_RADIUS = {"z^2": 6, "z^3": 6, "z^1xC2": 6, "z^2xC3": 6, "heisenberg": 6,
+                       "klein_bottle": 6, "free:2": 6, "free:3": 4}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_class_domain_holds_the_first_element_of_each_class(data):
+    # the class domain is the identity, the first ball element of every
+    # other image class and the zero class's first element but the
+    # identity, in ball order; when the walk for that element takes the
+    # whole ball, the domain is the ball
+    selector = data.draw(st.sampled_from(sorted(CLASS_DOMAIN_RADIUS)))
+    model = parse_model(selector)
+    hom = data.draw(_value_homs(model))
+    radius = data.draw(st.integers(1, CLASS_DOMAIN_RADIUS[selector]))
+    ball = parse_model(selector).ball(radius)
+    images = [joint_image([hom], x) for x in ball]
+    firsts = {}
+    for i, w in enumerate(images):
+        firsts.setdefault(w, i)
+    zero = next((i for i, w in enumerate(images) if i and not any(w)), None)
+    domain = model.domain(radius, homs=[hom])
+    if domain.hom_keys is None:
+        assert domain is model.domain(radius) and domain.elements == ball
+        assert zero is None or zero >= len(parse_model(selector).ball(radius - 1))
+        return
+    assert zero is not None
+    assert domain.elements == [ball[i] for i in sorted(set(firsts.values()) | {zero})]
+    classes = domain.classes([hom])
+    assert [classes.keys[c] for c in classes.cls] == [joint_image([hom], x)
+                                                      for x in domain.elements]
+
+
+def _heisenberg_class_domain():
+    model = GroupModel.heisenberg()
+    phi = Homomorphism(model, GroupModel.zr(1), images=[(1,), (0,)])
+    domain = model.domain(4, homs=[phi])
+    assert domain.hom_keys is not None and len(domain.elements) < len(model.ball(4))
+    return model, phi, domain
+
+
+def test_class_domain_refuses_a_cone_with_an_explicit_list():
+    model, phi, domain = _heisenberg_class_domain()
+    cone = union(pullback(phi, "lex_pos"), explicit(model, [(0, 1, 0)]))
+    with pytest.raises(ModelMismatch):
+        ball_members(cone, domain)
+
+
+def test_class_domain_refuses_a_cone_over_another_map():
+    model, _, domain = _heisenberg_class_domain()
+    psi = Homomorphism(model, GroupModel.zr(1), images=[(0,), (1,)])
+    with pytest.raises(ModelMismatch):
+        ball_members(complement(pullback(psi, "lex_pos")), domain)
 
 
 D4_TABLE = Path(__file__).resolve().parent.parent / "inputs" / "D4.tbl"

@@ -32,7 +32,7 @@ from semicover import (
     torsion_obstruction,
     union,
 )
-from semicover.cones import CoverPair, ball_members, finite_bits
+from semicover.cones import CoverPair, ball_members, cone_to_obj, finite_bits, value_profile
 from semicover.covers import DescentState
 from semicover.errors import (
     ClosureViolation,
@@ -43,7 +43,8 @@ from semicover.errors import (
     NothingToRefine,
 )
 from semicover.fixtures import fixture, z_cross_c2_halves
-from semicover.orders import validate_witness, witness_ok
+from semicover.groups import DEFAULT_BALL_CAP, parse_model
+from semicover.orders import LeftOrderWitness, validate_witness, witness_ok
 from semicover.suites import random_pullback_cover
 
 
@@ -268,6 +269,38 @@ def _check_inverse_reads(model, a, b, radius):
     split = classify_intersection(model, a, b, radius)
     assert (split.side, split.i_a, split.i_b, split.i_members) == \
         ("A_side" if i_a else "B_side", i_a, i_b, shared)
+
+
+def _cover_verdicts(model, cover, radius):
+    """The reports of the value-pure verdicts on a cover and its reduction,
+    on a fresh model of the cover's kind."""
+    red = reduce_cover(model, cover.a, cover.b, radius)
+    witness = LeftOrderWitness(model, symmetric_part(model, red.b), red.b)
+    return [is_cover_pair(model, cover.a, cover.b, radius, check_duality=True).to_obj(cone_to_obj),
+            red.to_obj(cone_to_obj),
+            check_coset_saturation(model, red, radius).to_obj(model),
+            check_inverse_duality(model, red, radius).to_obj(model),
+            check_inverse_duality(model, CoverPair(model, red.b, red.a, radius), radius).to_obj(model),
+            {k: v.to_obj(model) for k, v in validate_witness(witness, radius).items()}]
+
+
+def test_class_domain_verdicts_match_the_ball(monkeypatch):
+    # on random pullback covers every verdict that reads value-pure cones
+    # reports the same on the class domain as on the whole ball
+    rng = random.Random("class-domain")
+    cases = []
+    for selector in ("z^2", "z^1xC2", "heisenberg", "klein_bottle", "free:2") * 3:
+        radius = rng.randint(2, 4)
+        cases.append((selector, random_pullback_cover(parse_model(selector), rng, radius), radius))
+    by_class = [_cover_verdicts(parse_model(sel), cover, r) for sel, cover, r in cases]
+    # most of them run on a class domain, and the rest on a ball
+    used = [parse_model(sel).domain(r, homs=value_profile(cover.a, cover.b)).hom_keys is not None
+            for sel, cover, r in cases]
+    ball_domain = GroupModel.domain
+    monkeypatch.setattr(GroupModel, "domain", lambda self, radius, cap=DEFAULT_BALL_CAP, homs=None:
+                        ball_domain(self, radius, cap))
+    assert [_cover_verdicts(parse_model(sel), cover, r) for sel, cover, r in cases] == by_class
+    assert 5 <= sum(used) < len(used)
 
 
 @pytest.mark.parametrize("model, radius", [
