@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     UnknownSuite,
 )
-from .groups import format_element, load_finite_group, parse_model
+from .groups import load_finite_group, parse_model
 from .presentations import analyze_presentation
 from .suites import run_suite
 
@@ -94,7 +94,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
     report = {"command": "analyze", "input": args.presentation}
     report.update(data.to_obj())
     if data.witness_cover is not None:
-        report["cover_certificate"] = data.witness_cover.to_obj(cone_to_obj)
+        report["cover_certificate"] = data.witness_cover.to_obj()
         ok = all(v.ok for v in data.witness_cover.flags.values())
         return (0 if ok else 1), report
     return 0, report
@@ -122,7 +122,7 @@ def cmd_check_cover(args) -> tuple[int, dict]:
     else:
         pair = is_cover_pair(model, a, b, args.radius, check_duality=True)
     report = {"command": "check-cover", "reduced": bool(args.reduce)}
-    report.update(pair.to_obj(cone_to_obj))
+    report.update(pair.to_obj())
     ok = all(v.ok for v in pair.flags.values())
     return (0 if ok else 1), report
 
@@ -131,7 +131,7 @@ def cmd_reduce(args) -> tuple[int, dict]:
     model, a, b = _cover_args(args)
     pair = reduce_cover(model, a, b, args.radius)
     report = {"command": "reduce"}
-    report.update(pair.to_obj(cone_to_obj))
+    report.update(pair.to_obj())
     ok = all(v.ok for v in pair.flags.values())
     return (0 if ok else 1), report
 
@@ -141,8 +141,8 @@ def cmd_descend(args) -> tuple[int, dict]:
     pair = reduce_cover(model, a, b, args.radius)
     state = minimal_pair_descent(model, pair, args.max_depth, args.radius)
     report = {"command": "descend"}
-    report.update(state.to_obj(lambda x: format_element(model, x)))
-    report["final_pair"] = state.current.to_obj(cone_to_obj)
+    report.update(state.to_obj())
+    report["final_pair"] = state.current.to_obj()
     if state.normal is not None:
         report["normal_subgroup_cone"] = cone_to_obj(state.normal)
     return (0 if state.succeeded else 1), report
@@ -156,7 +156,7 @@ def cmd_witness(args) -> tuple[int, dict]:
     except DepthExceeded as exc:
         report["outcome"] = "depth_exceeded"
         if exc.state is not None:
-            report["descent"] = exc.state.to_obj(lambda x: format_element(model, x))
+            report["descent"] = exc.state.to_obj()
         return 1, report
     report["witness"] = witness.to_obj()
     report["verdicts"] = {k: v.to_obj(model) for k, v in sorted(verdicts.items())}

@@ -1,7 +1,8 @@
 """Decidable subset descriptions over group models.
 
-A ConeSet is an immutable expression tree.  Membership is evaluated
-structurally and is decidable for every element of the owning model.
+A ConeSet is an immutable expression tree.  `member` decides any element
+of the owning model structurally; member sets on a domain are read off
+the tree's compiled form (`compile_cone`, `ball_members`).
 Verification is exact on finite groups and ball-local on infinite models;
 ball-local verdicts always carry the radius they were checked at.
 """
@@ -9,7 +10,7 @@ ball-local verdicts always carry the radius they were checked at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from operator import add, sub
 from typing import Iterable, Optional
 
@@ -28,17 +29,10 @@ from .groups import (
 )
 
 LEX_REGIONS = ("lex_pos", "lex_nonneg", "lex_zero")
-
-
-def region_test(region: str, vec) -> bool:
-    s = lex_sign(vec)
-    if region == "lex_pos":
-        return s > 0
-    if region == "lex_nonneg":
-        return s >= 0
-    if region == "lex_zero":
-        return s == 0
-    raise ParseError(f"unknown lex region {region!r}")
+# whether each lex sign lies in each region: a pullback leaf's sign table,
+# complete and so never written to
+_REGION_TABLES = {region: {(s,): s in signs for s in (-1, 0, 1)}
+                  for region, signs in zip(LEX_REGIONS, ((1,), (0, 1), (0,)))}
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +41,13 @@ def region_test(region: str, vec) -> bool:
 
 class ConeSet:
     """Base class; concrete nodes below.  All nodes carry their model.
+
+    Each node class defines its kind once: `member` decides one element,
+    `build_form` compiles the node to a `Form` from its children's stored
+    forms, `inverse` gives the node of x -> x^-1, `to_obj` its JSON spec
+    and `pull_back` its preimage under a homomorphism into the model.
+    Every member set on a domain is read off the compiled form
+    (`ball_members`).
 
     Besides its fields a node keeps two memos, outside the dataclass fields
     so that equality, hashing and repr ignore them: its compiled form
@@ -61,6 +62,11 @@ class ConeSet:
     def children(self) -> tuple["ConeSet", ...]:
         return ()
 
+    def pull_back(self, hom: Homomorphism) -> "ConeSet":
+        raise ModelMismatch(
+            f"cannot pull back a {type(self).__name__} node through a homomorphism"
+        )
+
 
 @dataclass(frozen=True)
 class FiniteBits(ConeSet):
@@ -70,6 +76,17 @@ class FiniteBits(ConeSet):
     def member(self, x) -> bool:
         return x in self.indices
 
+    def build_form(self) -> "Form":
+        return Form((), False, self.model.identity() in self.indices, {(): False}, self.indices)
+
+    def inverse(self) -> ConeSet:
+        table = self.model.group.inverse_table
+        return FiniteBits(self.model, frozenset(table[i] for i in self.indices))
+
+    def to_obj(self) -> dict:
+        return {"op": "explicit", "mode": "include",
+                "elements": [str(i) for i in sorted(self.indices)]}
+
 
 @dataclass(frozen=True)
 class Pullback(ConeSet):
@@ -78,31 +95,66 @@ class Pullback(ConeSet):
     region: str
 
     def member(self, x) -> bool:
-        return region_test(self.region, self.hom.apply(x))
+        return _REGION_TABLES[self.region][(lex_sign(self.hom.apply(x)),)]
+
+    def build_form(self) -> "Form":
+        table = _REGION_TABLES[self.region]
+        return Form((self.hom,), True, table[(0,)], table)
+
+    def inverse(self) -> ConeSet:
+        # phi(x^-1) = -phi(x), and {v : -v > 0} is the complement of lex_nonneg
+        if self.region == "lex_zero":
+            return self
+        flipped = "lex_nonneg" if self.region == "lex_pos" else "lex_pos"
+        return Complement(self.model, Pullback(self.model, self.hom, flipped))
+
+    def to_obj(self) -> dict:
+        return {"op": "pullback", "images": [list(img) for img in self.hom.images],
+                "region": self.region}
+
+    def pull_back(self, hom: Homomorphism) -> ConeSet:
+        return pullback(hom.compose_into(self.hom), self.region)
 
 
-@dataclass(frozen=True)
-class Union(ConeSet):
-    model: GroupModel
+class _Combination(ConeSet):
+    """A union or an intersection: `how` (any or all) combines the parts'
+    memberships, and `op` names it in JSON."""
+
     parts: tuple
 
     def member(self, x) -> bool:
-        return any(c.member(x) for c in self.parts)
+        return self.how(c.member(x) for c in self.parts)
 
     def children(self):
         return self.parts
 
+    def build_form(self) -> "Form":
+        return _combined(self.parts, self.how, self.model.identity())
+
+    def inverse(self) -> ConeSet:
+        return type(self)(self.model, tuple(c.inverse() for c in self.parts))
+
+    def to_obj(self) -> dict:
+        return {"op": self.op, "args": [c.to_obj() for c in self.parts]}
+
+    def pull_back(self, hom: Homomorphism) -> ConeSet:
+        return type(self)(hom.source, tuple(c.pull_back(hom) for c in self.parts))
+
 
 @dataclass(frozen=True)
-class Intersection(ConeSet):
+class Union(_Combination):
     model: GroupModel
     parts: tuple
+    how, op = any, "union"
+    member = _Combination.member  # an entry of its own, which call counters wrap
 
-    def member(self, x) -> bool:
-        return all(c.member(x) for c in self.parts)
 
-    def children(self):
-        return self.parts
+@dataclass(frozen=True)
+class Intersection(_Combination):
+    model: GroupModel
+    parts: tuple
+    how, op = all, "intersection"
+    member = _Combination.member
 
 
 @dataclass(frozen=True)
@@ -116,6 +168,20 @@ class Complement(ConeSet):
     def children(self):
         return (self.part,)
 
+    def build_form(self) -> "Form":
+        inner = compile_cone(self.part)
+        return Form(inner.homs, inner.pure, not inner.one, {},
+                    compute=lambda s: not inner.value(s), find=lambda _: inner.exceptions)
+
+    def inverse(self) -> ConeSet:
+        return Complement(self.model, self.part.inverse())
+
+    def to_obj(self) -> dict:
+        return {"op": "complement", "arg": self.part.to_obj()}
+
+    def pull_back(self, hom: Homomorphism) -> ConeSet:
+        return Complement(hom.source, self.part.pull_back(hom))
+
 
 @dataclass(frozen=True)
 class ExplicitSet(ConeSet):
@@ -127,6 +193,19 @@ class ExplicitSet(ConeSet):
         inside = x in self.elements
         return inside if self.mode == "include" else not inside
 
+    def build_form(self) -> "Form":
+        exclude = self.mode == "exclude"
+        one = self.model.identity() in self.elements
+        return Form((), False, one != exclude, {(): exclude}, self.elements)
+
+    def inverse(self) -> ConeSet:
+        inv = self.model.inv
+        return ExplicitSet(self.model, frozenset(inv(e) for e in self.elements), self.mode)
+
+    def to_obj(self) -> dict:
+        elems = sorted(format_element(self.model, e) for e in self.elements)
+        return {"op": "explicit", "mode": self.mode, "elements": elems}
+
 
 @dataclass(frozen=True)
 class Identity(ConeSet):
@@ -134,6 +213,18 @@ class Identity(ConeSet):
 
     def member(self, x) -> bool:
         return x == self.model.identity()
+
+    def build_form(self) -> "Form":
+        return Form((), True, True, {(): False}, frozenset((self.model.identity(),)))
+
+    def inverse(self) -> ConeSet:
+        return self
+
+    def to_obj(self) -> dict:
+        return {"op": "identity"}
+
+    def pull_back(self, hom: Homomorphism) -> ConeSet:
+        return pullback(hom, "lex_zero")
 
 
 # -- factories ---------------------------------------------------------------
@@ -210,40 +301,14 @@ def contains(model: GroupModel, cone: ConeSet, x) -> bool:
 
 
 def invert_cone(model: GroupModel, cone: ConeSet) -> ConeSet:
-    """A cone S' with S'(x) = S(x^-1) for every x, by AST transformation.
-
-    For pullbacks into Z^r this uses phi(x^-1) = -phi(x): the inverse of a
-    lex region is expressed with a complement so the region enum stays
-    closed ({v : -v > 0} = complement of lex_nonneg, etc.).
-    """
+    """A cone S' with S'(x) = S(x^-1) for every x, each node inverting
+    itself (`ConeSet.inverse`).  Its form is derived from the cone's
+    (`_inverse_form`), which reads the cone's sign table at negated signs."""
     check_model(model, cone)
-    out = _invert(cone)
+    out = cone.inverse()
     if out is not cone:
         object.__setattr__(out, "_compiled", _inverse_form(compile_cone(cone), model))
     return out
-
-
-def _invert(cone: ConeSet) -> ConeSet:
-    if isinstance(cone, Pullback):
-        if cone.region == "lex_zero":
-            return cone
-        flipped = "lex_nonneg" if cone.region == "lex_pos" else "lex_pos"
-        return Complement(cone.model, Pullback(cone.model, cone.hom, flipped))
-    if isinstance(cone, Union):
-        return Union(cone.model, tuple(_invert(c) for c in cone.parts))
-    if isinstance(cone, Intersection):
-        return Intersection(cone.model, tuple(_invert(c) for c in cone.parts))
-    if isinstance(cone, Complement):
-        return Complement(cone.model, _invert(cone.part))
-    if isinstance(cone, ExplicitSet):
-        m = cone.model
-        return ExplicitSet(m, frozenset(m.inv(e) for e in cone.elements), cone.mode)
-    if isinstance(cone, FiniteBits):
-        g = cone.model.group
-        return FiniteBits(cone.model, frozenset(g.inverse_table[i] for i in cone.indices))
-    if isinstance(cone, Identity):
-        return cone
-    raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
 def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
@@ -255,55 +320,35 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 
 
 # ---------------------------------------------------------------------------
-# Domain membership (set algebra over a ball or a finite group)
+# Domain membership (read off the compiled form)
 # ---------------------------------------------------------------------------
 
 def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
     """Indices of the domain's elements belonging to the cone (index 0 is
-    the identity).  A pullback leaf is evaluated once per sign bucket of
-    the domain's image classes under its homomorphism; every other node
-    combines its children's sets.  The result is kept on the node with the
-    domain it was computed for, and replaced when another domain is asked
-    for, so each node, shared or not, is evaluated once per domain.  On a
-    class domain (`scan_domain`) a cone that is not value-pure over its
-    maps raises ModelMismatch: its members need not be whole classes."""
+    the identity), read off its compiled form: the identity by `one`, any
+    other element by the form's value at its image class's sign pattern,
+    flipped for the form's exceptions.  The result is kept on the node with
+    the domain it was computed for, and replaced when another domain is
+    asked for.  A class domain (`scan_domain`) holds one element per image
+    class under its maps, so a cone that is not value-pure over those maps
+    raises ModelMismatch there: its members need not be whole classes."""
     stored = vars(cone).get("_members")
     if stored is not None and stored[0] is domain:
         return stored[1]
-    out = _evaluate(cone, domain)
+    form = compile_cone(cone)
+    over = domain.hom_keys  # a class domain's maps; None on a ball or finite group
+    if over is not None and not (form.pure and all(h.key in over for h in form.homs)):
+        raise ModelMismatch("a class domain decides only value-pure cones over its maps")
+    members, _, keys, _, buckets = domain.classes(form.homs)
+    out = set(chain.from_iterable([members[keys[c]] for signs, cs in buckets.items()
+                                   if form.value(signs) for c in cs]))
+    if form.one:
+        out.add(0)
+    index = domain.index
+    out.symmetric_difference_update([i for i in map(index.get, form.exceptions) if i])
+    out = frozenset(out)
     object.__setattr__(cone, "_members", (domain, out))
     return out
-
-
-def _evaluate(cone: ConeSet, domain: Domain) -> frozenset:
-    over = domain.hom_keys  # a class domain's maps; None on a ball or finite group
-    if isinstance(cone, Pullback) and (over is None or cone.hom.key in over):
-        members, _, keys, _, buckets = domain.classes([cone.hom])
-        table = _REGION_TABLES[cone.region]  # by the sign of the image
-        out = [0] if table[(0,)] else []
-        for signs, cs in buckets.items():
-            if table[signs]:
-                for c in cs:
-                    out.extend(members[keys[c]])
-        return frozenset(out)
-    if isinstance(cone, Identity):
-        return frozenset((0,))
-    if isinstance(cone, Union):
-        return frozenset().union(*(ball_members(c, domain) for c in cone.parts))
-    if isinstance(cone, Intersection):
-        sets = [ball_members(c, domain) for c in cone.parts]
-        return sets[0].intersection(*sets[1:])
-    if isinstance(cone, Complement):
-        return domain.indices - ball_members(cone.part, domain)
-    if over is not None:
-        raise ModelMismatch("a class domain decides only value-pure cones over its maps")
-    if isinstance(cone, ExplicitSet):
-        index = domain.index
-        inside = frozenset(index[e] for e in cone.elements if e in index)
-        return inside if cone.mode == "include" else domain.indices - inside
-    if isinstance(cone, FiniteBits):
-        return frozenset(i for i, x in enumerate(domain.elements) if x in cone.indices)
-    raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
 def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet,
@@ -348,8 +393,8 @@ class Form:
     from `one`, the identity's membership, and the listed elements below.
     `pure` marks a cone without explicit lists (value-pure): the predicate
     decides every element but the identity.  `reader` reads the predicate
-    off joint image vectors; `ProductScan` reads it off the sign patterns
-    of image classes.
+    off joint image vectors; `ball_members` and `ProductScan` read it off
+    the sign patterns of image classes.
 
     A parent's form is built from its children's stored forms, so a fresh
     wrapper node costs O(children).  A form never refers to a cone node,
@@ -400,39 +445,13 @@ class Form:
         return pred
 
 
-# a pullback leaf's table, complete and so never written to
-_REGION_TABLES = {region: {(s,): region_test(region, (s,)) for s in (-1, 0, 1)}
-                  for region in LEX_REGIONS}
-
-
 def compile_cone(cone: ConeSet) -> Form:
     """The cone's form, built on first use and kept on the node."""
     form = vars(cone).get("_compiled")
     if form is None:
-        form = _build_form(cone)
+        form = cone.build_form()
         object.__setattr__(cone, "_compiled", form)
     return form
-
-
-def _build_form(cone: ConeSet) -> Form:
-    one = cone.model.identity()
-    if isinstance(cone, Pullback):
-        table = _REGION_TABLES[cone.region]
-        return Form((cone.hom,), True, table[(0,)], table)
-    if isinstance(cone, Identity):
-        return Form((), True, True, {(): False}, frozenset((one,)))
-    if isinstance(cone, ExplicitSet):
-        exclude = cone.mode == "exclude"
-        return Form((), False, (one in cone.elements) != exclude, {(): exclude}, cone.elements)
-    if isinstance(cone, FiniteBits):
-        return Form((), False, one in cone.indices, {(): False}, cone.indices)
-    if isinstance(cone, Complement):
-        inner = compile_cone(cone.part)
-        return Form(inner.homs, inner.pure, not inner.one, {},
-                    compute=lambda s: not inner.value(s), find=lambda _: inner.exceptions)
-    if isinstance(cone, (Union, Intersection)):
-        return _combined(cone.parts, any if isinstance(cone, Union) else all, one)
-    raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
 
 
 def _combined(cones: tuple, how, one) -> Form:
@@ -762,12 +781,12 @@ class CoverPair:
         return self.core_ok() and "trivial_intersection" in self.flags and \
             self.flags["trivial_intersection"].ok
 
-    def to_obj(self, cone_serializer) -> dict:
+    def to_obj(self) -> dict:
         return {
             "model": self.model.selector(),
             "radius": self.radius,
-            "A": cone_serializer(self.a),
-            "B": cone_serializer(self.b),
+            "A": self.a.to_obj(),
+            "B": self.b.to_obj(),
             "verdicts": {k: v.to_obj(self.model) for k, v in sorted(self.flags.items())},
         }
 
@@ -823,28 +842,7 @@ def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int,
 # ---------------------------------------------------------------------------
 
 def cone_to_obj(cone: ConeSet) -> dict:
-    model = cone.model
-    if isinstance(cone, Pullback):
-        return {
-            "op": "pullback",
-            "images": [list(img) for img in cone.hom.images],
-            "region": cone.region,
-        }
-    if isinstance(cone, Union):
-        return {"op": "union", "args": [cone_to_obj(c) for c in cone.parts]}
-    if isinstance(cone, Intersection):
-        return {"op": "intersection", "args": [cone_to_obj(c) for c in cone.parts]}
-    if isinstance(cone, Complement):
-        return {"op": "complement", "arg": cone_to_obj(cone.part)}
-    if isinstance(cone, ExplicitSet):
-        elems = sorted(format_element(model, e) for e in cone.elements)
-        return {"op": "explicit", "mode": cone.mode, "elements": elems}
-    if isinstance(cone, Identity):
-        return {"op": "identity"}
-    if isinstance(cone, FiniteBits):
-        return {"op": "explicit", "mode": "include",
-                "elements": [str(i) for i in sorted(cone.indices)]}
-    raise ModelMismatch(f"unknown cone node {type(cone).__name__}")
+    return cone.to_obj()
 
 
 MAX_SPEC_DEPTH = 100  # cone nodes nested in one spec; evaluation recurses per level

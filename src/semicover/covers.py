@@ -42,7 +42,7 @@ from .errors import (
     NothingToRefine,
 )
 from .covering import subsemigroup_census, two_cover_search
-from .groups import DEFAULT_BALL_CAP, FiniteGroup, GroupModel, element_order
+from .groups import DEFAULT_BALL_CAP, FiniteGroup, GroupModel, element_order, format_element
 from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
@@ -327,12 +327,13 @@ class DescentState:
     def succeeded(self) -> bool:
         return self.outcome in ("already_normal", "normal_found")
 
-    def to_obj(self, element_fmt) -> dict:
+    def to_obj(self) -> dict:
+        model = self.current.model
         return {
             "outcome": self.outcome,
             "step": self.step,
             "history": [
-                {"step": s, "g": element_fmt(g), "witness": element_fmt(h)}
+                {"step": s, "g": format_element(model, g), "witness": format_element(model, h)}
                 for s, g, h in self.history
             ],
         }

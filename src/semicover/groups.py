@@ -31,6 +31,9 @@ from .errors import (
 )
 
 DEFAULT_BALL_CAP = 10**6
+# generators a model selector may ask for: the generator list and the BFS
+# step table (`GroupModel._steps`) grow with the square of their number
+MAX_GENERATORS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +559,8 @@ def parse_model(selector: str, loader=None) -> GroupModel:
     """Build a model from a CLI selector string.
 
     `finite:<path>` needs `loader` (path -> FiniteGroup); the built-in
-    selectors are `z^r[xC n...]`, `free:k`, `heisenberg`, `klein_bottle`.
+    selectors are `z^r[xC n...]`, `free:k`, `heisenberg`, `klein_bottle`,
+    with at most MAX_GENERATORS generators.
     """
     sel = selector.strip()
     if sel == "heisenberg":
@@ -570,6 +574,7 @@ def parse_model(selector: str, loader=None) -> GroupModel:
             raise ParseError(f"bad free rank in {selector!r}") from exc
         if k < 1:
             raise ParseError(f"free rank must be >= 1 in {selector!r}")
+        _check_generators(k, selector)
         return GroupModel.free(k)
     if sel.startswith("finite:"):
         if loader is None:
@@ -581,8 +586,14 @@ def parse_model(selector: str, loader=None) -> GroupModel:
         orders = tuple(int(t) for t in re.findall(r"xC(\d+)", m.group(2)))
         if 0 in orders:
             raise ParseError(f"cyclic factor orders must be >= 1 in {selector!r}")
+        _check_generators(rank + len(orders), selector)
         return GroupModel.zr(rank, orders)
     raise ParseError(f"unknown model selector {selector!r}")
+
+
+def _check_generators(count: int, selector: str) -> None:
+    if count > MAX_GENERATORS:
+        raise ParseError(f"model {selector!r} has more than {MAX_GENERATORS} generators")
 
 
 # ---------------------------------------------------------------------------

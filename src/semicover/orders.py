@@ -35,11 +35,6 @@ from .cones import (
     scan_domain,
     symmetric_part,
     union,
-    Pullback,
-    Union as UnionNode,
-    Intersection as IntersectionNode,
-    Complement as ComplementNode,
-    Identity as IdentityNode,
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
 from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image, zr_identity_hom
@@ -52,38 +47,22 @@ from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image, zr_
 def pullback_cone(target_cone: ConeSet, hom: Homomorphism) -> ConeSet:
     """Preimage of a target cone under a homomorphism, as a source cone.
 
-    Supported target nodes: pullbacks (composed through hom), boolean
-    operations, and the identity singleton (which becomes the kernel cone).
-    Finite targets use the table form and bitset cones.
+    Each node pulls itself back (`ConeSet.pull_back`): a pullback leaf is
+    composed through hom, boolean nodes pull back their parts, and the
+    identity leaf becomes the kernel cone; an explicit list raises
+    ModelMismatch.  A map onto a finite group (`table_map`) materializes
+    the target cone on the quotient and pulls the bitset back through the
+    element map instead.
     """
     src = hom.source
     if hom.table_map is not None:
-        # finite quotient: materialize the target cone exactly, then pull
-        # the bitset back through the element map
         if hom.target.kind != "finite":
             raise ModelMismatch("table-map homomorphisms require a finite target")
         check_model(hom.target, target_cone)
         hits = {q for q in hom.target.group.elements() if target_cone.member(q)}
         good = {i for i, c in enumerate(hom.table_map) if c in hits}
         return finite_bits(src, good)
-
-    return _pull_back(target_cone, hom)
-
-
-def _pull_back(node: ConeSet, hom: Homomorphism) -> ConeSet:
-    if isinstance(node, Pullback):
-        return pullback(hom.compose_into(node.hom), node.region)
-    if isinstance(node, UnionNode):
-        return union(*[_pull_back(c, hom) for c in node.parts])
-    if isinstance(node, IntersectionNode):
-        return intersection(*[_pull_back(c, hom) for c in node.parts])
-    if isinstance(node, ComplementNode):
-        return complement(_pull_back(node.part, hom))
-    if isinstance(node, IdentityNode):
-        return pullback(hom, "lex_zero")
-    raise ModelMismatch(
-        f"cannot pull back a {type(node).__name__} node through a homomorphism"
-    )
+    return target_cone.pull_back(hom)
 
 
 def standard_lex_cone(rank: int) -> ConeSet:

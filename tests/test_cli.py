@@ -318,8 +318,11 @@ def test_witness_runs_at_the_spec_depth_cap(tmp_path, capsys):
     ("free:0", A_CONE, []),
     ("z^1xC2", A_CONE, ["--radius", "0"]),
     ("free:2", {"op": "explicit", "elements": ["a^99999999999999999999999"]}, []),
+    ("z^99999999999999999999999", A_CONE, []),
+    ("free:1000000000000", A_CONE, []),
 ], ids=["string-image", "bool-image", "number-element", "order-zero-factor",
-        "free-rank-zero", "radius-zero", "word-over-ball-cap"])
+        "free-rank-zero", "radius-zero", "word-over-ball-cap", "z-rank-over-cap",
+        "free-rank-over-cap"])
 def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extra):
     a = tmp_path / "a.cone"
     a.write_text(json.dumps(a_cone))
@@ -329,7 +332,7 @@ def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extr
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_output_file(tmp_path, cover_files, capsys):

@@ -29,11 +29,13 @@ from semicover import (
 from semicover.cones import (
     LEX_REGIONS,
     CoverPair,
+    ExplicitSet,
     ProductScan,
     ball_members,
     compile_cone,
     finite_bits,
     joint_homs,
+    value_profile,
 )
 from semicover.covers import (
     check_coset_saturation,
@@ -47,6 +49,7 @@ from semicover.groups import joint_image, parse_model, zr_identity_hom
 from semicover.orders import (
     LeftOrderWitness,
     cone_from_quotient_order,
+    pullback_cone,
     pullback_cover,
     standard_lex_cone,
     totality_mod_kernel,
@@ -275,6 +278,12 @@ def test_value_classes_agree_with_element_scan(data):
     ball = domain.elements
     cone = data.draw(_cone_trees(model, explicit_leaves=data.draw(st.booleans())))
     assert ball_members(cone, domain) == {i for i, x in enumerate(ball) if cone.member(x)}
+    homs = value_profile(cone)
+    if homs is not None:
+        # a value-pure cone is read off its form on its class domain too
+        classes = model.domain(radius, homs=homs)
+        assert ball_members(cone, classes) == \
+            {i for i, x in enumerate(classes.elements) if cone.member(x)}
 
     v = is_subsemigroup(model, cone, radius)
     assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
@@ -344,6 +353,26 @@ def test_class_domain_refuses_a_cone_over_another_map():
     psi = Homomorphism(model, GroupModel.zr(1), images=[(0,), (1,)])
     with pytest.raises(ModelMismatch):
         ball_members(complement(pullback(psi, "lex_pos")), domain)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pullback_cone_agrees_with_target_membership(data):
+    # every node pulls itself back through a map phi into Z^k: x is in the
+    # preimage exactly when phi(x) is in the target tree; an explicit list
+    # cannot be pulled back
+    model = data.draw(st.sampled_from(INFINITE_MODELS))
+    phi = data.draw(_value_homs(model))
+    target = phi.target
+    homs = [data.draw(_value_homs(target)) for _ in range(data.draw(st.integers(1, 2)))]
+    tree = data.draw(_cone_trees(target, explicit_leaves=data.draw(st.booleans()), homs=homs))
+    if any(isinstance(node, ExplicitSet) for node in _tree_nodes(tree)):
+        with pytest.raises(ModelMismatch):
+            pullback_cone(tree, phi)
+        return
+    pulled = pullback_cone(tree, phi)
+    for x in model.ball(2):
+        assert pulled.member(x) == tree.member(phi.apply(x)), x
 
 
 D4_TABLE = Path(__file__).resolve().parent.parent / "inputs" / "D4.tbl"
@@ -743,11 +772,20 @@ def test_symmetric_part_finite_matches_bitset():
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model", INFINITE_MODELS)
-def test_cone_json_roundtrip(model):
-    for cone in _cone_zoo(model):
-        back = cone_from_obj(model, cone_to_obj(cone))
-        assert ext_equal(model, back, cone, 3) is None
+@pytest.mark.parametrize("model", INFINITE_MODELS + FORM_MODELS[-1:])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cone_json_roundtrip(model, data):
+    # the zoo's cones and drawn trees with explicit leaves (bitsets on D4)
+    # read back to the same spec and the same members
+    if model.kind != "finite":
+        for cone in _cone_zoo(model):
+            back = cone_from_obj(model, cone_to_obj(cone))
+            assert ext_equal(model, back, cone, 3) is None
+    cone = data.draw(_cone_trees(model, explicit_leaves=True))
+    back = cone_from_obj(model, cone_to_obj(cone))
+    assert cone_to_obj(back) == cone_to_obj(cone)
+    assert ext_equal(model, back, cone, 3) is None
 
 
 def test_cone_json_example_from_interface():

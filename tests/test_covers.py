@@ -32,7 +32,7 @@ from semicover import (
     torsion_obstruction,
     union,
 )
-from semicover.cones import CoverPair, ball_members, cone_to_obj, finite_bits, value_profile
+from semicover.cones import CoverPair, ball_members, finite_bits, value_profile
 from semicover.covers import DescentState
 from semicover.errors import (
     ClosureViolation,
@@ -276,8 +276,8 @@ def _cover_verdicts(model, cover, radius):
     on a fresh model of the cover's kind."""
     red = reduce_cover(model, cover.a, cover.b, radius)
     witness = LeftOrderWitness(model, symmetric_part(model, red.b), red.b)
-    return [is_cover_pair(model, cover.a, cover.b, radius, check_duality=True).to_obj(cone_to_obj),
-            red.to_obj(cone_to_obj),
+    return [is_cover_pair(model, cover.a, cover.b, radius, check_duality=True).to_obj(),
+            red.to_obj(),
             check_coset_saturation(model, red, radius).to_obj(model),
             check_inverse_duality(model, red, radius).to_obj(model),
             check_inverse_duality(model, CoverPair(model, red.b, red.a, radius), radius).to_obj(model),

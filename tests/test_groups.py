@@ -1,6 +1,7 @@
 """Group model tests: table loading, arithmetic, balls, homomorphisms."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from semicover.errors import (
     ParseError,
 )
 from semicover.fixtures import cyclic, dihedral, fixture, table_text
-from semicover.groups import joint_image
+from semicover.groups import MAX_GENERATORS, joint_image
 
 ALL_MODELS = [
     GroupModel.zr(1),
@@ -483,6 +484,22 @@ def test_parse_model_selectors(selector, kind):
 def test_parse_model_rejects_unknown():
     with pytest.raises(ParseError):
         parse_model("so8")
+
+
+@pytest.mark.parametrize("selector", ["z^99999999999999999999999", "free:1000000000000",
+                                      f"z^{MAX_GENERATORS + 1}", f"free:{MAX_GENERATORS + 1}",
+                                      f"z^{MAX_GENERATORS - 1}xC2xC3"])
+def test_parse_model_bounds_the_generators(selector):
+    # the count is checked before any generator or step table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_model(selector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000 and repr(selector) in str(info.value)
+    assert len(parse_model(f"z^{MAX_GENERATORS}").generators()) == MAX_GENERATORS
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
