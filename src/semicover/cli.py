@@ -102,7 +102,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
 
 def _cover_args(args):
     model = _load_model(args.model)
-    if model.kind != "finite" and args.radius < 1:
+    if not model.is_finite and args.radius < 1:
         raise ParseError(f"--radius must be >= 1 on {args.model}, got {args.radius}")
     a = _load_cone(model, args.A)
     b = _load_cone(model, args.B)
@@ -339,14 +339,17 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SemicoverError as exc:
-        report = {"command": args.subcommand, "error": type(exc).__name__,
-                  "message": str(exc)}
+        code, report = 1, {"command": args.subcommand, "error": type(exc).__name__,
+                           "message": str(exc)}
         witness = getattr(exc, "witness", None)
         if witness is not None:
             report["witness"] = [repr(w) for w in witness]
+    try:
         _emit(args, report)
-        return 1
-    _emit(args, report)
+    except BrokenPipeError:
+        # the reader closed stdout early: the report's verdict stands, and
+        # with stdout on devnull the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -358,7 +361,7 @@ def _emit(args, report: dict) -> None:
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 if __name__ == "__main__":

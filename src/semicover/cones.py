@@ -230,7 +230,7 @@ class Identity(ConeSet):
 # -- factories ---------------------------------------------------------------
 
 def finite_bits(model: GroupModel, indices: Iterable[int]) -> FiniteBits:
-    if model.kind != "finite":
+    if not model.is_finite:
         raise ModelMismatch("FiniteBits requires a finite model")
     return FiniteBits(model, frozenset(indices))
 
@@ -261,13 +261,17 @@ def complement(cone: ConeSet) -> ConeSet:
     return Complement(cone.model, cone)
 
 
-def explicit(model: GroupModel, elements: Iterable, mode: str = "include") -> ExplicitSet:
+def explicit(model: GroupModel, elements: Iterable, mode: str = "include") -> ConeSet:
+    """The listed elements, or with mode exclude all others; an include
+    list on a finite model is its bitset."""
     if mode not in ("include", "exclude"):
         raise ParseError(f"mode must be include or exclude, got {mode!r}")
     elems = []
     for e in elements:
         model.validate(e)
         elems.append(e)
+    if model.is_finite and mode == "include":
+        return FiniteBits(model, frozenset(elems))
     return ExplicitSet(model, frozenset(elems), mode)
 
 
@@ -882,10 +886,8 @@ def cone_from_obj(model: GroupModel, obj: dict, depth: int = 1) -> ConeSet:
             raise ParseError("explicit needs an 'elements' list")
         if not all(isinstance(e, str) for e in elems):
             raise ParseError("explicit elements must be strings")
-        parsed = [parse_element(model, e) for e in elems]
-        if model.kind == "finite" and obj.get("mode", "include") == "include":
-            return finite_bits(model, parsed)
-        return explicit(model, parsed, obj.get("mode", "include"))
+        return explicit(model, [parse_element(model, e) for e in elems],
+                        obj.get("mode", "include"))
     if op == "identity":
         return identity_cone(model)
     raise ParseError(f"unknown cone op {op!r}")

@@ -248,7 +248,7 @@ def conjugate_split(model: GroupModel, cover: CoverPair, g,
             h_b.append(h)
     if stable and not h_a:
         return ConjugateSplit(identity_cone(model), h_cone, g, already_normal=True)
-    if model.kind == "finite":
+    if model.is_finite:
         ha_cone = finite_bits(model, [one] + h_a) if h_a else identity_cone(model)
         hb_cone = finite_bits(model, [one] + h_b)
     else:

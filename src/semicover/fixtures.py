@@ -139,33 +139,17 @@ def table_text(group: FiniteGroup) -> str:
 
 def witness_hom_fixtures() -> list[tuple[str, GroupModel, Homomorphism]]:
     """Named quotient maps onto Z^r, one bundle per infinite model family."""
-    out = []
-    z1 = GroupModel.zr(1)
-    out.append(("z_identity", z1, Homomorphism(z1, GroupModel.zr(1), images=[(1,)])))
-    z1c2 = GroupModel.zr(1, (2,))
-    out.append(("z_cross_c2_projection", z1c2,
-                Homomorphism(z1c2, GroupModel.zr(1), images=[(1,), (0,)])))
-    z2 = GroupModel.zr(2)
-    out.append(("z2_first_coordinate", z2,
-                Homomorphism(z2, GroupModel.zr(1), images=[(1,), (0,)])))
-    out.append(("z2_second_coordinate", z2,
-                Homomorphism(z2, GroupModel.zr(1), images=[(0,), (1,)])))
-    out.append(("z2_lex", z2,
-                Homomorphism(z2, GroupModel.zr(2), images=[(1, 0), (0, 1)])))
-    kb = GroupModel.klein_bottle()
-    out.append(("klein_bottle_b_exponent", kb,
-                Homomorphism(kb, GroupModel.zr(1), images=[(0,), (1,)])))
-    hs = GroupModel.heisenberg()
-    out.append(("heisenberg_x", hs, Homomorphism(hs, GroupModel.zr(1), images=[(1,), (0,)])))
-    out.append(("heisenberg_y", hs, Homomorphism(hs, GroupModel.zr(1), images=[(0,), (1,)])))
-    out.append(("heisenberg_xy_lex", hs,
-                Homomorphism(hs, GroupModel.zr(2), images=[(1, 0), (0, 1)])))
-    fr = GroupModel.free(2)
-    out.append(("free2_a_exponent", fr, Homomorphism(fr, GroupModel.zr(1), images=[(1,), (0,)])))
-    out.append(("free2_b_exponent", fr, Homomorphism(fr, GroupModel.zr(1), images=[(0,), (1,)])))
-    out.append(("free2_ab_lex", fr,
-                Homomorphism(fr, GroupModel.zr(2), images=[(1, 0), (0, 1)])))
-    return out
+    z1, z1c2, z2 = GroupModel.zr(1), GroupModel.zr(1, (2,)), GroupModel.zr(2)
+    kb, hs, fr = GroupModel.klein_bottle(), GroupModel.heisenberg(), GroupModel.free(2)
+    first, second, lex = [(1,), (0,)], [(0,), (1,)], [(1, 0), (0, 1)]
+    maps = [("z_identity", z1, [(1,)]), ("z_cross_c2_projection", z1c2, first),
+            ("z2_first_coordinate", z2, first), ("z2_second_coordinate", z2, second),
+            ("z2_lex", z2, lex), ("klein_bottle_b_exponent", kb, second),
+            ("heisenberg_x", hs, first), ("heisenberg_y", hs, second),
+            ("heisenberg_xy_lex", hs, lex), ("free2_a_exponent", fr, first),
+            ("free2_b_exponent", fr, second), ("free2_ab_lex", fr, lex)]
+    return [(name, model, Homomorphism(model, GroupModel.zr(len(images[0])), images=images))
+            for name, model, images in maps]
 
 
 def z_cross_c2_halves(model: GroupModel) -> tuple[ConeSet, ConeSet]:

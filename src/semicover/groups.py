@@ -1,21 +1,20 @@
 """Group models: finite Cayley tables and built-in infinite families.
 
-All models share one interface: exact multiplication and inversion on
-canonical normal forms, a finite generating set, and deterministic BFS ball
-enumeration.  Element representations:
-
-  finite          int index into the Cayley table (identity is always 0)
-  zr_cross_finite tuple of rank + len(orders) ints, torsion coords reduced
-  free            tuple of nonzero signed ints (+i = generator i-1,
-                  -i = its inverse), freely reduced
-  heisenberg      (x, y, z) under the upper-unitriangular product
-  klein_bottle    (m, n) meaning b^m a^n, with rewrite a*b = b*a^-1
+Each family is one subclass of `GroupModel`, and the rest of the package
+asks a model (`is_finite`, `is_free_abelian`) instead of testing its
+family.  A subclass hands `GroupModel.__init__` its equality key, which
+starts with its `kind`, its product, inverse and identity, its generators
+and the exponent-sum rows of its relators.  It defines `validate`, `parse`
+and `format`, `abelian_exponents` if it has maps into Z^r, and `selector`
+where that is not its `kind`; a finite group also defines `domain`.  `ball`
+and `mul` are shared.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import groupby
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
@@ -47,7 +46,6 @@ class FiniteGroup:
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.name = name
-        self.identity_index = 0
         self._validate()
         self.inverse_table = self._build_inverses()
 
@@ -156,27 +154,31 @@ def _check_subgroup(group: FiniteGroup, subset: frozenset[int]) -> None:
                 raise NotASubgroup(f"subset not closed at ({a},{b})")
 
 
-def is_normal(group: FiniteGroup, subgroup: Sequence[int]) -> bool:
-    """Whether gHg^-1 = H for all g.  Raises NotASubgroup on bad input."""
+def _escape(group: FiniteGroup, subgroup: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (g, h) with g h g^-1 outside the subgroup, or None.
+    Raises NotASubgroup on bad input."""
     sub = frozenset(subgroup)
     _check_subgroup(group, sub)
     for g in group.elements():
         gi = group.inv(g)
         for h in sub:
             if group.mul(group.mul(g, h), gi) not in sub:
-                return False
-    return True
+                return g, h
+    return None
+
+
+def is_normal(group: FiniteGroup, subgroup: Sequence[int]) -> bool:
+    """Whether gHg^-1 = H for all g.  Raises NotASubgroup on bad input."""
+    return _escape(group, subgroup) is None
 
 
 def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "Homomorphism"]:
     """Coset group of a normal subgroup plus the projection map."""
+    escape = _escape(group, normal)
+    if escape is not None:
+        g, h = escape
+        raise NotNormal(f"subgroup not normal: conjugate of {h} by {g} escapes", witness=(g, h))
     sub = frozenset(normal)
-    _check_subgroup(group, sub)
-    for g in group.elements():
-        gi = group.inv(g)
-        for h in sub:
-            if group.mul(group.mul(g, h), gi) not in sub:
-                raise NotNormal(f"subgroup not normal: conjugate of {h} by {g} escapes", witness=(g, h))
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for g in group.elements():
@@ -205,31 +207,12 @@ def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "H
 # Group models
 # ---------------------------------------------------------------------------
 
-def _arithmetic_for(model: "GroupModel"):
-    """The product, the inverse and the identity of the model's kind,
-    resolved once per model: `mul`, `inv` and `ball` call them directly."""
-    kind = model.kind
-    if kind == "finite":
-        table = model.group.table
-        return (lambda x, y: table[x][y]), model.group.inverse_table.__getitem__, 0
-    if kind == "zr_cross_finite":
-        r, orders = model.rank, model.orders
-        if not orders:
-            return _add, lambda x: tuple([-a for a in x]), (0,) * r
-        moduli = (None,) * r + orders  # None: a free coordinate
-        return (lambda x, y: tuple([a + b if o is None else (a + b) % o
-                                    for a, b, o in zip(x, y, moduli)]),
-                lambda x: tuple([-a if o is None else -a % o for a, o in zip(x, moduli)]),
-                (0,) * len(moduli))
-    if kind == "free":
-        return _free_product, lambda x: tuple([-v for v in reversed(x)]), ()
-    if kind == "heisenberg":
-        return _heisenberg_product, lambda x: (-x[0], -x[1], -x[2] + x[0] * x[1]), (0, 0, 0)
-    return _klein_product, lambda x: (-x[0], -x[1] if x[0] % 2 == 0 else x[1]), (0, 0)
-
-
 def _add(x, y):
     return tuple(map(add, x, y))
+
+
+def _format_int_tuple(x) -> str:
+    return "(" + ",".join(str(v) for v in x) + ")"
 
 
 def _grow(walk: "Domain", lo: int, cap: int, product, onward) -> int:
@@ -276,49 +259,46 @@ def _klein_product(x, y):
 
 
 class GroupModel:
-    """Uniform arithmetic over one of five concrete model kinds."""
+    """A group with exact arithmetic on canonical normal forms, a finite
+    generating set and deterministic BFS balls: one subclass per family.
+    `__init__` takes the product, inverse and identity, resolved once: `mul`,
+    `inv` and `ball` call them directly."""
 
-    def __init__(self, kind: str, *, group: Optional[FiniteGroup] = None,
-                 rank: int = 0, orders: tuple[int, ...] = (), free_rank: int = 0):
-        self.kind = kind
-        self.group = group
-        self.rank = rank
-        self.orders = tuple(orders)
-        self.free_rank = free_rank
+    kind = ""  # the family's label, as in its selector
+    is_finite = False  # an exact finite group: scans decide on the whole group
+    is_free_abelian = False  # a torsion-free Z^r, the target of generator-image maps
+
+    def __init__(self, key: tuple, product, inv, one, gens: Sequence,
+                 relator_rows: Sequence[tuple[int, ...]] = ()):
+        self.key = key  # equality and hashing read this
+        self._product, self.inv, self._one = product, inv, one
+        self._gens, self._relator_rows = gens, relator_rows
         # radius -> the ball's Domain; None -> a finite model's whole group;
         # (radius, hom keys) -> the domain `domain` gave for those homs
         self._balls: dict = {}
         self._walk: Optional[tuple] = None  # a ball stopped short, its outer layer's start
-        if kind == "finite" and group is None:
-            raise ValueError("finite model requires a FiniteGroup")
-        if kind == "free" and free_rank < 1:
-            raise ValueError("free model requires rank >= 1")
-        self._product, self.inv, self._one = _arithmetic_for(self)
-        # equality and hashing read this; a finite model's hashes its table
-        self.key = ("finite", hash(group)) if kind == "finite" else \
-            (kind, rank, self.orders, free_rank)
 
     # -- constructors
 
     @staticmethod
     def finite(group: FiniteGroup) -> "GroupModel":
-        return GroupModel("finite", group=group)
+        return FiniteModel(group)
 
     @staticmethod
     def zr(rank: int, orders: Sequence[int] = ()) -> "GroupModel":
-        return GroupModel("zr_cross_finite", rank=rank, orders=tuple(orders))
+        return ZrModel(rank, tuple(orders))
 
     @staticmethod
     def free(rank: int) -> "GroupModel":
-        return GroupModel("free", free_rank=rank)
+        return FreeModel(rank)
 
     @staticmethod
     def heisenberg() -> "GroupModel":
-        return GroupModel("heisenberg")
+        return HeisenbergModel()
 
     @staticmethod
     def klein_bottle() -> "GroupModel":
-        return GroupModel("klein_bottle")
+        return KleinBottleModel()
 
     # -- identity / arithmetic
 
@@ -334,34 +314,6 @@ class GroupModel:
     def identity(self):
         return self._one
 
-    def validate(self, x) -> None:
-        kind = self.kind
-        if kind == "finite":
-            if not isinstance(x, int) or not (0 <= x < self.group.order):
-                raise InvalidElement(f"{x!r} is not a valid index")
-            return
-        if kind == "zr_cross_finite":
-            n = self.rank + len(self.orders)
-            if not (isinstance(x, tuple) and len(x) == n and all(isinstance(v, int) for v in x)):
-                raise InvalidElement(f"{x!r} is not a {n}-tuple of ints")
-            for v, o in zip(x[self.rank:], self.orders):
-                if not (0 <= v < o):
-                    raise InvalidElement(f"torsion coordinate {v} not reduced mod {o}")
-            return
-        if kind == "free":
-            if not isinstance(x, tuple) or any(not isinstance(v, int) or v == 0 or abs(v) > self.free_rank for v in x):
-                raise InvalidElement(f"{x!r} is not a word over {self.free_rank} letters")
-            for u, v in zip(x, x[1:]):
-                if u == -v:
-                    raise InvalidElement(f"word {x!r} is not freely reduced")
-            return
-        if kind in ("heisenberg", "klein_bottle"):
-            n = 3 if kind == "heisenberg" else 2
-            if not (isinstance(x, tuple) and len(x) == n and all(isinstance(v, int) for v in x)):
-                raise InvalidElement(f"{x!r} is not a {n}-tuple of ints")
-            return
-        raise InvalidElement(f"unknown model kind {kind}")
-
     def mul(self, x, y):
         return self._product(x, y)
 
@@ -369,63 +321,21 @@ class GroupModel:
         """g^-1 * x * g."""
         return self.mul(self.mul(self.inv(g), x), g)
 
-    # -- generators
-
     def generators(self) -> list:
-        kind = self.kind
-        if kind == "finite":
-            return list(range(1, self.group.order))
-        if kind == "zr_cross_finite":
-            n = self.rank + len(self.orders)
-            gens = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = 1
-                gens.append(tuple(e))
-            return gens
-        if kind == "free":
-            return [(i,) for i in range(1, self.free_rank + 1)]
-        if kind == "heisenberg":
-            return [(1, 0, 0), (0, 1, 0)]
-        return [(0, 1), (1, 0)]  # a, b
-
-    def generator_letters(self) -> list[str]:
-        return [chr(ord("a") + i) for i in range(len(self.generators()))]
+        return list(self._gens)
 
     def relator_exponent_rows(self) -> list[tuple[int, ...]]:
-        """Exponent-sum rows of the built-in relators, one per relator,
-        in generator order.  Used to validate homomorphisms into Z^r."""
-        kind = self.kind
-        if kind == "zr_cross_finite":
-            n = self.rank + len(self.orders)
-            rows = []
-            for j, o in enumerate(self.orders):
-                row = [0] * n
-                row[self.rank + j] = o
-                rows.append(tuple(row))
-            return rows
-        if kind == "klein_bottle":
-            return [(2, 0)]  # relator b a b^-1 a: a-sum 2, b-sum 0
-        # free and heisenberg impose no exponent constraints
-        return []
+        """Exponent sums of the built-in relators, one row per relator with
+        a nonzero sum, in generator order: maps into Z^r must kill them."""
+        return list(self._relator_rows)
 
     def abelian_exponents(self, x) -> tuple[int, ...]:
         """Exponent sums of x with respect to the generator list; any word
         representing x gives the same answer modulo the relator rows."""
-        kind = self.kind
-        if kind == "zr_cross_finite":
-            return tuple(x)
-        if kind == "free":
-            counts = [0] * self.free_rank
-            for v in x:
-                counts[abs(v) - 1] += 1 if v > 0 else -1
-            return tuple(counts)
-        if kind == "heisenberg":
-            return (x[0], x[1])
-        if kind == "klein_bottle":
-            m, n = x
-            return (n, m)  # generator order is (a, b)
-        raise InvalidElement("finite models have no canonical exponent map")
+        raise InvalidElement(f"{self.kind} models have no canonical exponent map")
+
+    def selector(self) -> str:
+        return self.kind
 
     # -- ball enumeration
 
@@ -467,24 +377,13 @@ class GroupModel:
         return walk.elements
 
     def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP, homs=None) -> "Domain":
-        """The elements a scan at `radius` decides a verdict on: the whole
-        of a finite group, built once and checked exactly (radius 0), or
-        the Cayley ball of that radius; ball(0) is the identity alone, on
-        which no ball-local verdict means anything, so it is refused.
-        Given `homs`, which every cone of the scan factors through, it is
-        the ball's class domain (`_class_domain`), unless the whole ball is
-        walked, already or to find the zero class.  `cap` bounds the
-        elements held, on a class domain its representatives plus that
-        walk's."""
-        if self.kind == "finite":
-            whole = self._balls.get(None)
-            if whole is None:
-                elements = list(self.group.elements())
-                n = len(elements)
-                # the star tree: element i is 1 * elements[i]
-                whole = self._balls[None] = Domain(elements, {x: x for x in elements}, 0,
-                                                   [0] * n, range(n), elements)
-            return whole
+        """The elements a scan at `radius` decides a verdict on: the Cayley
+        ball of that radius; ball(0) is the identity alone, on which no
+        ball-local verdict means anything, so it is refused.  Given `homs`,
+        which every cone of the scan factors through, it is the ball's
+        class domain (`_class_domain`), unless the whole ball is walked,
+        already or to find the zero class.  `cap` bounds the elements held,
+        on a class domain its representatives plus that walk's."""
         if radius < 1:
             raise ValueError("radius must be >= 1 for infinite models")
         key = radius if homs is None else (radius, tuple([h.key for h in homs]))
@@ -536,20 +435,249 @@ class GroupModel:
         out._classes[hom_keys] = ImageClasses(members, cls, keys, signs, buckets), None
         return out
 
-    # -- selector strings
+
+class FiniteModel(GroupModel):
+    """A finite group by its Cayley table: elements are indices, 0 the
+    identity, and every element but 0 a generator."""
+
+    kind = "finite"
+    is_finite = True
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        table = group.table
+        super().__init__(("finite", hash(group)), lambda x, y: table[x][y],
+                         group.inverse_table.__getitem__, 0, range(1, group.order))
+
+    def validate(self, x) -> None:
+        if not isinstance(x, int) or not (0 <= x < self.group.order):
+            raise InvalidElement(f"{x!r} is not a valid index")
+
+    def parse(self, text: str) -> int:
+        try:
+            x = int(text.strip())
+        except ValueError as exc:
+            raise ParseError(f"expected an element index, got {text!r}") from exc
+        self.validate(x)
+        return x
+
+    format = staticmethod(str)
 
     def selector(self) -> str:
-        kind = self.kind
-        if kind == "finite":
-            return f"finite:{self.group.name}"
-        if kind == "zr_cross_finite":
-            s = f"z^{self.rank}"
-            for o in self.orders:
-                s += f"xC{o}"
-            return s
-        if kind == "free":
-            return f"free:{self.free_rank}"
-        return kind
+        return f"finite:{self.group.name}"
+
+    def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP, homs=None) -> "Domain":
+        """The whole group, built once and checked exactly (radius 0)."""
+        whole = self._balls.get(None)
+        if whole is None:
+            elements = list(self.group.elements())
+            n = len(elements)
+            # the star tree: element i is 1 * elements[i]
+            whole = self._balls[None] = Domain(elements, {x: x for x in elements}, 0,
+                                               [0] * n, range(n), elements)
+        return whole
+
+
+class ZrModel(GroupModel):
+    """Z^rank x C_o1 x ... x C_ok: tuples of rank + k ints, the torsion
+    coordinates reduced mod their orders; the unit vectors generate."""
+
+    kind = "zr_cross_finite"
+
+    def __init__(self, rank: int, orders: tuple[int, ...] = ()):
+        self.rank, self.orders = rank, orders
+        self.is_free_abelian = not orders
+        moduli = (None,) * rank + orders  # None: a free coordinate
+        if not orders:
+            product, inv = _add, lambda x: tuple([-a for a in x])
+        else:
+            def product(x, y):
+                return tuple([a + b if o is None else (a + b) % o for a, b, o in zip(x, y, moduli)])
+
+            def inv(x):
+                return tuple([-a if o is None else -a % o for a, o in zip(x, moduli)])
+        n = len(moduli)
+        gens = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        # g^o for each torsion generator g of order o
+        rows = [tuple(o * v for v in g) for g, o in zip(gens[rank:], orders)]
+        super().__init__(("zr_cross_finite", rank, orders), product, inv, (0,) * n, gens, rows)
+
+    def abelian_exponents(self, x) -> tuple[int, ...]:
+        return tuple(x)
+
+    def validate(self, x) -> None:
+        _check_int_tuple(x, len(self._one))
+        for v, o in zip(x[self.rank:], self.orders):
+            if not (0 <= v < o):
+                raise InvalidElement(f"torsion coordinate {v} not reduced mod {o}")
+
+    def parse(self, text: str) -> tuple:
+        vals = _parse_int_tuple(text)
+        if len(vals) != len(self._one):
+            raise ParseError(f"expected {len(self._one)} coordinates, got {len(vals)}")
+        vals = vals[:self.rank] + tuple(v % o for v, o in zip(vals[self.rank:], self.orders))
+        self.validate(vals)
+        return vals
+
+    format = staticmethod(_format_int_tuple)
+
+    def selector(self) -> str:
+        return f"z^{self.rank}" + "".join(f"xC{o}" for o in self.orders)
+
+
+class FreeModel(GroupModel):
+    """The free group of a rank: freely reduced tuples of nonzero signed
+    ints, +i for generator i-1 and -i for its inverse."""
+
+    kind = "free"
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        super().__init__(("free", rank), _free_product, lambda x: tuple([-v for v in reversed(x)]),
+                         (), [(i,) for i in range(1, rank + 1)])
+
+    def abelian_exponents(self, x) -> tuple[int, ...]:
+        counts = [0] * self.rank
+        for v in x:
+            counts[abs(v) - 1] += 1 if v > 0 else -1
+        return tuple(counts)
+
+    def validate(self, x) -> None:
+        if not isinstance(x, tuple) or any(not isinstance(v, int) or v == 0 or abs(v) > self.rank for v in x):
+            raise InvalidElement(f"{x!r} is not a word over {self.rank} letters")
+        for u, v in zip(x, x[1:]):
+            if u == -v:
+                raise InvalidElement(f"word {x!r} is not freely reduced")
+
+    def parse(self, text: str) -> tuple:
+        word: list = []  # freely reduced as it is built
+        for g, exp in _element_word(self, text):
+            v = g + 1 if exp > 0 else -(g + 1)
+            count = abs(exp)
+            while count and word and word[-1] == -v:
+                word.pop()
+                count -= 1
+            word.extend([v] * count)
+        return tuple(word)
+
+    def format(self, x) -> str:
+        return _format_word([(chr(ord("a") + abs(v) - 1), len(list(run)) * (1 if v > 0 else -1))
+                             for v, run in groupby(x)])
+
+    def selector(self) -> str:
+        return f"free:{self.rank}"
+
+
+class HeisenbergModel(GroupModel):
+    """The integer Heisenberg group: (x, y, z) under the upper-unitriangular
+    product, generated by (1, 0, 0) and (0, 1, 0)."""
+
+    kind = "heisenberg"
+
+    def __init__(self):
+        super().__init__(("heisenberg",), _heisenberg_product,
+                         lambda x: (-x[0], -x[1], -x[2] + x[0] * x[1]), (0, 0, 0),
+                         [(1, 0, 0), (0, 1, 0)])
+
+    def abelian_exponents(self, x) -> tuple[int, ...]:
+        return (x[0], x[1])
+
+    def validate(self, x) -> None:
+        _check_int_tuple(x, 3)
+
+    def parse(self, text: str) -> tuple:
+        vals = _parse_int_tuple(text)
+        self.validate(vals)
+        return vals
+
+    format = staticmethod(_format_int_tuple)
+
+
+class KleinBottleModel(GroupModel):
+    """The Klein bottle group <a, b | b a b^-1 a>: (m, n) is b^m a^n, with
+    the rewrite a b = b a^-1."""
+
+    kind = "klein_bottle"
+
+    def __init__(self):
+        super().__init__(("klein_bottle",), _klein_product,
+                         lambda x: (-x[0], -x[1] if x[0] % 2 == 0 else x[1]), (0, 0),
+                         [(0, 1), (1, 0)],  # a, b
+                         [(2, 0)])  # relator b a b^-1 a: a-sum 2, b-sum 0
+
+    def abelian_exponents(self, x) -> tuple[int, ...]:
+        return x[::-1]  # (m, n) = b^m a^n, generator order (a, b)
+
+    def validate(self, x) -> None:
+        _check_int_tuple(x, 2)
+
+    def parse(self, text: str) -> tuple:
+        # a^e = (0, e) and b^e = (e, 0) in the normal form b^m a^n
+        result = self._one
+        for g, exp in _element_word(self, text):
+            result = self.mul(result, (0, exp) if g == 0 else (exp, 0))
+        return result
+
+    def format(self, x) -> str:
+        return _format_word([("b", x[0]), ("a", x[1])])
+
+
+def _check_int_tuple(x, n: int) -> None:
+    if not (isinstance(x, tuple) and len(x) == n and all(isinstance(v, int) for v in x)):
+        raise InvalidElement(f"{x!r} is not a {n}-tuple of ints")
+
+
+def _parse_int_tuple(text: str) -> tuple:
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    try:
+        return tuple(int(tok) for tok in body.replace(",", " ").split())
+    except ValueError as exc:
+        raise ParseError(f"expected an integer tuple, got {text!r}") from exc
+
+
+_WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
+
+
+def word_tokens(word: str, letters: Sequence[str], unexpected: str, unknown: str):
+    """(generator index, exponent) per token of `word`, a letter of `letters`
+    (uppercase: its inverse) with an optional ^k; the word 1 is empty.  On a
+    stray character or letter, raises ParseError with the template
+    `unexpected` or `unknown`, formatted with `word` and `rest` or `letter`."""
+    if word == "1":
+        return
+    pos = 0
+    for m in _WORD_TOKEN.finditer(word):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        ch = m.group(1)
+        if ch.lower() not in letters:
+            raise ParseError(unknown.format(word=word, letter=ch))
+        exp = int(m.group(2)) if m.group(2) is not None else 1
+        yield letters.index(ch.lower()), -exp if ch.isupper() else exp
+    if pos != len(word):
+        raise ParseError(unexpected.format(word=word, rest=word[pos:]))
+
+
+def _element_word(model: GroupModel, text: str):
+    """`word_tokens` of an element word over the model's letters, refused
+    past DEFAULT_BALL_CAP letters in all."""
+    total = 0
+    letters = [chr(ord("a") + i) for i in range(len(model.generators()))]
+    for g, exp in word_tokens(text.strip(), letters,
+                              "unexpected character at {rest!r}",
+                              "unknown generator letter {letter!r}"):
+        total += abs(exp)
+        if total > DEFAULT_BALL_CAP:
+            raise ParseError(f"word {text!r} has more than {DEFAULT_BALL_CAP} letters")
+        yield g, exp
+
+
+def _format_word(powers) -> str:
+    """Letter powers as a word, such as b^2a^-1; 1 when all are zero."""
+    return "".join(ch if e == 1 else f"{ch}^{e}" for ch, e in powers if e) or "1"
 
 
 _ZR_SELECTOR = re.compile(r"z\^(\d+)((?:xC\d+)*)")
@@ -563,10 +691,9 @@ def parse_model(selector: str, loader=None) -> GroupModel:
     with at most MAX_GENERATORS generators.
     """
     sel = selector.strip()
-    if sel == "heisenberg":
-        return GroupModel.heisenberg()
-    if sel == "klein_bottle":
-        return GroupModel.klein_bottle()
+    fixed = {"heisenberg": HeisenbergModel, "klein_bottle": KleinBottleModel}
+    if sel in fixed:
+        return fixed[sel]()
     if sel.startswith("free:"):
         try:
             k = int(sel.split(":", 1)[1])
@@ -720,105 +847,13 @@ def _class_walk(elements, parent, via, step_images, layout, width):
 # Element parsing / formatting
 # ---------------------------------------------------------------------------
 
-_WORD_TOKEN = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
-
-
 def parse_element(model: GroupModel, text: str):
-    """Parse an element string: words for free/klein_bottle, integer tuples
-    for the abelian and heisenberg models, a decimal index for finite."""
-    s = text.strip()
-    kind = model.kind
-    if kind == "finite":
-        try:
-            x = int(s)
-        except ValueError as exc:
-            raise ParseError(f"expected an element index, got {text!r}") from exc
-        model.validate(x)
-        return x
-    if kind in ("zr_cross_finite", "heisenberg"):
-        body = s
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        try:
-            vals = tuple(int(tok) for tok in body.replace(",", " ").split())
-        except ValueError as exc:
-            raise ParseError(f"expected an integer tuple, got {text!r}") from exc
-        if kind == "zr_cross_finite":
-            r = model.rank
-            need = r + len(model.orders)
-            if len(vals) != need:
-                raise ParseError(f"expected {need} coordinates, got {len(vals)}")
-            vals = vals[:r] + tuple(v % o for v, o in zip(vals[r:], model.orders))
-        model.validate(vals)
-        return vals
-    if kind in ("free", "klein_bottle"):
-        if s in ("1", ""):
-            return model.identity()
-        letters = model.generator_letters()
-        tokens, pos, total = [], 0, 0
-        for m in _WORD_TOKEN.finditer(s):
-            if m.start() != pos:
-                raise ParseError(f"unexpected character at {s[pos:]!r}")
-            pos = m.end()
-            ch = m.group(1)
-            if ch.lower() not in letters:
-                raise ParseError(f"unknown generator letter {ch!r}")
-            exp = int(m.group(2)) if m.group(2) is not None else 1
-            total += abs(exp)
-            if total > DEFAULT_BALL_CAP:
-                raise ParseError(f"word {text!r} has more than {DEFAULT_BALL_CAP} letters")
-            tokens.append((letters.index(ch.lower()), -exp if ch.isupper() else exp))
-        if pos != len(s):
-            raise ParseError(f"unexpected character at {s[pos:]!r}")
-        if kind == "klein_bottle":
-            # a^e = (0, e) and b^e = (e, 0) in the normal form b^m a^n
-            result = model.identity()
-            for g, exp in tokens:
-                result = model.mul(result, (0, exp) if g == 0 else (exp, 0))
-            return result
-        word: list = []  # freely reduced as it is built
-        for g, exp in tokens:
-            v = g + 1 if exp > 0 else -(g + 1)
-            count = abs(exp)
-            while count and word and word[-1] == -v:
-                word.pop()
-                count -= 1
-            word.extend([v] * count)
-        return tuple(word)
-    raise ParseError(f"cannot parse elements for model {kind}")
+    """The element a string names, in the model's syntax (`model.parse`)."""
+    return model.parse(text)
 
 
 def format_element(model: GroupModel, x) -> str:
-    kind = model.kind
-    if kind == "finite":
-        return str(x)
-    if kind in ("zr_cross_finite", "heisenberg"):
-        return "(" + ",".join(str(v) for v in x) + ")"
-    if kind == "free":
-        if not x:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(x):
-            j = i
-            while j < len(x) and x[j] == x[i]:
-                j += 1
-            letter = chr(ord("a") + abs(x[i]) - 1)
-            exp = (j - i) * (1 if x[i] > 0 else -1)
-            parts.append(letter if exp == 1 else f"{letter}^{exp}")
-            i = j
-        return "".join(parts)
-    if kind == "klein_bottle":
-        m, n = x
-        if m == 0 and n == 0:
-            return "1"
-        parts = []
-        if m != 0:
-            parts.append("b" if m == 1 else f"b^{m}")
-        if n != 0:
-            parts.append("a" if n == 1 else f"a^{n}")
-        return "".join(parts)
-    raise ParseError(f"cannot format elements for model {kind}")
+    return model.format(x)
 
 
 # ---------------------------------------------------------------------------
@@ -844,34 +879,26 @@ class Homomorphism:
             raise ValueError("exactly one of images/table_map is required")
         if images is not None:
             self._validate_images()
-        else:
-            if source.kind != "finite":
-                raise ModelMismatch("table_map form requires a finite source")
+        elif not source.is_finite:
+            raise ModelMismatch("table_map form requires a finite source")
 
     def _validate_images(self) -> None:
-        if self.target.kind != "zr_cross_finite" or self.target.orders:
+        if not self.target.is_free_abelian:
             raise ModelMismatch("generator-image form targets Z^r only")
-        gens = self.source.generators()
-        if self.source.kind == "finite":
+        if self.source.is_finite:
             raise ModelMismatch("finite sources use the table_map form")
-        if len(self.images) != len(gens):
-            raise InvalidElement(
-                f"need {len(gens)} generator images, got {len(self.images)}"
-            )
+        n = len(self.source.generators())
+        if len(self.images) != n:
+            raise InvalidElement(f"need {n} generator images, got {len(self.images)}")
         r = self.target.rank
         for img in self.images:
             if len(img) != r:
                 raise InvalidElement(f"image {img!r} is not a Z^{r} vector")
         # every built-in relator must map to the target identity
         for row in self.source.relator_exponent_rows():
-            vec = [0] * r
-            for e, img in zip(row, self.images):
-                for i in range(r):
-                    vec[i] += e * img[i]
+            vec = self._combine(row)
             if any(vec):
-                raise InvalidElement(
-                    f"relator with exponents {row} maps to {tuple(vec)}, not 0"
-                )
+                raise InvalidElement(f"relator with exponents {row} maps to {vec}, not 0")
 
     def rank(self) -> int:
         return self.target.rank
@@ -883,18 +910,19 @@ class Homomorphism:
             self.source.validate(x)
             return self.table_map[x]
         out = self._cache.get(x)
-        if out is not None:
-            return out
-        exps = self.source.abelian_exponents(x)
+        if out is None:
+            out = self._cache[x] = self._combine(self.source.abelian_exponents(x))
+        return out
+
+    def _combine(self, exps) -> tuple:
+        """The sum of the generator images with the exponents `exps`."""
         r = self.target.rank
         vec = [0] * r
         for e, img in zip(exps, self.images):
             if e:
                 for i in range(r):
                     vec[i] += e * img[i]
-        out = tuple(vec)
-        self._cache[x] = out
-        return out
+        return tuple(vec)
 
     def compose_into(self, outer: "Homomorphism") -> "Homomorphism":
         """outer o self, for generator-image maps through Z^r."""
@@ -946,9 +974,4 @@ def sign_pattern(vec, layout) -> tuple:
 def zr_identity_hom(rank: int) -> Homomorphism:
     """The identity map on Z^rank in generator-image form."""
     model = GroupModel.zr(rank)
-    images = []
-    for i in range(rank):
-        v = [0] * rank
-        v[i] = 1
-        images.append(tuple(v))
-    return Homomorphism(model, GroupModel.zr(rank), images=images)
+    return Homomorphism(model, GroupModel.zr(rank), images=model.generators())

@@ -56,7 +56,7 @@ def pullback_cone(target_cone: ConeSet, hom: Homomorphism) -> ConeSet:
     """
     src = hom.source
     if hom.table_map is not None:
-        if hom.target.kind != "finite":
+        if not hom.target.is_finite:
             raise ModelMismatch("table-map homomorphisms require a finite target")
         check_model(hom.target, target_cone)
         hits = {q for q in hom.target.group.elements() if target_cone.member(q)}
@@ -247,7 +247,7 @@ def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
         raise ModelMismatch("homomorphism source differs from the model")
     target = quotient_hom.target
     if quotient_cone is None:
-        if target.kind != "zr_cross_finite" or target.orders:
+        if not target.is_free_abelian:
             raise ModelMismatch("default cone requires a Z^r target")
         quotient_cone = standard_lex_cone(target.rank)
     validate_cone_axioms(target, quotient_cone, radius, cap)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .cones import CoverPair, Verdict
 from .errors import ParseError
-from .groups import _WORD_TOKEN, GroupModel, Homomorphism
+from .groups import GroupModel, Homomorphism, word_tokens
 from .orders import pullback_cover, standard_lex_cone
 from .snf import DEFAULT_DIM_CAP, cokernel_from_snf, smith_normal_form
 
@@ -84,23 +84,9 @@ def parse_presentation(text: str) -> tuple[list[str], list[str]]:
 def word_exponents(word: str, gens: list[str]) -> list[int]:
     """Exponent sums of a word; uppercase letters and ^-k are inverses."""
     out = [0] * len(gens)
-    pos = 0
-    if word in ("1", ""):
-        return out
-    for m in _WORD_TOKEN.finditer(word):
-        if m.start() != pos:
-            raise ParseError(f"unexpected character in word {word!r}")
-        pos = m.end()
-        ch = m.group(1)
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        if ch.isupper():
-            exp = -exp
-        low = ch.lower()
-        if low not in gens:
-            raise ParseError(f"unknown generator {ch!r} in word {word!r}")
-        out[gens.index(low)] += exp
-    if pos != len(word):
-        raise ParseError(f"unexpected character in word {word!r}")
+    for g, exp in word_tokens(word, gens, "unexpected character in word {word!r}",
+                              "unknown generator {letter!r} in word {word!r}"):
+        out[g] += exp
     return out
 
 

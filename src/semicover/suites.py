@@ -45,17 +45,16 @@ def _random_hom(model: GroupModel, rng: random.Random) -> Homomorphism:
     """A random well-defined surjection candidate onto Z^1 or Z^2."""
     rank = rng.choice((1, 2))
     n = len(model.generators())
+    # a relator maps to 0 once every generator its exponent row uses does
+    forced = {i for row in model.relator_exponent_rows() for i, e in enumerate(row) if e}
 
     def vec() -> tuple:
         return tuple(rng.randint(-2, 2) for _ in range(rank))
 
     while True:
         images = [vec() for _ in range(n)]
-        if model.kind == "klein_bottle":
-            images[0] = (0,) * rank  # the order-reversed generator must die
-        if model.kind == "zr_cross_finite":
-            for i in range(model.rank, n):
-                images[i] = (0,) * rank
+        for i in forced:
+            images[i] = (0,) * rank
         if any(any(v) for v in images):
             try:
                 return Homomorphism(model, GroupModel.zr(rank), images=images)

@@ -1,9 +1,12 @@
 """CLI behavior: exit codes, report shapes, determinism, error mapping."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -333,6 +336,31 @@ def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extr
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-cover"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, cover_files, command):
+    # the reader of stdout is gone before the CLI writes its report
+    fp = tmp_path / "klein.fp"
+    fp.write_text(KLEIN_FP)
+    a, b = cover_files
+    argv = [sys.executable, "-m", "semicover.cli", command] + (
+        ["--presentation", str(fp)] if command == "analyze"
+        else ["--model", "z^1xC2", "--A", a, "--B", b, "--radius", "8"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    whole = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        cut = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert whole.stdout and whole.returncode == (0 if command == "analyze" else 1)
+    assert cut.returncode == whole.returncode
+    assert b"Traceback" not in cut.stderr and b"Exception ignored" not in cut.stderr
 
 
 def test_output_file(tmp_path, cover_files, capsys):

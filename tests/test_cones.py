@@ -772,12 +772,14 @@ def test_symmetric_part_finite_matches_bitset():
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model", INFINITE_MODELS + FORM_MODELS[-1:])
+@pytest.mark.parametrize("model", INFINITE_MODELS + FORM_MODELS[-1:] +
+                         [GroupModel.finite(dihedral(6, name="D6"))])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cone_json_roundtrip(model, data):
-    # the zoo's cones and drawn trees with explicit leaves (bitsets on D4)
-    # read back to the same spec and the same members
+    # the zoo's cones and drawn trees with explicit leaves (bitsets on D4
+    # and D6, whose indices run past 9) read back to the same spec and the
+    # same members
     if model.kind != "finite":
         for cone in _cone_zoo(model):
             back = cone_from_obj(model, cone_to_obj(cone))

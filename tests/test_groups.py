@@ -1,7 +1,9 @@
 """Group model tests: table loading, arithmetic, balls, homomorphisms."""
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -471,7 +473,9 @@ def test_quotient_c4_by_c2():
 @pytest.mark.parametrize("selector,kind", [
     ("z^1xC2", "zr_cross_finite"),
     ("z^2", "zr_cross_finite"),
+    ("z^0", "zr_cross_finite"),
     ("free:2", "free"),
+    ("free:1", "free"),
     ("heisenberg", "heisenberg"),
     ("klein_bottle", "klein_bottle"),
 ])
@@ -479,6 +483,26 @@ def test_parse_model_selectors(selector, kind):
     m = parse_model(selector)
     assert m.kind == kind
     assert m.selector() == selector
+    again = parse_model(m.selector())
+    assert again == m and hash(again) == hash(m)
+    # models of different kinds differ, even where their identities agree:
+    # z^0 and free:1 both have identity ()
+    others = [o for o in ALL_MODELS + [GroupModel.zr(0), GroupModel.free(1)] if o.kind != kind]
+    assert all(m != o and o != m for o in others)
+
+
+def test_no_kind_comparisons_in_src():
+    # each model class answers for itself: no code compares a model's kind,
+    # read as an attribute or through a local named kind
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    getattr(operand, "attr", getattr(operand, "id", None)) == "kind"
+                    for operand in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_parse_model_rejects_unknown():
