@@ -3,8 +3,8 @@
 sigma_g is computed by exact minimum set cover over the maximal proper
 subgroups (any minimal cover refines to maximal ones); sigma_s piggybacks
 on the torsion identity, with an exhaustive subsemigroup census available
-to cross-check it from scratch.  Both the census (closed subsets over the
-empty set) and the subgroup lattice (over {identity}) come from one pruned
+to cross-check it from scratch.  Both the census and the subgroup lattice
+read the group's closed subsets, found once per group by a pruned
 enumeration whose cost follows the number of closed subsets, not 2^n.
 """
 
@@ -52,14 +52,14 @@ def _grow(table: list, mask: int, members: list[int], fresh: list[int],
     return mask, members
 
 
-def _closed_supersets(group: FiniteGroup, seed: int) -> list[int]:
-    """Every closed subset containing the closed mask `seed`, sorted.
-    Elements join in index order; a child adding j is cut when its closure
-    adds an index below j, so each closed set comes out exactly once.  In a
-    finite group a closed nonempty subset is a subgroup."""
+def _closed_supersets(group: FiniteGroup) -> list[int]:
+    """Every closed subset, the empty one included, sorted.  Elements join
+    in index order; a child adding j is cut when its closure adds an index
+    below j, so each closed set comes out exactly once.  In a finite group
+    a closed nonempty subset is a subgroup."""
     table = group.table
-    found = [seed]
-    stack = [(seed, _mask_members(seed), 0)]
+    found = [0]
+    stack = [(0, [], 0)]
     while stack:
         mask, members, start = stack.pop()
         for j in range(start, group.order):
@@ -69,6 +69,22 @@ def _closed_supersets(group: FiniteGroup, seed: int) -> list[int]:
                     found.append(child[0])
                     stack.append((child[0], child[1], j + 1))
     return sorted(found)
+
+
+def _closed_subsets(group: FiniteGroup) -> tuple[int, ...]:
+    """The group's closed subsets, enumerated on first use and kept on it."""
+    if group.closed_subsets is None:
+        group.closed_subsets = tuple(_closed_supersets(group))
+    return group.closed_subsets
+
+
+def _maximal(masks: list[int]) -> list[int]:
+    """The masks that no other mask contains, in input order."""
+    kept: set[int] = set()
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.add(m)
+    return [m for m in masks if m in kept]
 
 
 def _is_subgroup(group: FiniteGroup, mask: int) -> bool:
@@ -84,14 +100,13 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[i
     the identity."""
     if group.order > cap:
         raise GroupTooLarge(f"order {group.order} exceeds subgroup cap {cap}")
-    return _closed_supersets(group, 1)
+    return [m for m in _closed_subsets(group) if m & 1]
 
 
 def maximal_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
     """Proper subgroups maximal under inclusion."""
     full = (1 << group.order) - 1
-    proper = [s for s in all_subgroups(group, cap) if s != full]
-    return [s for s in proper if not any(t != s and (s | t) == t for t in proper)]
+    return _maximal([s for s in all_subgroups(group, cap) if s != full])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +187,7 @@ def subsemigroup_census(group: FiniteGroup,
     n = group.order
     if n > cap:
         raise GroupTooLarge(f"order {n} exceeds exhaustive cap {cap}")
-    closed = _closed_supersets(group, 0)[1:]  # the empty set sorts first
+    closed = list(_closed_subsets(group)[1:])  # the empty set sorts first
     exception = next((m for m in closed if not _is_subgroup(group, m)), None)
     return CensusResult(closed, exception is None, exception)
 
@@ -204,11 +219,9 @@ def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
                                   base.witness_cover, "maximal_set_cover")
     if census is not None:
         full = (1 << group.order) - 1
-        proper = [m for m in census.closed_subsets if m != full]
         # every proper closed set lies in a maximal one, so the maximal
         # ones alone reach the same minimum
-        maximal = [m for m in proper if not any(m != t and m & t == m for t in proper)]
-        cover = _min_cover(full, maximal)
+        cover = _min_cover(full, _maximal([m for m in census.closed_subsets if m != full]))
         recomputed = len(cover) if cover is not None else None
         if recomputed != base.sigma_g:
             raise CoveringMismatch(

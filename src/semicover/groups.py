@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import groupby
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -48,6 +48,8 @@ class FiniteGroup:
         self.name = name
         self._validate()
         self.inverse_table = self._build_inverses()
+        # every closed subset as a bitmask, sorted; `covering` fills it once
+        self.closed_subsets: Optional[tuple[int, ...]] = None
 
     def _validate(self) -> None:
         n = self.order
@@ -68,24 +70,22 @@ class FiniteGroup:
                 raise NotAGroup(
                     f"index 0 is not a right identity at row {j}", witness=(j, 0, self.table[j][0])
                 )
-        t = self.table
-        for i in range(n):
-            for j in range(n):
-                tij = t[i][j]
-                for k in range(n):
-                    if t[tij][k] != t[i][t[j][k]]:
-                        raise NotAGroup(
-                            f"associativity fails at triple ({i},{j},{k})", witness=(i, j, k)
-                        )
+        # (ij)k = i(jk) a row at a time, skipping i = 0 and j = 0, which hold
+        rows = [tuple(row) for row in self.table]
+        picks = [itemgetter(*row) for row in rows]
+        for i, row in enumerate(rows[1:], 1):
+            for j in range(1, n):
+                if rows[row[j]] != picks[j](row):
+                    k = next(k for k in range(n) if rows[row[j]][k] != row[rows[j][k]])
+                    raise NotAGroup(
+                        f"associativity fails at triple ({i},{j},{k})", witness=(i, j, k)
+                    )
 
     def _build_inverses(self) -> list[int]:
-        inv = [-1] * self.order
-        for i in range(self.order):
-            hits = [j for j in range(self.order) if self.table[i][j] == 0]
-            if len(hits) != 1:
-                raise NotAGroup(f"element {i} has {len(hits)} inverses", witness=(i,))
-            inv[i] = hits[0]
-        return inv
+        for i, row in enumerate(self.table):
+            if row.count(0) != 1:
+                raise NotAGroup(f"element {i} has {row.count(0)} inverses", witness=(i,))
+        return [row.index(0) for row in self.table]
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -687,8 +687,9 @@ def parse_model(selector: str, loader=None) -> GroupModel:
     """Build a model from a CLI selector string.
 
     `finite:<path>` needs `loader` (path -> FiniteGroup); the built-in
-    selectors are `z^r[xC n...]`, `free:k`, `heisenberg`, `klein_bottle`,
-    with at most MAX_GENERATORS generators.
+    selectors are `z^r[xC n...]` with at most MAX_GENERATORS generators,
+    `free:k` with k <= 26 (one letter per generator), `heisenberg` and
+    `klein_bottle`.
     """
     sel = selector.strip()
     fixed = {"heisenberg": HeisenbergModel, "klein_bottle": KleinBottleModel}
@@ -699,9 +700,9 @@ def parse_model(selector: str, loader=None) -> GroupModel:
             k = int(sel.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad free rank in {selector!r}") from exc
-        if k < 1:
-            raise ParseError(f"free rank must be >= 1 in {selector!r}")
-        _check_generators(k, selector)
+        if not 1 <= k <= 26:
+            raise ParseError(f"free rank must be from 1 to 26 in {selector!r}: its elements "
+                             "are words over one letter a-z per generator")
         return GroupModel.free(k)
     if sel.startswith("finite:"):
         if loader is None:

@@ -323,9 +323,10 @@ def test_witness_runs_at_the_spec_depth_cap(tmp_path, capsys):
     ("free:2", {"op": "explicit", "elements": ["a^99999999999999999999999"]}, []),
     ("z^99999999999999999999999", A_CONE, []),
     ("free:1000000000000", A_CONE, []),
+    ("free:27", A_CONE, []),
 ], ids=["string-image", "bool-image", "number-element", "order-zero-factor",
         "free-rank-zero", "radius-zero", "word-over-ball-cap", "z-rank-over-cap",
-        "free-rank-over-cap"])
+        "free-rank-over-cap", "free-rank-over-letters"])
 def test_exit_two_on_malformed_cover_input(tmp_path, capsys, model, a_cone, extra):
     a = tmp_path / "a.cone"
     a.write_text(json.dumps(a_cone))

@@ -1,13 +1,17 @@
 """Covering number tests with brute-force oracles computed in place."""
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semicover import cli, covering
 from semicover.covering import (
     DEFAULT_SUBGROUP_CAP,
     CensusResult,
     _mask_members,
+    _maximal,
     all_subgroups,
     maximal_subgroups,
     sampled_census,
@@ -100,7 +104,32 @@ def test_subgroups_s3_against_oracle():
 @pytest.mark.parametrize("name", CORPUS)
 def test_subgroups_match_oracle_small(name):
     g = fixture(name)
+    subgroups = all_subgroups(g)
+    assert subgroups == brute_subgroups(g)
+    # every nonempty closed subset of a finite group is a subgroup
+    assert subgroups == subsemigroup_census(g, DEFAULT_SUBGROUP_CAP).closed_subsets
+    subgroups.clear()  # each call returns a new list; the group's memo is untouched
     assert all_subgroups(g) == brute_subgroups(g)
+
+
+def test_one_closed_subset_enumeration_per_sigma_request(monkeypatch, capsys):
+    # sigma_g, the census and the Scorza check all read one enumeration
+    calls = []
+    enumerate_closed = covering._closed_supersets
+    monkeypatch.setattr(covering, "_closed_supersets",
+                        lambda group: calls.append(group.name) or enumerate_closed(group))
+    table = Path(__file__).resolve().parent.parent / "inputs" / "D4.tbl"
+    assert cli.main(["sigma", "--exhaustive", "--table", str(table)]) == 0
+    assert '"closed_subsets": 10' in capsys.readouterr().out
+    assert calls == ["D4"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**10 - 1), unique=True, max_size=40))
+def test_maximal_keeps_the_uncontained_masks_in_order(masks):
+    # oracle: the pairwise containment test, quadratic in the masks
+    assert _maximal(masks) == [m for m in masks
+                               if not any(m != t and m & t == m for t in masks)]
 
 
 def test_subgroup_cap():

@@ -1,4 +1,5 @@
-"""Golden reports: CLI output on the bundled inputs, compared byte for byte.
+"""Golden reports: CLI output on the bundled inputs and on `sigma` for every
+group of the finite corpus, compared byte for byte.
 
 Each case runs `semicover.cli.main` and compares its stdout and exit code
 with the files under tests/golden/.  `analyze` reports name their input
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from semicover.cli import main
+from semicover.fixtures import fixture_names
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -39,6 +41,9 @@ def _cases() -> dict:
         cases[f"analyze_{path.stem}"] = ["analyze", "--presentation", str(path)]
     for path in sorted(INPUTS.glob("*.tbl")):
         cases[f"sigma_{path.stem}"] = ["sigma", "--exhaustive", "--table", str(path)]
+    for name in fixture_names():
+        cases[f"sigma_fixture_{name}"] = ["sigma", "--fixture", name, "--exhaustive",
+                                          "--cap", "12"]
     return cases
 
 

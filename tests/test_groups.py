@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semicover import (
     FiniteGroup,
@@ -27,7 +28,7 @@ from semicover.errors import (
     NotNormal,
     ParseError,
 )
-from semicover.fixtures import cyclic, dihedral, fixture, table_text
+from semicover.fixtures import cyclic, dihedral, fixture, fixture_names, table_text
 from semicover.groups import MAX_GENERATORS, joint_image
 
 ALL_MODELS = [
@@ -90,6 +91,66 @@ def test_load_non_associative_reports_witness():
     else:
         # mutation broke the identity convention before associativity ran
         assert witness is not None
+
+
+def _table_verdict(table):
+    """Oracle: the (error class, witness) `FiniteGroup(table)` must raise, or
+    None for a group.  Every triple is tested, in lexicographic order."""
+    n = len(table)
+    if n < 1 or any(len(row) != n or any(not isinstance(v, int) or not 0 <= v < n for v in row)
+                    for row in table):
+        return MalformedTable, None
+    for j in range(n):
+        if table[0][j] != j:
+            return NotAGroup, (0, j, table[0][j])
+        if table[j][0] != j:
+            return NotAGroup, (j, 0, table[j][0])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return NotAGroup, (i, j, k)
+    for i in range(n):
+        if [v for v in table[i] if v == 0] != [0]:
+            return NotAGroup, (i,)
+    return None
+
+
+@st.composite
+def _broken_tables(draw):
+    """A corpus table, or one of order 1 or 2, left intact or broken once:
+    one entry changed, two rows swapped, an entry out of range or not an
+    int, or a row dropped."""
+    name = draw(st.one_of(st.sampled_from(["C1", "C2"]), st.sampled_from(fixture_names())))
+    table = [row[:] for row in fixture(name).table]
+    n = len(table)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "entry", "swap", "bad_entry", "drop"]))
+    if change == "entry":
+        (i, j), table[i][j] = draw(cell), draw(st.integers(0, n - 1))
+    elif change == "swap":
+        i, j = draw(cell)
+        table[i], table[j] = table[j], table[i]
+    elif change == "bad_entry":
+        (i, j), table[i][j] = draw(cell), draw(st.one_of(
+            st.integers(-3, -1), st.integers(n, n + 3), st.floats(allow_nan=False),
+            st.text(max_size=2), st.none()))
+    elif change == "drop":
+        del table[draw(st.integers(0, n - 1))]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_broken_tables())
+@example([[0, 1], [1, 1]])  # associative with identity, but 1 has no inverse
+@example([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # Latin on row 0 and column 0 only
+def test_table_validation_matches_the_oracle(table):
+    expected = _table_verdict(table)
+    if expected is None:
+        g = FiniteGroup(table)
+        assert [g.mul(a, g.inv(a)) for a in g.elements()] == [0] * g.order
+        return
+    with pytest.raises(expected[0]) as info:
+        FiniteGroup(table)
+    assert getattr(info.value, "witness", None) == expected[1]
 
 
 def test_table_text_roundtrip():
@@ -512,7 +573,7 @@ def test_parse_model_rejects_unknown():
 
 @pytest.mark.parametrize("selector", ["z^99999999999999999999999", "free:1000000000000",
                                       f"z^{MAX_GENERATORS + 1}", f"free:{MAX_GENERATORS + 1}",
-                                      f"z^{MAX_GENERATORS - 1}xC2xC3"])
+                                      f"z^{MAX_GENERATORS - 1}xC2xC3", "free:27"])
 def test_parse_model_bounds_the_generators(selector):
     # the count is checked before any generator or step table is built
     tracemalloc.start()
@@ -524,6 +585,16 @@ def test_parse_model_bounds_the_generators(selector):
         tracemalloc.stop()
     assert peak < 100_000 and repr(selector) in str(info.value)
     assert len(parse_model(f"z^{MAX_GENERATORS}").generators()) == MAX_GENERATORS
+
+
+def test_free_generators_round_trip_up_to_the_last_letter():
+    model = parse_model("free:26")
+    for g in model.generators():
+        for x in (g, model.inv(g)):
+            assert parse_element(model, format_element(model, x)) == x
+    assert format_element(model, (26, -1)) == "za^-1"
+    with pytest.raises(ParseError, match="a-z"):
+        parse_model("free:27")
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
