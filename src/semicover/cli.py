@@ -47,21 +47,31 @@ from .suites import run_suite
 
 INPUT_ERRORS = (
     ParseError, MalformedTable, NotAGroup, InvalidElement, ModelMismatch,
-    MatrixTooLarge, GroupTooLarge, UnknownSuite, BallTooLarge,
-    FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
+    MatrixTooLarge, GroupTooLarge, UnknownSuite, BallTooLarge, json.JSONDecodeError,
 )
+
+
+def _read(path: str) -> str:
+    """An input file's text; a path naming no readable file, or a file that
+    is not UTF-8 text, is an input error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL byte in the path, or bytes that are not UTF-8
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
 
 
 def _load_model(selector: str):
     def loader(path):
-        return load_finite_group(Path(path).read_text(), name=Path(path).stem)
+        return load_finite_group(_read(path), name=Path(path).stem)
 
     return parse_model(selector, loader=loader)
 
 
 def _load_cone(model, path: str):
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(_read(path))
     except RecursionError:
         raise ParseError(f"{path}: JSON nests too deeply") from None
     return cone_from_obj(model, obj)
@@ -89,7 +99,7 @@ def _exhaustive_cap(args) -> int:
 def cmd_analyze(args) -> tuple[int, dict]:
     if args.radius < 0:
         raise ParseError(f"--radius must be >= 0, got {args.radius}")
-    text = Path(args.presentation).read_text()
+    text = _read(args.presentation)
     data = analyze_presentation(text, radius=args.radius)
     report = {"command": "analyze", "input": args.presentation}
     report.update(data.to_obj())
@@ -167,7 +177,7 @@ def cmd_sigma(args) -> tuple[int, dict]:
     if args.fixture:
         group = fixtures.fixture(args.fixture)
     elif args.table:
-        group = load_finite_group(Path(args.table).read_text(), name=Path(args.table).stem)
+        group = load_finite_group(_read(args.table), name=Path(args.table).stem)
     else:
         raise ParseError("sigma needs --fixture or --table")
     cap = _exhaustive_cap(args)

@@ -9,7 +9,6 @@ ball-local verdicts always carry the radius they were checked at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import add, sub
 from typing import Iterable, Optional
@@ -17,6 +16,7 @@ from typing import Iterable, Optional
 from .errors import ModelMismatch, ParseError
 from .groups import (
     DEFAULT_BALL_CAP,
+    MAX_GENERATORS,
     Domain,
     GroupModel,
     Homomorphism,
@@ -39,7 +39,26 @@ _REGION_TABLES = {region: {(s,): s in signs for s in (-1, 0, 1)}
 # AST nodes
 # ---------------------------------------------------------------------------
 
-class ConeSet:
+class _Fields:
+    """Equality and repr over the fields a class names in `_fields`: equal
+    when the classes are the same and the fields compare equal."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+
+class ConeSet(_Fields):
     """Base class; concrete nodes below.  All nodes carry their model.
 
     Each node class defines its kind once: `member` decides one element,
@@ -49,12 +68,25 @@ class ConeSet:
     Every member set on a domain is read off the compiled form
     (`ball_members`).
 
-    Besides its fields a node keeps two memos, outside the dataclass fields
-    so that equality, hashing and repr ignore them: its compiled form
-    (`compile_cone`: the sign-pattern table and the exceptions) and its
-    member set on the last domain asked for (`ball_members`)."""
+    A node is immutable: equality, hashing and repr read the fields its
+    class names in `_fields`, each class's `__init__` writes them straight
+    into the instance dict, and assigning an attribute raises.  Besides its
+    fields a node keeps two memos, set with `object.__setattr__` and left
+    out of `_fields` so that equality, hashing and repr ignore them: its
+    compiled form (`compile_cone`: the sign-pattern table and the
+    exceptions) and its member set on the last domain asked for
+    (`ball_members`)."""
 
     model: GroupModel
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def member(self, x) -> bool:
         raise NotImplementedError
@@ -68,10 +100,12 @@ class ConeSet:
         )
 
 
-@dataclass(frozen=True)
 class FiniteBits(ConeSet):
-    model: GroupModel
-    indices: frozenset
+    _fields = ("model", "indices")
+
+    def __init__(self, model: GroupModel, indices: frozenset):
+        d = self.__dict__
+        d["model"], d["indices"] = model, indices
 
     def member(self, x) -> bool:
         return x in self.indices
@@ -88,11 +122,12 @@ class FiniteBits(ConeSet):
                 "elements": [str(i) for i in sorted(self.indices)]}
 
 
-@dataclass(frozen=True)
 class Pullback(ConeSet):
-    model: GroupModel
-    hom: Homomorphism
-    region: str
+    _fields = ("model", "hom", "region")
+
+    def __init__(self, model: GroupModel, hom: Homomorphism, region: str):
+        d = self.__dict__
+        d["model"], d["hom"], d["region"] = model, hom, region
 
     def member(self, x) -> bool:
         return _REGION_TABLES[self.region][(lex_sign(self.hom.apply(x)),)]
@@ -120,7 +155,11 @@ class _Combination(ConeSet):
     """A union or an intersection: `how` (any or all) combines the parts'
     memberships, and `op` names it in JSON."""
 
-    parts: tuple
+    _fields = ("model", "parts")
+
+    def __init__(self, model: GroupModel, parts: tuple):
+        d = self.__dict__
+        d["model"], d["parts"] = model, parts
 
     def member(self, x) -> bool:
         return self.how(c.member(x) for c in self.parts)
@@ -141,26 +180,22 @@ class _Combination(ConeSet):
         return type(self)(hom.source, tuple(c.pull_back(hom) for c in self.parts))
 
 
-@dataclass(frozen=True)
 class Union(_Combination):
-    model: GroupModel
-    parts: tuple
     how, op = any, "union"
     member = _Combination.member  # an entry of its own, which call counters wrap
 
 
-@dataclass(frozen=True)
 class Intersection(_Combination):
-    model: GroupModel
-    parts: tuple
     how, op = all, "intersection"
     member = _Combination.member
 
 
-@dataclass(frozen=True)
 class Complement(ConeSet):
-    model: GroupModel
-    part: ConeSet
+    _fields = ("model", "part")
+
+    def __init__(self, model: GroupModel, part: ConeSet):
+        d = self.__dict__
+        d["model"], d["part"] = model, part
 
     def member(self, x) -> bool:
         return not self.part.member(x)
@@ -183,11 +218,13 @@ class Complement(ConeSet):
         return Complement(hom.source, self.part.pull_back(hom))
 
 
-@dataclass(frozen=True)
 class ExplicitSet(ConeSet):
-    model: GroupModel
-    elements: frozenset
-    mode: str = "include"  # include -> the listed set; exclude -> its complement
+    _fields = ("model", "elements", "mode")
+
+    def __init__(self, model: GroupModel, elements: frozenset, mode: str = "include"):
+        # include -> the listed set; exclude -> its complement
+        d = self.__dict__
+        d["model"], d["elements"], d["mode"] = model, elements, mode
 
     def member(self, x) -> bool:
         inside = x in self.elements
@@ -207,9 +244,11 @@ class ExplicitSet(ConeSet):
         return {"op": "explicit", "mode": self.mode, "elements": elems}
 
 
-@dataclass(frozen=True)
 class Identity(ConeSet):
-    model: GroupModel
+    _fields = ("model",)
+
+    def __init__(self, model: GroupModel):
+        self.__dict__["model"] = model
 
     def member(self, x) -> bool:
         return x == self.model.identity()
@@ -705,15 +744,19 @@ def conjugate_escapes(model: GroupModel, cone: ConeSet, g, domain: Domain) -> li
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Verdict:
+class Verdict(_Fields):
     """Outcome of one check.  radius_checked = 0 marks an exact verdict
-    (finite group or AST-decidable); ball-local verdicts carry the radius."""
+    (finite group or AST-decidable); ball-local verdicts carry the radius.
+    Verdicts compare by value and, being mutable, are not hashable."""
 
-    status: str  # verified | counterexample | inconclusive
-    witness: Optional[tuple] = None
-    radius_checked: int = 0
-    note: str = ""
+    _fields = ("status", "witness", "radius_checked", "note")
+
+    def __init__(self, status: str, witness: Optional[tuple] = None,
+                 radius_checked: int = 0, note: str = ""):
+        self.status = status  # verified | counterexample | inconclusive
+        self.witness = witness
+        self.radius_checked = radius_checked
+        self.note = note
 
     @classmethod
     def of(cls, witness: Optional[tuple], domain: Domain, note: str = "") -> "Verdict":
@@ -767,15 +810,13 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     return Verdict.of(witness, scan.domain)
 
 
-@dataclass
 class CoverPair:
     """An ordered pair of cones with verification flags."""
 
-    model: GroupModel
-    a: ConeSet
-    b: ConeSet
-    radius: int
-    flags: dict = field(default_factory=dict)
+    def __init__(self, model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
+                 flags: Optional[dict] = None):
+        self.model, self.a, self.b, self.radius = model, a, b, radius
+        self.flags = {} if flags is None else flags
 
     def core_ok(self) -> bool:
         keys = ("closed_A", "closed_B", "covers", "proper_A", "proper_B")
@@ -868,6 +909,8 @@ def cone_from_obj(model: GroupModel, obj: dict, depth: int = 1) -> ConeSet:
         if rank < 1 or not all(isinstance(img, list) and all(type(v) is int for v in img)
                                for img in images):
             raise ParseError("pullback images must be nonempty integer vectors")
+        if rank > MAX_GENERATORS:  # Z^rank's generators take rank^2 entries
+            raise ParseError(f"pullback images have more than {MAX_GENERATORS} coordinates")
         hom = Homomorphism(model, GroupModel.zr(rank), images=[tuple(v) for v in images])
         return pullback(hom, region)
     if op in ("union", "intersection"):

@@ -11,7 +11,6 @@ enumeration whose cost follows the number of closed subsets, not 2^n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -113,13 +112,12 @@ def maximal_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> li
 # Covering numbers
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CoveringNumberResult:
-    group_id: str
-    sigma_g: Optional[int]          # None = undefined (cyclic)
-    sigma_s: Optional[int]
-    witness_cover: list[list[int]]
-    method: str
+    def __init__(self, group_id: str, sigma_g: Optional[int], sigma_s: Optional[int],
+                 witness_cover: list[list[int]], method: str):
+        self.group_id = group_id
+        self.sigma_g, self.sigma_s = sigma_g, sigma_s  # None = undefined (cyclic)
+        self.witness_cover, self.method = witness_cover, method
 
     def to_obj(self) -> dict:
         return {
@@ -172,11 +170,11 @@ def sigma_g(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> CoveringNumb
 # Subsemigroup census
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CensusResult:
-    closed_subsets: list[int]
-    all_are_subgroups: bool
-    first_exception: Optional[int]
+    def __init__(self, closed_subsets: list[int], all_are_subgroups: bool,
+                 first_exception: Optional[int]):
+        self.closed_subsets = closed_subsets
+        self.all_are_subgroups, self.first_exception = all_are_subgroups, first_exception
 
 
 def subsemigroup_census(group: FiniteGroup,

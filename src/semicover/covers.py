@@ -8,7 +8,6 @@ never silently promotes a ball verdict to a global claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .cones import (
@@ -53,16 +52,16 @@ A_SIDE = "A_side"
 # Intersection classification (orientation of the shared part)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IntersectionSplit:
     """I = A n B on the domain.  On value-pure sides `i_a` and `i_b` hold
     one element per image class (`inverse_pairs`), and on a class domain
     so does `i_members`; the first element of each is the ball's."""
 
-    side: str                 # which side is guaranteed to absorb <I>
-    i_a: list                 # x in I with x^-1 in A only
-    i_b: list                 # x in I with x^-1 in B only
-    i_members: list
+    def __init__(self, side: str, i_a: list, i_b: list, i_members: list):
+        self.side = side            # which side is guaranteed to absorb <I>
+        self.i_a = i_a              # x in I with x^-1 in A only
+        self.i_b = i_b              # x in I with x^-1 in B only
+        self.i_members = i_members
 
 
 def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
@@ -211,13 +210,11 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
 # Conjugate split and refinement
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConjugateSplit:
-    h_a: ConeSet
-    h_b: ConeSet
-    g: object
-    already_normal: bool
-    h_a_members: list = field(default_factory=list)
+    def __init__(self, h_a: ConeSet, h_b: ConeSet, g, already_normal: bool,
+                 h_a_members: Optional[list] = None):
+        self.h_a, self.h_b, self.g, self.already_normal = h_a, h_b, g, already_normal
+        self.h_a_members = [] if h_a_members is None else h_a_members
 
 
 def conjugate_split(model: GroupModel, cover: CoverPair, g,
@@ -315,13 +312,12 @@ def refine_pair(model: GroupModel, cover: CoverPair, g,
 # Descent
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DescentState:
-    current: CoverPair
-    step: int
-    history: list
-    outcome: str                     # already_normal | normal_found | depth_exceeded
-    normal: Optional[ConeSet] = None
+    def __init__(self, current: CoverPair, step: int, history: list, outcome: str,
+                 normal: Optional[ConeSet] = None):
+        self.current, self.step, self.history = current, step, history
+        self.outcome = outcome  # already_normal | normal_found | depth_exceeded
+        self.normal = normal
 
     @property
     def succeeded(self) -> bool:
@@ -408,13 +404,12 @@ def order_witness_from_cover(model: GroupModel, a: ConeSet, b: ConeSet,
 # Torsion obstruction
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TorsionReport:
-    group_name: str
-    order: int
-    traces: list            # (element, order, inverse witness power)
-    conclusion: str
-    exhaustive: Optional[dict] = None
+    def __init__(self, group_name: str, order: int, traces: list, conclusion: str,
+                 exhaustive: Optional[dict] = None):
+        self.group_name, self.order = group_name, order
+        self.traces = traces  # (element, order, inverse witness power)
+        self.conclusion, self.exhaustive = conclusion, exhaustive
 
     def to_obj(self) -> dict:
         obj = {

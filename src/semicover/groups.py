@@ -532,6 +532,9 @@ class FreeModel(GroupModel):
     kind = "free"
 
     def __init__(self, rank: int):
+        if not 1 <= rank <= 26:
+            raise ParseError(f"free rank must be from 1 to 26 in 'free:{rank}': its elements "
+                             "are words over one letter a-z per generator")
         self.rank = rank
         super().__init__(("free", rank), _free_product, lambda x: tuple([-v for v in reversed(x)]),
                          (), [(i,) for i in range(1, rank + 1)])
@@ -700,9 +703,6 @@ def parse_model(selector: str, loader=None) -> GroupModel:
             k = int(sel.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad free rank in {selector!r}") from exc
-        if not 1 <= k <= 26:
-            raise ParseError(f"free rank must be from 1 to 26 in {selector!r}: its elements "
-                             "are words over one letter a-z per generator")
         return GroupModel.free(k)
     if sel.startswith("finite:"):
         if loader is None:

@@ -9,7 +9,6 @@ witnesses out of old ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional
 
@@ -74,16 +73,13 @@ def standard_lex_cone(rank: int) -> ConeSet:
 # Comparators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LeftOrderComparator:
     """Total left-invariant comparator induced by a positive cone."""
 
-    model: GroupModel
-    cone: ConeSet
-
-    def __post_init__(self):
-        check_model(self.model, self.cone)
-        form = compile_cone(self.cone)
+    def __init__(self, model: GroupModel, cone: ConeSet):
+        check_model(model, cone)
+        self.model, self.cone = model, cone
+        form = compile_cone(cone)
         self._homs = form.homs
         self._pred = form.reader(form.homs) if form.pure else None
         self._images: dict = {}  # validated element -> joint image
@@ -140,13 +136,11 @@ def order_from_cone(model: GroupModel, cone: ConeSet, radius: int,
 # Left-order witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LeftOrderWitness:
     """Kernel cone N plus a quotient cone V: xN <= yN iff x^-1 y in V."""
 
-    model: GroupModel
-    kernel: ConeSet
-    cone: ConeSet
+    def __init__(self, model: GroupModel, kernel: ConeSet, cone: ConeSet):
+        self.model, self.kernel, self.cone = model, kernel, cone
 
     def comparator(self) -> LeftOrderComparator:
         return LeftOrderComparator(self.model, self.cone)

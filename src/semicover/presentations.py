@@ -8,7 +8,6 @@ never as a negative answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .cones import CoverPair, Verdict
@@ -18,17 +17,15 @@ from .orders import pullback_cover, standard_lex_cone
 from .snf import DEFAULT_DIM_CAP, cokernel_from_snf, smith_normal_form
 
 
-@dataclass
 class PresentationData:
-    generators: list[str]
-    relators: list[str]
-    exponent_matrix: list[list[int]]
-    snf_diagonal: list[int]
-    free_rank: int
-    torsion: list[int]
-    z_surjection: Optional[Homomorphism]
-    witness_cover: Optional[CoverPair]
-    verdict: Verdict
+    def __init__(self, generators: list[str], relators: list[str],
+                 exponent_matrix: list[list[int]], snf_diagonal: list[int], free_rank: int,
+                 torsion: list[int], z_surjection: Optional[Homomorphism],
+                 witness_cover: Optional[CoverPair], verdict: Verdict):
+        self.generators, self.relators = generators, relators
+        self.exponent_matrix, self.snf_diagonal = exponent_matrix, snf_diagonal
+        self.free_rank, self.torsion = free_rank, torsion
+        self.z_surjection, self.witness_cover, self.verdict = z_surjection, witness_cover, verdict
 
     def abelianization(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]

@@ -421,3 +421,16 @@ def test_integers_past_the_digit_limit(tmp_path, capsys, files, argv, expected, 
         assert captured.out == ""
     else:
         assert re.search(r"\d{4301}", captured.out)  # the report holds the integer
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # dataclasses, with the inspect/ast/dis/tokenize it imports, made up more
+    # than half of the CLI's import time, which every command pays
+    program = ("import sys; before = set(sys.modules); sys.path.insert(0, 'src'); "
+               "import semicover.cli; print(' '.join(sorted(set(sys.modules) - before)))")
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-I", "-c", program], cwd=root,
+                         capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(run.stdout.split())
+    assert "semicover.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})

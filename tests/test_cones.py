@@ -28,9 +28,16 @@ from semicover import (
 )
 from semicover.cones import (
     LEX_REGIONS,
+    Complement,
     CoverPair,
     ExplicitSet,
+    FiniteBits,
+    Identity,
+    Intersection,
     ProductScan,
+    Pullback,
+    Union,
+    Verdict,
     ball_members,
     compile_cone,
     finite_bits,
@@ -47,6 +54,7 @@ from semicover.errors import ModelMismatch, TrivialQuotient
 from semicover.fixtures import dihedral, z_cross_c2_halves
 from semicover.groups import joint_image, parse_model, zr_identity_hom
 from semicover.orders import (
+    LeftOrderComparator,
     LeftOrderWitness,
     cone_from_quotient_order,
     pullback_cone,
@@ -797,3 +805,85 @@ def test_cone_json_example_from_interface():
     assert contains(m, cone, (3, 1))
     assert not contains(m, cone, (-3, 0))
     assert cone_to_obj(cone) == spec
+
+
+# ---------------------------------------------------------------------------
+# Node semantics: structural equality, immutability, memos kept aside
+# ---------------------------------------------------------------------------
+
+def _node_pairs():
+    """Per node class: a builder of one node, and a node of that class
+    differing from it in one field."""
+    z1, z2 = GroupModel.zr(1), GroupModel.zr(2)
+    d4 = GroupModel.finite(dihedral(4))
+    phi = zr_identity_hom(1)
+    pos = Pullback(z1, phi, "lex_pos")
+    nonneg = Pullback(z1, phi, "lex_nonneg")
+    return [
+        (lambda: FiniteBits(d4, frozenset({0, 1})), FiniteBits(d4, frozenset({0, 2}))),
+        (lambda: Pullback(z1, phi, "lex_pos"), nonneg),
+        (lambda: Union(z1, (pos, nonneg)), Union(z1, (nonneg, pos))),
+        (lambda: Intersection(z1, (pos, nonneg)), Intersection(z1, (pos,))),
+        (lambda: Complement(z1, pos), Complement(z1, nonneg)),
+        (lambda: ExplicitSet(z1, frozenset({(1,)})), ExplicitSet(z1, frozenset({(1,)}), "exclude")),
+        (lambda: Identity(z1), Identity(z2)),
+    ]
+
+
+_each_node = pytest.mark.parametrize("build, other", _node_pairs(),
+                                     ids=[type(o).__name__ for _, o in _node_pairs()])
+
+
+@_each_node
+def test_nodes_compare_by_fields(build, other):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != other and type(other) is type(a)
+    assert repr(a).startswith(type(a).__name__ + "(model=")
+    assert other.__dict__.keys() == set(type(a)._fields)
+
+
+def test_union_and_intersection_of_the_same_parts_differ():
+    z1 = GroupModel.zr(1)
+    parts = (pullback(zr_identity_hom(1), "lex_pos"), identity_cone(z1))
+    assert Union(z1, parts) != Intersection(z1, parts)
+
+
+@_each_node
+def test_nodes_refuse_assignment(build, other):
+    node = build()
+    for name in (*type(node)._fields, "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node == build()
+
+
+@_each_node
+def test_memos_stay_out_of_equality_hash_and_repr(build, other):
+    node, fresh = build(), build()
+    before = (hash(node), repr(node))
+    compile_cone(node)
+    ball_members(node, node.model.domain(2))
+    assert {"_compiled", "_members"} <= node.__dict__.keys()
+    object.__setattr__(node, "_compiled", compile_cone(other))
+    object.__setattr__(node, "_members", (None, frozenset({0})))
+    assert node == fresh and (hash(node), repr(node)) == before
+    assert "_compiled" not in repr(node) and "_members" not in repr(node)
+
+
+def test_verdicts_compare_by_value():
+    v = Verdict("counterexample", witness=((1,),), radius_checked=3, note="x")
+    assert v == Verdict("counterexample", ((1,),), 3, "x")
+    assert v != Verdict("counterexample", ((1,),), 2, "x")
+    assert repr(Verdict("verified")) == \
+        "Verdict(status='verified', witness=None, radius_checked=0, note='')"
+    with pytest.raises(TypeError):
+        hash(v)
+
+
+def test_comparator_refuses_a_cone_from_another_model():
+    with pytest.raises(ModelMismatch):
+        LeftOrderComparator(GroupModel.zr(2), standard_lex_cone(1))
+    assert LeftOrderComparator(GroupModel.zr(1), standard_lex_cone(1)).lt((0,), (1,))

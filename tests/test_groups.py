@@ -592,9 +592,21 @@ def test_free_generators_round_trip_up_to_the_last_letter():
     for g in model.generators():
         for x in (g, model.inv(g)):
             assert parse_element(model, format_element(model, x)) == x
+    for x in [(26, -1, 13), (-26, -26, 2), (1, 1, 1, -25)]:
+        assert parse_element(model, format_element(model, x)) == x
     assert format_element(model, (26, -1)) == "za^-1"
     with pytest.raises(ParseError, match="a-z"):
         parse_model("free:27")
+
+
+@pytest.mark.parametrize("rank", [0, 27])
+def test_free_rank_is_checked_by_the_model(rank):
+    # past z a generator has no letter, so its words could not be read back
+    with pytest.raises(ParseError, match="a-z") as built:
+        GroupModel.free(rank)
+    with pytest.raises(ParseError) as parsed:
+        parse_model(f"free:{rank}")
+    assert str(built.value) == str(parsed.value)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
