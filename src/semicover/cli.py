@@ -9,12 +9,13 @@ ball-local verdict with its radius.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import fixtures
 from .cones import cone_from_obj, cone_to_obj, is_cover_pair
@@ -51,22 +52,24 @@ INPUT_ERRORS = (
 )
 
 
-def _read(path: str) -> str:
-    """An input file's text; a path naming no readable file, or a file that
-    is not UTF-8 text, is an input error."""
+def _on_file(path: str, verb: str, action):
+    """`action(Path(path))`; a path that names no file it can `verb` (read or
+    write), or a file that is not UTF-8 text, is an input error."""
     try:
-        return Path(path).read_text()
+        return action(Path(path))
     except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+        raise ParseError(f"cannot {verb} {path!r}: {exc.strerror}") from None
     except ValueError as exc:  # a NUL byte in the path, or bytes that are not UTF-8
-        raise ParseError(f"cannot read {path!r}: {exc}") from None
+        raise ParseError(f"cannot {verb} {path!r}: {exc}") from None
+
+
+def _read(path: str) -> str:
+    return _on_file(path, "read", Path.read_text)
 
 
 def _load_model(selector: str):
-    def loader(path):
-        return load_finite_group(_read(path), name=Path(path).stem)
-
-    return parse_model(selector, loader=loader)
+    return parse_model(selector, loader=lambda path: load_finite_group(
+        _read(path), name=Path(path).stem))
 
 
 def _load_cone(model, path: str):
@@ -96,27 +99,27 @@ def _exhaustive_cap(args) -> int:
 # Subcommands (each returns (exit_code, report))
 # ---------------------------------------------------------------------------
 
+def _holds(pair) -> int:
+    """The exit code of a cover pair: 0 when every verdict holds."""
+    return 0 if all(v.ok for v in pair.flags.values()) else 1
+
+
 def cmd_analyze(args) -> tuple[int, dict]:
     if args.radius < 0:
         raise ParseError(f"--radius must be >= 0, got {args.radius}")
-    text = _read(args.presentation)
-    data = analyze_presentation(text, radius=args.radius)
-    report = {"command": "analyze", "input": args.presentation}
-    report.update(data.to_obj())
-    if data.witness_cover is not None:
-        report["cover_certificate"] = data.witness_cover.to_obj()
-        ok = all(v.ok for v in data.witness_cover.flags.values())
-        return (0 if ok else 1), report
-    return 0, report
+    data = analyze_presentation(_read(args.presentation), radius=args.radius)
+    report = {"command": "analyze", "input": args.presentation, **data.to_obj()}
+    if data.witness_cover is None:
+        return 0, report
+    report["cover_certificate"] = data.witness_cover.to_obj()
+    return _holds(data.witness_cover), report
 
 
 def _cover_args(args):
     model = _load_model(args.model)
     if not model.is_finite and args.radius < 1:
         raise ParseError(f"--radius must be >= 1 on {args.model}, got {args.radius}")
-    a = _load_cone(model, args.A)
-    b = _load_cone(model, args.B)
-    return model, a, b
+    return model, _load_cone(model, args.A), _load_cone(model, args.B)
 
 
 def _descent_args(args):
@@ -131,28 +134,20 @@ def cmd_check_cover(args) -> tuple[int, dict]:
         pair = reduce_cover(model, a, b, args.radius)
     else:
         pair = is_cover_pair(model, a, b, args.radius, check_duality=True)
-    report = {"command": "check-cover", "reduced": bool(args.reduce)}
-    report.update(pair.to_obj())
-    ok = all(v.ok for v in pair.flags.values())
-    return (0 if ok else 1), report
+    return _holds(pair), {"command": "check-cover", "reduced": args.reduce, **pair.to_obj()}
 
 
 def cmd_reduce(args) -> tuple[int, dict]:
     model, a, b = _cover_args(args)
     pair = reduce_cover(model, a, b, args.radius)
-    report = {"command": "reduce"}
-    report.update(pair.to_obj())
-    ok = all(v.ok for v in pair.flags.values())
-    return (0 if ok else 1), report
+    return _holds(pair), {"command": "reduce", **pair.to_obj()}
 
 
 def cmd_descend(args) -> tuple[int, dict]:
     model, a, b = _descent_args(args)
     pair = reduce_cover(model, a, b, args.radius)
     state = minimal_pair_descent(model, pair, args.max_depth, args.radius)
-    report = {"command": "descend"}
-    report.update(state.to_obj())
-    report["final_pair"] = state.current.to_obj()
+    report = {"command": "descend", **state.to_obj(), "final_pair": state.current.to_obj()}
     if state.normal is not None:
         report["normal_subgroup_cone"] = cone_to_obj(state.normal)
     return (0 if state.succeeded else 1), report
@@ -205,18 +200,12 @@ def cmd_sigma(args) -> tuple[int, dict]:
     }
     if census is not None:
         search = two_cover_search(group, census)
-        report["census"] = {
-            "closed_subsets": len(census.closed_subsets),
-            "all_are_subgroups": census.all_are_subgroups,
-        }
-        report["two_cover_search"] = {
-            "pairs_checked": search["pairs_checked"],
-            "covers_found": search["covers_found"],
-        }
+        report["census"] = {"closed_subsets": len(census.closed_subsets),
+                            "all_are_subgroups": census.all_are_subgroups}
+        report["two_cover_search"] = {k: search[k] for k in ("pairs_checked", "covers_found")}
         checks["census_subgroups"] = census.all_are_subgroups
         checks["no_two_cover"] = not search["covers_found"]
-    ok = all(checks.values())
-    return (0 if ok else 1), report
+    return (0 if all(checks.values()) else 1), report
 
 
 def cmd_verify(args) -> tuple[int, dict]:
@@ -259,64 +248,129 @@ def render_text(obj, indent: int = 0) -> str:
     return f"{pad}{obj}"
 
 
+def render_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2, default=str)`, byte for byte,
+    at a fraction of the cost of json's pure-Python indented encoder (which
+    also refuses dict keys other than str, int, float, bool and None)."""
+    parts: list[str] = []
+    _write_json(obj, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(obj, parts: list, newline: str) -> None:
+    if isinstance(obj, str):
+        parts.append(_string(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict, inner = isinstance(obj, dict), newline + "  "
+        opening, closing = "{}" if is_dict else "[]"
+        parts.append(opening)
+        for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+            parts.append("," + inner if i else inner)
+            if is_dict:  # json spells a None, bool, int or float key as that value
+                key, item = item
+                parts += _string(key if isinstance(key, str) else render_json(key)), ": "
+            _write_json(item, parts, inner)
+        parts.append(newline + closing if obj else closing)
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append("NaN" if obj != obj else float.__repr__(obj) if obj - obj == 0
+                     else "Infinity" if obj > 0 else "-Infinity")
+    else:
+        parts.append(_string(str(obj)))
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every later
-    call: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="semicover",
-        description="Two-subsemigroup covers, left-order witnesses, and "
-                    "finite covering numbers",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# COMMANDS maps a subcommand to (handler, help, flags).  A flag is (name,
+# converter, default, help): the converter is int, str, a tuple of choices,
+# or bool for a switch, and a default of REQUIRED makes the flag required
+REQUIRED = object()
+_COMMON = (("--radius", int, 6, "verification ball radius"),
+           ("--output", str, None, "write the report to a file"),
+           ("--format", ("json", "text"), "json", "report format: json or text"))
+_DEPTH = (("--max-depth", int, 8, "descent step budget"),)
+_SIDES = (("--model", str, REQUIRED, "model selector string"),
+          ("--A", str, REQUIRED, "cone spec file for side A"),
+          ("--B", str, REQUIRED, "cone spec file for side B"))
+COMMANDS = {
+    "analyze": (cmd_analyze, "abelianize a presentation file",
+                (("--presentation", str, REQUIRED, "presentation file"),) + _COMMON),
+    "check-cover": (cmd_check_cover, "check that two cones cover the group", _SIDES + (
+        ("--reduce", bool, False, "normalize before checking"),) + _COMMON),
+    "reduce": (cmd_reduce, "normalize a cover", _SIDES + _COMMON),
+    "descend": (cmd_descend, "descend to a cover with a normal shared part",
+                _SIDES + _DEPTH + _COMMON),
+    "witness": (cmd_witness, "left-order witness from a cover", _SIDES + _DEPTH + _COMMON),
+    "sigma": (cmd_sigma, "covering numbers of a finite group", (
+        ("--fixture", str, None, "bundled fixture name"),
+        ("--table", str, None, "Cayley table file"),
+        ("--exhaustive", bool, False, "run the subsemigroup census"),
+        ("--cap", int, None, "exhaustive order cap")) + _COMMON),
+    "verify": (cmd_verify, "run a bundled verification suite", (
+        ("--suite", ("lemmas", "roundtrip", "finite"), REQUIRED, "lemmas, roundtrip or finite"),
+        ("--seed", int, 0, "random seed"),
+        ("--count", int, 100, "random cover count (lemmas)")) + _COMMON),
+}
+# a word read as a flag, not as a value: a dash and more, no space, not a number
+_FLAG_WORD = re.compile(r"(?!-\d+\Z|-\d*\.\d+\Z)-[^ ]+\Z")
 
-    def common(p, depth=False):
-        p.add_argument("--radius", type=int, default=6, help="verification ball radius")
-        if depth:
-            p.add_argument("--max-depth", type=int, default=8, help="descent step budget")
-        p.add_argument("--output", default=None, help="write the report to a file")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("analyze", help="abelianize a presentation file")
-    p.add_argument("--presentation", required=True)
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+class UsageError(Exception):
+    """(subcommand or None, message) of a refused command line; None asks for help."""
 
-    for name, func, depth in (
-        ("check-cover", cmd_check_cover, False),
-        ("reduce", cmd_reduce, False),
-        ("descend", cmd_descend, True),
-        ("witness", cmd_witness, True),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--model", required=True, help="model selector string")
-        p.add_argument("--A", required=True, help="cone spec file for side A")
-        p.add_argument("--B", required=True, help="cone spec file for side B")
-        if name == "check-cover":
-            p.add_argument("--reduce", action="store_true",
-                           help="normalize before checking")
-        common(p, depth=depth)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("sigma", help="covering numbers of a finite group")
-    p.add_argument("--fixture", default=None, help="bundled fixture name")
-    p.add_argument("--table", default=None, help="Cayley table file")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--cap", type=int, default=None, help="exhaustive order cap")
-    common(p)
-    p.set_defaults(func=cmd_sigma)
+def _help(command) -> str:
+    rows = ([(name, spec[1]) for name, spec in COMMANDS.items()] if command is None else
+            [(f + " (required)" * (d is REQUIRED), text) for f, _, d, text in COMMANDS[command][2]])
+    return f"usage: semicover {command or '<subcommand>'} [flags]\n\n" + "\n".join(
+        f"  {a:24} {b}" for a, b in rows + [("-h, --help", "show this help")])
 
-    p = sub.add_parser("verify", help="run a bundled verification suite")
-    p.add_argument("--suite", required=True, choices=("lemmas", "roundtrip", "finite"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100, help="random cover count (lemmas)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-    return parser
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The subcommand and its flags (`--max-depth` as `max_depth`).  A flag is
+    named in full or by a unique prefix, its value follows it or an '='."""
+    if not argv or argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+        raise UsageError(None, None if argv else "a subcommand is required")
+    command, *words = argv
+    if command not in COMMANDS:
+        raise UsageError(None, f"unknown subcommand {command!r}")
+    converters = {flag: convert for flag, convert, _, _ in COMMANDS[command][2]}
+    values = {flag: default for flag, _, default, _ in COMMANDS[command][2]}
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        names = [name] if name in values else [f for f in (*values, "--help") if f.startswith(name)]
+        if word == "-h" or names == ["--help"]:
+            raise UsageError(command, None)
+        if word == "--" or not (name.startswith("--") and names):
+            raise UsageError(command, f"unrecognized argument {word!r}")
+        if len(names) > 1:
+            raise UsageError(command, f"ambiguous flag {name}: could be {', '.join(names)}")
+        name, convert = names[0], converters[names[0]]
+        if convert is bool and eq:
+            raise UsageError(command, f"{name} takes no value, got {value!r}")
+        if convert is not bool and not eq:
+            value = next(words, None)
+            if value is None or _FLAG_WORD.match(value):
+                raise UsageError(command, f"{name} needs a value")
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(command, f"{name}: invalid int value {value!r}") from None
+        elif isinstance(convert, tuple) and value not in convert:
+            raise UsageError(command, f"{name}: invalid choice {value!r}")
+        values[name] = True if convert is bool else value
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(command, f"missing required flags: {', '.join(missing)}")
+    return SimpleNamespace(subcommand=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 DIGIT_CAP = 100_000  # int<->str conversion is quadratic: 0.1 s at this size
@@ -327,7 +381,7 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(DIGIT_CAP)
     try:
-        return _run(argv)
+        return _run(sys.argv[1:] if argv is None else list(argv))
     except ValueError as exc:
         if "integer string conversion" not in str(exc):
             raise
@@ -338,13 +392,18 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def _run(argv) -> int:
+def _run(argv: list) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = parse_args(argv)
+    except UsageError as exc:
+        command, message = exc.args
+        if message is None:
+            print(_help(command))
+            return 0
+        print(f"semicover: error: {message}", file=sys.stderr)
+        return 2
     try:
-        code, report = args.func(args)
+        code, report = COMMANDS[args.subcommand][0](args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -360,16 +419,16 @@ def _run(argv) -> int:
         # the reader closed stdout early: the report's verdict stands, and
         # with stdout on devnull the interpreter's last flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except ParseError as exc:  # --output names a file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 
 def _emit(args, report: dict) -> None:
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, default=str)
-    else:
-        text = render_text(report)
+    text = render_json(report) if args.format == "json" else render_text(report)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _on_file(args.output, "write", lambda path: path.write_text(text + "\n"))
     else:
         print(text, flush=True)
 

@@ -62,8 +62,8 @@ def parse_presentation(text: str) -> tuple[list[str], list[str]]:
             gens = line[len("gens:"):].split()
             seen_gens = True
             for g in gens:
-                if not (len(g) == 1 and g.isalpha() and g.islower()):
-                    raise ParseError(f"line {lineno}: generator {g!r} must be one lowercase letter")
+                if not (len(g) == 1 and "a" <= g <= "z"):
+                    raise ParseError(f"line {lineno}: generator {g!r} must be one letter a-z")
             if len(set(gens)) != len(gens):
                 raise ParseError(f"line {lineno}: repeated generator")
             continue

@@ -1,16 +1,21 @@
 """CLI behavior: exit codes, report shapes, determinism, error mapping."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semicover.cli import DIGIT_CAP, main
+from semicover.cli import (
+    COMMANDS, DIGIT_CAP, REQUIRED, UsageError, main, parse_args, render_json,
+)
 from semicover.cones import MAX_SPEC_DEPTH
 from semicover.fixtures import fixture, table_text
 
@@ -373,6 +378,16 @@ def test_output_file(tmp_path, cover_files, capsys):
     assert json.loads(out_path.read_text())["model"] == "z^1xC2"
 
 
+@pytest.mark.parametrize("where, reason", [("missing-directory", "No such file or directory"),
+                                           ("directory", "Is a directory")])
+def test_exit_two_on_unwritable_output(tmp_path, capsys, where, reason):
+    path = str(tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path)
+    code = main(["sigma", "--fixture", "V4", "--output", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: cannot write {path!r}: {reason}\n"
+
+
 NINES = "9" * 5000
 HUGE = "1" + "0" * 3999
 MILLION = "9" * 1_000_000
@@ -434,3 +449,183 @@ def test_cli_import_loads_no_code_generation_modules():
     loaded = set(run.stdout.split())
     assert "semicover.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    # argparse, with the gettext it imports, took 50-100 us to parse each
+    # command line, a sixth of a median finite verdict
+    assert loaded.isdisjoint({"argparse", "gettext"})
+
+
+# ---------------------------------------------------------------------------
+# The command line: what the parser accepts and refuses
+# ---------------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "analyze": ["--presentation", "--radius", "--output", "--format"],
+    "check-cover": ["--model", "--A", "--B", "--reduce", "--radius", "--output", "--format"],
+    "reduce": ["--model", "--A", "--B", "--radius", "--output", "--format"],
+    "descend": ["--model", "--A", "--B", "--radius", "--max-depth", "--output", "--format"],
+    "witness": ["--model", "--A", "--B", "--radius", "--max-depth", "--output", "--format"],
+    "sigma": ["--fixture", "--table", "--exhaustive", "--cap", "--radius", "--output",
+              "--format"],
+    "verify": ["--suite", "--seed", "--count", "--radius", "--output", "--format"],
+}
+SIDES = ["--model", "z^1xC2", "--A", "{a}", "--B", "{b}"]
+
+
+def _fill(argv, a, b):
+    return [w.replace("{a}", a).replace("{b}", b) for w in argv]
+
+
+@pytest.mark.parametrize("argv, spelled_out", [
+    (["check-cover", "--model=z^1xC2", "--A={a}", "--B={b}", "--radius=3"],
+     ["check-cover", *SIDES, "--radius", "3"]),
+    (["witness", "--mod", "z^1xC2", "--A", "{a}", "--B", "{b}", "--rad", "4"],
+     ["witness", *SIDES, "--radius", "4"]),
+    (["descend", *SIDES, "--max=2", "--ra=3"],
+     ["descend", *SIDES, "--max-depth", "2", "--radius", "3"]),
+    (["check-cover", *SIDES, "--re", "--for", "text"],
+     ["check-cover", *SIDES, "--reduce", "--format", "text"]),
+    (["check-cover", *SIDES, "--radius", "9", "--format", "text", "--radius", "3",
+      "--format", "json"],
+     ["check-cover", *SIDES, "--radius", "3"]),
+], ids=["equals", "prefixes", "prefix-equals", "prefix-switch", "repeated-flag"])
+def test_parser_accepts(cover_files, capsys, argv, spelled_out):
+    a, b = cover_files
+    assert run_cli(capsys, *_fill(argv, a, b)) == run_cli(capsys, *_fill(spelled_out, a, b))
+
+
+def test_parser_passes_a_negative_value_to_the_command(capsys):
+    code = main(["verify", "--suite", "lemmas", "--count", "-5"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: cover count must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero_and_lists_every_flag(capsys, command, flag):
+    code = main([flag] if command is None else [command, flag])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    for word in COMMAND_FLAGS if command is None else COMMAND_FLAGS[command]:
+        assert word in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["sigma", "--fixture", "V4", "--bogus"],
+    ["check-cover", *SIDES, "--r", "3"],
+    ["sigma", "--fixture"],
+    ["check-cover", "--model", "z^1xC2", "--A", "--B", "{b}"],
+    ["sigma", "--fixture", "V4", "--radius", "x"],
+    ["sigma", "--fixture", "V4", "--format", "xml"],
+    ["witness", "--model", "z^1xC2", "--A", "{a}"],
+    ["sigma", "--fixture", "V4", "--exhaustive=1"],
+    ["sigma", "--fixture", "V4", "stray"],
+    ["sigma", "--fixture", "V4", "--"],
+], ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "ambiguous-prefix",
+        "missing-value", "flag-as-value", "bad-int", "bad-choice", "missing-required",
+        "switch-with-value", "stray-positional", "double-dash"])
+def test_parser_refuses(cover_files, capsys, argv):
+    code = main(_fill(argv, *cover_files))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert re.match(r"semicover[^:]*: error: ", lines[-1])
+    assert sum("error:" in line for line in lines) == 1
+
+
+def _argparse_reference():
+    """The argparse parser the CLI used to build, made from the same table."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="semicover")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for command, (_, about, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for flag, convert, default, about in flags:
+            if convert is bool:
+                p.add_argument(flag, action="store_true", help=about)
+            else:
+                p.add_argument(flag, required=default is REQUIRED, help=about,
+                               default=None if default is REQUIRED else default,
+                               **({"choices": convert} if isinstance(convert, tuple)
+                                  else {"type": convert}))
+    return parser
+
+
+# values: numbers, negative ones, choices, text, and words that look like flags
+_FLAG_VALUES = ["3", "-5", "0", "-1.5", "x", "V4", "lemmas", "text", "xml", "", "-", "a b",
+                "-a b", "-x", "--B"]
+# stray words: subcommands, unknown or ambiguous flags, '--' and the like; no
+# help flags, since argparse let a later -h win over some earlier errors
+_STRAYS = ["sigma", "witness", "x", "-x", "-5", "--", "--r", "--m", "--bogus", "--exh=1"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand's required flags and a few others, in any order, each named
+    in full or by a prefix (which may be ambiguous), its value after it or
+    after '='; half the time one stray word is put in anywhere."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command][2]
+    chosen = [f for f in flags if f[2] is REQUIRED] + draw(st.lists(st.sampled_from(flags),
+                                                                    max_size=4))
+    argv = [command]
+    for flag, convert, _, _ in draw(st.permutations(chosen)):
+        name = flag[:draw(st.integers(3, len(flag)))]
+        value = draw(st.sampled_from(convert if isinstance(convert, tuple) else _FLAG_VALUES))
+        if convert is bool:
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAYS)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_command_lines())
+def test_parser_agrees_with_argparse(argv):
+    try:
+        with redirect_stderr(io.StringIO()):
+            expected = ("parsed", vars(_argparse_reference().parse_args(argv)))
+    except SystemExit as exc:
+        expected = ("exit", exc.code)
+    try:
+        got = ("parsed", vars(parse_args(argv)))
+    except UsageError as exc:
+        got = ("exit", 2 if exc.args[1] is not None else 0)
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The report writer against json.dumps
+# ---------------------------------------------------------------------------
+
+class _OnlyStr:
+    """An object that json encodes only through default=str."""
+
+    def __str__(self):
+        return 'only "str"\\ \u00e9'
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200).map(lambda n: -n),
+    st.integers(2**64, 2**200), st.floats(), st.sampled_from([float("inf"), -float("inf"),
+                                                              float("nan"), -0.0]),
+    _TEXT, st.builds(_OnlyStr))
+# dict keys of one type each, since json sorts them: str, int, float, bool or None
+_KEYS = (_TEXT, st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    *(st.dictionaries(keys, inner, max_size=4) for keys in _KEYS)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_render_json_writes_the_bytes_of_json_dumps(value):
+    assert render_json(value) == json.dumps(value, sort_keys=True, indent=2, default=str)

@@ -238,8 +238,8 @@ def test_malformed_model_selectors_exit_two(workdir, kind, data):
 # ---------------------------------------------------------------------------
 
 PRESENTATION_DEFECTS = ["stray_line", "no_gens", "rel_first", "bad_generator",
-                        "repeated_generator", "second_gens", "unknown_letter",
-                        "stray_character"]
+                        "non_ascii_generator", "repeated_generator", "second_gens",
+                        "unknown_letter", "stray_character"]
 LETTERS = "abcdefgh"
 
 
@@ -274,6 +274,12 @@ def _malformed_presentation(draw, kind: str) -> str:
                                            blacklist_characters="#"), min_size=1, max_size=3)
                      .filter(lambda t: not (len(t) == 1 and t.isalpha() and t.islower())))
         gens.insert(draw(st.integers(0, len(gens))), token)
+        lines[0] = "gens: " + " ".join(gens)
+    elif kind == "non_ascii_generator":
+        # a lowercase letter outside a-z, which no relator word can spell
+        letter = draw(st.characters(whitelist_categories=("Ll",))
+                      .filter(lambda c: not "a" <= c <= "z"))
+        gens.insert(draw(st.integers(0, len(gens))), letter)
         lines[0] = "gens: " + " ".join(gens)
     elif kind == "repeated_generator":
         lines[0] += " " + draw(st.sampled_from(gens))
