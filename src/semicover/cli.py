@@ -64,7 +64,8 @@ def _on_file(path: str, verb: str, action):
 
 
 def _read(path: str) -> str:
-    return _on_file(path, "read", Path.read_text)
+    """The file's text, read as UTF-8 whatever the locale."""
+    return _on_file(path, "read", lambda p: p.read_bytes().decode())
 
 
 def _load_model(selector: str):
@@ -428,7 +429,10 @@ def _run(argv: list) -> int:
 def _emit(args, report: dict) -> None:
     text = render_json(report) if args.format == "json" else render_text(report)
     if args.output:
-        _on_file(args.output, "write", lambda path: path.write_text(text + "\n"))
+        # UTF-8 whatever the locale; argv bytes the locale could not decode
+        # (a path echoed in a text report) are written back as they came
+        data = (text + "\n").encode(errors="surrogateescape")
+        _on_file(args.output, "write", lambda path: path.write_bytes(data))
     else:
         print(text, flush=True)
 

@@ -10,7 +10,6 @@ ball-local verdicts always carry the radius they were checked at.
 from __future__ import annotations
 
 from itertools import chain, product
-from operator import add, sub
 from typing import Iterable, Optional
 
 from .errors import ModelMismatch, ParseError
@@ -21,11 +20,9 @@ from .groups import (
     GroupModel,
     Homomorphism,
     format_element,
+    image_ops,
     joint_image,
-    lex_sign,
     parse_element,
-    sign_pattern,
-    slice_layout,
 )
 
 LEX_REGIONS = ("lex_pos", "lex_nonneg", "lex_zero")
@@ -130,7 +127,7 @@ class Pullback(ConeSet):
         d["model"], d["hom"], d["region"] = model, hom, region
 
     def member(self, x) -> bool:
-        return _REGION_TABLES[self.region][(lex_sign(self.hom.apply(x)),)]
+        return _REGION_TABLES[self.region][self.hom.ops.signs(self.hom.apply(x))]
 
     def build_form(self) -> "Form":
         table = _REGION_TABLES[self.region]
@@ -464,28 +461,18 @@ class Form:
         return v
 
     def signs(self, x) -> tuple:
-        return tuple([lex_sign(h.apply(x)) for h in self.homs])
+        return image_ops(self.homs).signs(joint_image(self.homs, x))
 
     def reader(self, homs):
         """The predicate on joint image vectors laid out by `homs`, which
         must include the form's homomorphisms: the value at the lex signs
-        of their slices, read off a list indexed by the signs as a
-        balanced ternary number."""
-        layout = slice_layout(homs)
-        slices = [layout[homs.index(h)] for h in self.homs]
-        values = [None] * 3 ** len(slices)
-        for signs in product((-1, 0, 1), repeat=len(slices)):
-            i = 0
-            for v in signs:
-                i = 3 * i + v
-            values[i] = self.value(signs)
-
-        def pred(w) -> bool:
-            i = 0
-            for lo, hi in slices:
-                i = 3 * i + lex_sign(w[lo:hi])
-            return values[i]
-        return pred
+        of their slices, read off a table of every sign pattern under
+        `homs`."""
+        picks = [homs.index(h) for h in self.homs]
+        values = {s: self.value(tuple([s[i] for i in picks]))
+                  for s in product((-1, 0, 1), repeat=len(homs))}
+        signs = image_ops(homs).signs
+        return lambda w: values[signs(w)]
 
 
 def compile_cone(cone: ConeSet) -> Form:
@@ -577,7 +564,7 @@ class ProductScan:
 
     def __init__(self, model: GroupModel, domain: Domain, homs, target: ConeSet, ys: ConeSet):
         self.model, self.domain = model, domain
-        self.homs, self.layout = homs, slice_layout(homs)
+        self.homs, self.ops = homs, image_ops(homs)
         _, self.cls, self.keys, self.signs, self.all_buckets = domain.classes(homs)
         self.target_cone, self.target = target, compile_cone(target)
         self.picks = [homs.index(h) for h in self.target.homs]
@@ -600,7 +587,7 @@ class ProductScan:
         if v is None:
             s = _merged(self.signs[ca], self.signs[cy])
             if s is None:
-                s = sign_pattern(tuple(map(add, self.keys[ca], self.keys[cy])), self.layout)
+                s = self.ops.signs(self.ops.add(self.keys[ca], self.keys[cy]))
             v = row[cy] = self.value(s)
         return v
 
@@ -635,10 +622,10 @@ class ProductScan:
                  for sy, cys in y_buckets.items()]
         if not all(self.value(s) for s, _, _ in pairs if s is not None):
             return False
-        keys, hits = self.keys, {}
+        keys, hits, (_, _, sub, signs) = self.keys, {}, self.ops
         for e in self.target.exceptions:
             w = joint_image(self.homs, e)
-            hits.setdefault(sign_pattern(w, self.layout), set()).add(w)
+            hits.setdefault(signs(w), set()).add(w)
         every = set().union(*hits.values())
         for s, cxs, cys in pairs:
             if s is None and not all(self.holds(ca, cy) for ca in cxs for cy in cys):
@@ -646,7 +633,7 @@ class ProductScan:
             images = every if s is None else hits.get(s)
             if images:
                 y_keys = {keys[c] for c in cys}
-                if any(tuple(map(sub, w, keys[c])) in y_keys for w in images for c in cxs):
+                if any(sub(w, keys[c]) in y_keys for w in images for c in cxs):
                     return False
         return True
 

@@ -10,7 +10,6 @@ enumeration whose cost follows the number of closed subsets, not 2^n.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from typing import Optional
 
@@ -188,24 +187,6 @@ def subsemigroup_census(group: FiniteGroup,
     closed = list(_closed_subsets(group)[1:])  # the empty set sorts first
     exception = next((m for m in closed if not _is_subgroup(group, m)), None)
     return CensusResult(closed, exception is None, exception)
-
-
-def sampled_census(group: FiniteGroup, samples: int = 512, seed: int = 0) -> CensusResult:
-    """Sampling fallback for orders above the exhaustive cap: closures of
-    random seeds are closed subsets; each is checked for subgroup-ness.
-    The closed-subset list is the deduplicated sample, not a full census."""
-    rng = random.Random(seed)
-    closed = set()
-    exception = None
-    for _ in range(samples):
-        seed_mask = rng.getrandbits(group.order) or 1
-        mask, _ = _grow(group.table, 0, [], _mask_members(seed_mask), 0)
-        if mask in closed:
-            continue
-        closed.add(mask)
-        if exception is None and not _is_subgroup(group, mask):
-            exception = mask
-    return CensusResult(sorted(closed), exception is None, exception)
 
 
 def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,

@@ -12,11 +12,12 @@ and `mul` are shared.
 
 from __future__ import annotations
 
+import operator
 import re
-from functools import cached_property
-from itertools import groupby
-from operator import add, itemgetter
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BallTooLarge,
@@ -204,12 +205,68 @@ def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "H
 
 
 # ---------------------------------------------------------------------------
-# Group models
+# Z^r vectors
 # ---------------------------------------------------------------------------
 
-def _add(x, y):
-    return tuple(map(add, x, y))
+class VectorOps(NamedTuple):
+    """Arithmetic on Z^r vectors laid out as slices, one per homomorphism
+    of a joint image (see `joint_image`), from `vector_ops`: the zero
+    vector, the sum and the difference of two vectors, and `signs`, the
+    lex sign of each slice as a tuple."""
 
+    zero: tuple
+    add: Callable
+    sub: Callable
+    signs: Callable
+
+
+@lru_cache(maxsize=None)
+def vector_ops(ranks: tuple) -> VectorOps:
+    """The arithmetic of vectors made of slices of widths `ranks`, built on
+    first use per layout; every vector sum and sign pattern in the package
+    is formed here.  Sums of width 1 and 2 are written out.  A slice s has
+    lex sign (s > 0) - (s < 0), 0 being the zero slice: tuples of equal
+    length compare by their first differing entry."""
+    width = sum(ranks)
+    if width == 1:
+        def add(x, y):
+            return (x[0] + y[0],)
+
+        def sub(x, y):
+            return (x[0] - y[0],)
+    elif width == 2:
+        def add(x, y):
+            return (x[0] + y[0], x[1] + y[1])
+
+        def sub(x, y):
+            return (x[0] - y[0], x[1] - y[1])
+    else:
+        def add(x, y):
+            return tuple(map(operator.add, x, y))
+
+        def sub(x, y):
+            return tuple(map(operator.sub, x, y))
+    zero = (0,) * width
+    if len(ranks) == 1:  # one slice: the whole vector
+        def signs(w):
+            return ((w > zero) - (w < zero),)
+    else:
+        ends = list(accumulate(ranks, initial=0))
+        cuts = [(slice(lo, hi), (0,) * (hi - lo)) for lo, hi in zip(ends, ends[1:])]
+
+        def signs(w):
+            return tuple([(w[c] > z) - (w[c] < z) for c, z in cuts])
+    return VectorOps(zero, add, sub, signs)
+
+
+def image_ops(homs) -> VectorOps:
+    """`vector_ops` for the joint images of `homs`."""
+    return vector_ops(tuple([h.rank() for h in homs]))
+
+
+# ---------------------------------------------------------------------------
+# Group models
+# ---------------------------------------------------------------------------
 
 def _format_int_tuple(x) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
@@ -262,7 +319,9 @@ class GroupModel:
     """A group with exact arithmetic on canonical normal forms, a finite
     generating set and deterministic BFS balls: one subclass per family.
     `__init__` takes the product, inverse and identity, resolved once: `mul`,
-    `inv` and `ball` call them directly."""
+    `inv` and `ball` call them directly.  `_extend`, the product of a BFS
+    word with a step that does not undo its last step, is the product
+    unless a family has a cheaper one."""
 
     kind = ""  # the family's label, as in its selector
     is_finite = False  # an exact finite group: scans decide on the whole group
@@ -272,6 +331,7 @@ class GroupModel:
                  relator_rows: Sequence[tuple[int, ...]] = ()):
         self.key = key  # equality and hashing read this
         self._product, self.inv, self._one = product, inv, one
+        self._extend = product
         self._gens, self._relator_rows = gens, relator_rows
         # radius -> the ball's Domain; None -> a finite model's whole group;
         # (radius, hom keys) -> the domain `domain` gave for those homs
@@ -367,7 +427,7 @@ class GroupModel:
             steps, onward = self._steps
             walk = walk or Domain([self.identity()], {self.identity(): 0}, 0, [0], [0], steps)
             while walk.radius < radius and (homs is None or walk.kernel_index(homs) is None):
-                lo = _grow(walk, lo, cap, self._product, onward)
+                lo = _grow(walk, lo, cap, self._extend, onward)
             if walk.radius < radius:
                 self._walk = walk, lo
             else:
@@ -407,15 +467,18 @@ class GroupModel:
         element of c and reaches the class by the same step."""
         radius, hom_keys = key
         steps, onward = self._steps
+        ops = image_ops(homs)
         pc, z = prefix.classes(homs), prefix.kernel_index(homs)
         walk = Domain([pc.keys[0]], {pc.keys[0]: 0}, 0, [0], [0],
                       [joint_image(homs, s) for s in steps])
         lo = 0
         while walk.radius < radius:
-            lo = _grow(walk, lo, cap - len(prefix.elements), _add, onward)
-        elements, parent, via = [prefix.elements[0]], walk.parent, walk.via
+            lo = _grow(walk, lo, cap - len(prefix.elements), ops.add, onward)
+        # rep(c) is reached by the class walk's step via[c], and the walk
+        # never follows a step by its inverse
+        elements, parent, via, extend = [prefix.elements[0]], walk.parent, walk.via, self._extend
         for c in range(1, len(parent)):
-            elements.append(self._product(elements[parent[c]], steps[via[c]]))
+            elements.append(extend(elements[parent[c]], steps[via[c]]))
         q = len(set(pc.cls[1:z])) + 1  # z's place: after the classes met before it
         parent = [p + (p >= q) for p in parent]
         elements.insert(q, prefix.elements[z])
@@ -427,8 +490,7 @@ class GroupModel:
         keys, buckets = walk.elements, {}
         cls = list(range(len(keys)))
         cls.insert(q, 0)
-        layout = slice_layout(homs)
-        signs = [sign_pattern(w, layout) for w in keys]
+        signs = list(map(ops.signs, keys))
         for c in cls[1:]:
             buckets.setdefault(signs[c], []).append(c)
         members = {keys[c]: [i] for i, c in enumerate(cls) if i}
@@ -489,7 +551,7 @@ class ZrModel(GroupModel):
         self.is_free_abelian = not orders
         moduli = (None,) * rank + orders  # None: a free coordinate
         if not orders:
-            product, inv = _add, lambda x: tuple([-a for a in x])
+            product, inv = vector_ops((rank,)).add, lambda x: tuple([-a for a in x])
         else:
             def product(x, y):
                 return tuple([a + b if o is None else (a + b) % o for a, b, o in zip(x, y, moduli)])
@@ -538,6 +600,9 @@ class FreeModel(GroupModel):
         self.rank = rank
         super().__init__(("free", rank), _free_product, lambda x: tuple([-v for v in reversed(x)]),
                          (), [(i,) for i in range(1, rank + 1)])
+        # a BFS word ends in its last step and the next step is no inverse
+        # of it, so the word and the step concatenate to a reduced word
+        self._extend = operator.add
 
     def abelian_exponents(self, x) -> tuple[int, ...]:
         counts = [0] * self.rank
@@ -732,10 +797,10 @@ class ImageClasses(NamedTuple):
     """Indices 1.. of a domain grouped by their joint image under a hom
     list (see `joint_image`).  `members` maps each image to its ascending
     index list, keys in order of first index; cls[i] is the class number of
-    element i, keys[c] the joint image of class c and signs[c] its
-    `sign_pattern`; `buckets` maps each sign pattern to the classes that
-    hold an element other than the identity.  Class 0 is the zero
-    vector's, which holds the identity."""
+    element i, keys[c] the joint image of class c and signs[c] the lex
+    sign of each of its slices (`VectorOps.signs`); `buckets` maps each
+    sign pattern to the classes that hold an element other than the
+    identity.  Class 0 is the zero vector's, which holds the identity."""
 
     members: dict
     cls: list
@@ -800,8 +865,7 @@ class Domain:
         hit = self._classes.get(key)
         if hit is None:
             walk = _class_walk(self.elements, self.parent, self.via,
-                               [joint_image(homs, s) for s in self.steps],
-                               slice_layout(homs), sum(h.rank() for h in homs))
+                               [joint_image(homs, s) for s in self.steps], image_ops(homs))
             hit = self._classes[key] = (next(walk), walk)
         elif len(hit[0].cls) < len(self.elements):
             next(hit[1])
@@ -813,11 +877,11 @@ class Domain:
         return (classes.members.get(classes.keys[0]) or [None])[0]
 
 
-def _class_walk(elements, parent, via, step_images, layout, width):
+def _class_walk(elements, parent, via, step_images, ops: VectorOps):
     """`Domain.classes`, resumed to classify the elements appended since."""
     n_steps = len(step_images)
-    zero = (0,) * width
-    keys, signs, members, class_of = [zero], [(0,) * len(layout)], [[]], {zero: 0}
+    zero, add, signs_of = ops.zero, ops.add, ops.signs
+    keys, signs, members, class_of = [zero], [signs_of(zero)], [[]], {zero: 0}
     cls, moves, classes, buckets = [0], {}, {}, {}
     hit = ImageClasses(classes, cls, keys, signs, buckets)
     while True:
@@ -828,12 +892,12 @@ def _class_walk(elements, parent, via, step_images, layout, width):
             move = cls[p] * n_steps + k
             c = moves.get(move)
             if c is None:
-                w = tuple(map(add, keys[cls[p]], step_images[k]))
+                w = add(keys[cls[p]], step_images[k])
                 c = class_of.get(w)
                 if c is None:
                     c = class_of[w] = len(keys)
                     keys.append(w)
-                    signs.append(sign_pattern(w, layout))
+                    signs.append(signs_of(w))
                     members.append([])
                 if not members[c]:  # the identity's class may fill late
                     classes[w] = members[c]
@@ -880,6 +944,7 @@ class Homomorphism:
             raise ValueError("exactly one of images/table_map is required")
         if images is not None:
             self._validate_images()
+            self.ops = vector_ops((self.rank(),))  # the arithmetic of its images
         elif not source.is_finite:
             raise ModelMismatch("table_map form requires a finite source")
 
@@ -945,31 +1010,6 @@ def joint_image(homs, x) -> tuple:
     for h in homs:
         out += h.apply(x)
     return out
-
-
-def slice_layout(homs) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of each homomorphism's slice of the joint image."""
-    out, pos = [], 0
-    for h in homs:
-        out.append((pos, pos + h.rank()))
-        pos += h.rank()
-    return out
-
-
-def lex_sign(vec) -> int:
-    """The sign of a Z^r vector under the lexicographic order."""
-    for v in vec:
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-    return 0
-
-
-def sign_pattern(vec, layout) -> tuple:
-    """The lex sign of each slice of a joint image vector, for slices
-    given by `slice_layout`."""
-    return tuple([lex_sign(vec[lo:hi]) for lo, hi in layout])
 
 
 def zr_identity_hom(rank: int) -> Homomorphism:

@@ -9,7 +9,6 @@ witnesses out of old ones.
 
 from __future__ import annotations
 
-from operator import sub
 from typing import Optional
 
 from .cones import (
@@ -36,7 +35,14 @@ from .cones import (
     union,
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
-from .groups import DEFAULT_BALL_CAP, GroupModel, Homomorphism, joint_image, zr_identity_hom
+from .groups import (
+    DEFAULT_BALL_CAP,
+    GroupModel,
+    Homomorphism,
+    image_ops,
+    joint_image,
+    zr_identity_hom,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +88,13 @@ class LeftOrderComparator:
         form = compile_cone(cone)
         self._homs = form.homs
         self._pred = form.reader(form.homs) if form.pure else None
+        self._sub = image_ops(form.homs).sub
         self._images: dict = {}  # validated element -> joint image
 
     def le(self, x, y) -> bool:
         if self._pred is not None and x != y:
             # a value-pure cone reads x^-1 y off image(y) - image(x)
-            return self._pred(tuple(map(sub, self._image(y), self._image(x))))
+            return self._pred(self._sub(self._image(y), self._image(x)))
         model = self.model
         v = model.mul(model.inv(x), y)
         model.validate(v)

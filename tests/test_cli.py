@@ -369,6 +369,44 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, cover_files, command):
     assert b"Traceback" not in cut.stderr and b"Exception ignored" not in cut.stderr
 
 
+def _run_in_c_locale(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose locale encoding is ASCII."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "semicover.cli", *args],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # a valid presentation with an en dash in a comment
+    fp = tmp_path / "klein.fp"
+    fp.write_bytes(("# the Klein bottle – Z + Z/2\n" + KLEIN_FP).encode())
+    run = _run_in_c_locale("analyze", "--presentation", str(fp), "--radius", "2")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["abelianization"] == "Z + Z/2"
+    # bytes that are not UTF-8 are still a read error
+    fp.write_bytes(b"gens: a b\n# \xe2\x80\nrel: baBa\n")
+    run = _run_in_c_locale("analyze", "--presentation", str(fp))
+    assert run.returncode == 2 and b"cannot read" in run.stderr and b"utf-8" in run.stderr
+
+
+def test_output_is_written_as_utf8_whatever_the_locale(tmp_path):
+    # the text report echoes the input path, which holds an en dash; in
+    # the C locale it reaches argv as undecodable bytes, written back as is
+    folder = tmp_path / "klein – bottle"
+    folder.mkdir()
+    fp = folder / "klein.fp"
+    fp.write_text(KLEIN_FP)
+    out = tmp_path / "report.txt"
+    run = _run_in_c_locale("analyze", "--presentation", str(fp), "--format", "text",
+                           "--output", str(out))
+    assert run.returncode == 0, run.stderr
+    assert f"input: {fp}\n".encode() in out.read_bytes()
+    stdout = _run_in_c_locale("analyze", "--presentation", str(fp), "--format", "text")
+    assert out.read_bytes() == stdout.stdout
+
+
 def test_output_file(tmp_path, cover_files, capsys):
     a, b = cover_files
     out_path = tmp_path / "report.json"

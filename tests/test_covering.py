@@ -14,7 +14,6 @@ from semicover.covering import (
     _maximal,
     all_subgroups,
     maximal_subgroups,
-    sampled_census,
     scorza_check,
     sigma_g,
     sigma_s_finite,
@@ -217,15 +216,9 @@ def test_census_matches_power_set_scan(name):
     assert res.all_are_subgroups and exception is None
 
 
-def test_census_cap_and_sampling():
-    g = fixture("A4")
+def test_census_cap():
     with pytest.raises(GroupTooLarge):
-        subsemigroup_census(g)
-    sampled = sampled_census(g, samples=128, seed=3)
-    assert sampled.all_are_subgroups
-    subgroups = brute_subgroups(g)
-    assert sampled.closed_subsets
-    assert all(mask in subgroups for mask in sampled.closed_subsets)
+        subsemigroup_census(fixture("A4"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import tracemalloc
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from semicover.errors import (
     ParseError,
 )
 from semicover.fixtures import cyclic, dihedral, fixture, fixture_names, table_text
-from semicover.groups import MAX_GENERATORS, joint_image
+from semicover.groups import MAX_GENERATORS, _free_product, joint_image, vector_ops
 
 ALL_MODELS = [
     GroupModel.zr(1),
@@ -564,6 +565,102 @@ def test_no_kind_comparisons_in_src():
                     for operand in [node.left, *node.comparators]):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _name(node):
+    return getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+
+
+def test_one_path_for_vector_sums_and_signs():
+    # every Z^r vector sum, difference and lex sign pattern is formed by
+    # `groups.vector_ops`: no map(add, ...) or map(sub, ...) outside it,
+    # and no per-entry lex sign loop (lex_sign, sign_pattern) anywhere
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        factory = [n for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "vector_ops"]
+        inside = {id(n) for f in factory for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if _name(node) in ("lex_sign", "sign_pattern"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and _name(node.func) == "map" and node.args
+                  and _name(node.args[0]) in ("add", "sub") and id(node) not in inside):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _lex_sign(vec) -> int:
+    # the reference definitions the factory replaced, kept as the oracle
+    for v in vec:
+        if v > 0:
+            return 1
+        if v < 0:
+            return -1
+    return 0
+
+
+def _sign_pattern(vec, layout) -> tuple:
+    return tuple([_lex_sign(vec[lo:hi]) for lo, hi in layout])
+
+
+_ENTRIES = st.integers(-2, 2) | st.integers(-2**70, 2**70)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_vector_ops_match_the_generic_arithmetic(data):
+    # widths 0-6 cut into up to four slices, some of width 0, with entries
+    # past 2^64 and runs of zeros that the lex sign must look through
+    width = data.draw(st.integers(0, 6))
+    cuts = sorted(data.draw(st.lists(st.integers(0, width), max_size=3)))
+    # a width-0 vector may also have no slice at all
+    bounds = [0, *cuts, width] if data.draw(st.booleans()) or width else []
+    layout = list(zip(bounds, bounds[1:]))
+    ranks = tuple([hi - lo for lo, hi in layout])
+    vectors = st.tuples(*[_ENTRIES] * width)
+    x, y = data.draw(vectors), data.draw(vectors)
+    lead = data.draw(st.integers(0, width))
+    x = (0,) * lead + x[lead:]
+    ops = vector_ops(ranks)
+    assert ops is vector_ops(ranks) and ops.zero == (0,) * width
+    assert ops.add(x, y) == tuple(map(add, x, y))
+    assert ops.sub(x, y) == tuple(map(sub, x, y))
+    assert ops.signs(x) == _sign_pattern(x, layout)
+    assert ops.signs(ops.zero) == (0,) * len(layout)
+    if len(layout) == 1:
+        assert ops.signs(x) == (_lex_sign(x),)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_free_ball_by_concatenation_matches_the_reduced_product(rank):
+    # a ball step never undoes a word's last letter, so the ball grown by
+    # concatenating tuples is the one grown by the reducing product
+    for radius in range(1, 6):
+        model, ref = GroupModel.free(rank), GroupModel.free(rank)
+        ref._extend = _free_product
+        got, want = model.domain(radius), ref.domain(radius)
+        assert (got.elements, got.parent, got.via) == (want.elements, want.parent, want.via)
+    assert GroupModel.free(1).mul((1,), (-1,)) == ()
+    assert GroupModel.free(2).mul((1, 2), (-2, -1, 2)) == (2,)
+
+
+@pytest.mark.parametrize("images", [[(1,), (0,)], [(0,), (-1,)], [(1,), (2,)], [(-2,), (1,)],
+                                    [(1, -1), (2, 1)], [(0, 1), (1, 0)]],
+                         ids=["axis-a", "axis-b", "mixed", "mixed-neg", "plane", "plane-swap"])
+def test_free_class_domain_by_concatenation_matches_the_reduced_product(images):
+    # the class walk never follows a step by its inverse either, so its
+    # representatives are concatenations too
+    target = GroupModel.zr(len(images[0]))
+    for radius in range(1, 9):
+        model, ref = GroupModel.free(2), GroupModel.free(2)
+        ref._extend = _free_product
+        homs = [Homomorphism(model, target, images=images)]
+        got, want = model.domain(radius, homs=homs), ref.domain(radius, homs=homs)
+        assert (got.elements, got.parent, got.via) == (want.elements, want.parent, want.via)
+        assert got.classes(homs) == want.classes(homs)
+    assert got.hom_keys is not None  # a class domain, not the whole ball
 
 
 def test_parse_model_rejects_unknown():
