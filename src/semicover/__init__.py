@@ -61,11 +61,9 @@ from .groups import (
 )
 from .orders import (
     LeftOrderWitness,
-    cone_from_quotient_order,
     cover_from_witness,
     lex_combine,
     merge_covers,
-    order_from_cone,
     pullback_cone,
     pullback_cover,
     standard_lex_cone,

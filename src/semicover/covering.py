@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import CoveringMismatch, GroupTooLarge
-from .groups import FiniteGroup, element_order, is_normal
+from .groups import FiniteGroup, element_order, is_normal, right_closure
 
 DEFAULT_SUBGROUP_CAP = 24
 DEFAULT_EXHAUSTIVE_CAP = 8
@@ -24,48 +24,24 @@ def _mask_members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _grow(table: list, mask: int, members: list[int], fresh: list[int],
-          floor: int) -> Optional[tuple[int, list[int]]]:
-    """Closure of the closed set `mask` (elements `members`) plus `fresh`,
-    forming only products that involve a new element; None once it reaches
-    an index below `floor` outside `mask`."""
-    for x in fresh:
-        mask |= 1 << x
-    members = members + fresh
-    frontier = fresh
-    while frontier:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for b in members:
-                for p in (row[b], table[b][a]):
-                    bit = 1 << p
-                    if not mask & bit:
-                        if p < floor:
-                            return None
-                        mask |= bit
-                        new.append(p)
-        members += new
-        frontier = new
-    return mask, members
-
-
 def _closed_supersets(group: FiniteGroup) -> list[int]:
     """Every closed subset, the empty one included, sorted.  Elements join
-    in index order; a child adding j is cut when its closure adds an index
-    below j, so each closed set comes out exactly once.  In a finite group
-    a closed nonempty subset is a subgroup."""
+    in index order: a child is its parent's closure with one more
+    generator j (`right_closure`), cut when that adds an index below j, so
+    each closed set comes out exactly once.  In a finite group a closed
+    nonempty subset is a subgroup."""
     table = group.table
     found = [0]
-    stack = [(0, [], 0)]
+    stack = [(0, [], [], 0)]
     while stack:
-        mask, members, start = stack.pop()
+        mask, members, gens, start = stack.pop()
         for j in range(start, group.order):
             if not mask >> j & 1:
-                child = _grow(table, mask, members, [j], j)
+                child_gens = gens + [j]
+                child = right_closure(table, mask, members, child_gens, j)
                 if child is not None:
                     found.append(child[0])
-                    stack.append((child[0], child[1], j + 1))
+                    stack.append((*child, child_gens, j + 1))
     return sorted(found)
 
 

@@ -71,8 +71,12 @@ class FiniteGroup:
                 raise NotAGroup(
                     f"index 0 is not a right identity at row {j}", witness=(j, 0, self.table[j][0])
                 )
-        # (ij)k = i(jk) a row at a time, skipping i = 0 and j = 0, which hold
+        # Light's test: the j with (ij)k = i(jk) for all i, k are closed, so generators suffice
         rows = [tuple(row) for row in self.table]
+        picks = {j: itemgetter(*rows[j]) for j in _generators(rows)}
+        if all(rows[row[j]] == pick(row) for j, pick in picks.items() for row in rows[1:]):
+            return
+        # the first failing triple; i = 0 and j = 0 hold
         picks = [itemgetter(*row) for row in rows]
         for i, row in enumerate(rows[1:], 1):
             for j in range(1, n):
@@ -101,18 +105,62 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(r) for r in self.table))
+        return hash(self.order)  # equal tables have equal orders
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def right_closure(table, mask: int, members: list[int], gens: list[int],
+                  floor: int = 0) -> Optional[tuple[int, list[int]]]:
+    """The least set holding `members` (bitmask `mask`, closed under right
+    products by gens[:-1]) and j = gens[-1] that is closed under right
+    products by `gens`, as its mask and elements; in a finite group, the
+    closed set `gens` generate.  It costs |members| products h j, then
+    len(gens) per new element.  None once it reaches an index below
+    `floor` outside `mask`."""
+    j = gens[-1]
+    mask |= 1 << j
+    new = [j]
+    for h in members:
+        p = table[h][j]
+        bit = 1 << p
+        if not mask & bit:
+            if p < floor:
+                return None
+            mask |= bit
+            new.append(p)
+    for x in new:  # reads the elements appended while it runs
+        row = table[x]
+        for g in gens:
+            p = row[g]
+            bit = 1 << p
+            if not mask & bit:
+                if p < floor:
+                    return None
+                mask |= bit
+                new.append(p)
+    return mask, members + new
+
+
+def _generators(table) -> list[int]:
+    """Generators picked greedily in index order, each the first element
+    outside the right-product closure of 0 and those before it."""
+    mask, members, gens = 1, [0], []
+    for j in range(1, len(table)):
+        if not mask >> j & 1:
+            gens.append(j)
+            mask, members = right_closure(table, mask, members, gens)
+    return gens
+
+
 def load_finite_group(text: str, name: str = "finite") -> FiniteGroup:
-    """Parse a Cayley table file: `order: n` then n rows of n indices."""
+    """Parse a Cayley table file: `order: n` then n rows of n indices, each
+    an ASCII decimal numeral."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedTable("empty table file")
-    m = re.fullmatch(r"order\s*:\s*(\d+)", lines[0])
+    m = re.fullmatch(r"order\s*:\s*([0-9]+)", lines[0])
     if not m:
         raise MalformedTable(f"first line must be 'order: n', got {lines[0]!r}")
     n = int(m.group(1))
@@ -122,11 +170,11 @@ def load_finite_group(text: str, name: str = "finite") -> FiniteGroup:
         raise MalformedTable(f"expected {n} table rows, found {len(lines) - 1}")
     table = []
     for ln in lines[1:]:
-        try:
-            row = [int(tok) for tok in ln.split()]
-        except ValueError as exc:
-            raise MalformedTable(f"non-integer entry in row {ln!r}") from exc
-        table.append(row)
+        tokens = ln.split()
+        numerals = "".join(tokens)
+        if not (numerals.isascii() and numerals.isdigit()):
+            raise MalformedTable(f"entry in row {ln!r} is not an ASCII decimal numeral")
+        table.append(list(map(int, tokens)))
     return FiniteGroup(table, name=name)
 
 
@@ -508,7 +556,7 @@ class FiniteModel(GroupModel):
     def __init__(self, group: FiniteGroup):
         self.group = group
         table = group.table
-        super().__init__(("finite", hash(group)), lambda x, y: table[x][y],
+        super().__init__(("finite", group), lambda x, y: table[x][y],
                          group.inverse_table.__getitem__, 0, range(1, group.order))
 
     def validate(self, x) -> None:

@@ -131,14 +131,6 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
                        witness=(domain.elements[bad],))
 
 
-def order_from_cone(model: GroupModel, cone: ConeSet, radius: int,
-                    cap: int = DEFAULT_BALL_CAP) -> LeftOrderComparator:
-    """Comparator x <= y iff x^-1 y is in the cone, after verifying the
-    cone axioms at the working radius."""
-    validate_cone_axioms(model, cone, radius, cap)
-    return LeftOrderComparator(model, cone)
-
-
 # ---------------------------------------------------------------------------
 # Left-order witnesses
 # ---------------------------------------------------------------------------
@@ -223,20 +215,6 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
 # ---------------------------------------------------------------------------
 # Quotient orders and pullback covers
 # ---------------------------------------------------------------------------
-
-def cone_from_quotient_order(model: GroupModel, quotient_hom: Homomorphism,
-                             quotient_cone: ConeSet, radius: int = 6,
-                             cap: int = DEFAULT_BALL_CAP) -> LeftOrderWitness:
-    """Package the order pulled back from a quotient as a witness with
-    kernel = preimage of the target identity."""
-    if quotient_hom.source != model:
-        raise ModelMismatch("homomorphism source differs from the model")
-    target = quotient_hom.target
-    validate_cone_axioms(target, quotient_cone, radius, cap)
-    kernel = pullback_cone(identity_cone(target), quotient_hom)
-    cone = pullback_cone(quotient_cone, quotient_hom)
-    return LeftOrderWitness(model, kernel, cone)
-
 
 def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
                    quotient_cone: ConeSet | None = None, radius: int = 6,

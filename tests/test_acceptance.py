@@ -14,7 +14,6 @@ import pytest
 from semicover import (
     GroupModel,
     Homomorphism,
-    cone_from_quotient_order,
     contains,
     cover_from_witness,
     ext_equal,
@@ -44,6 +43,7 @@ from semicover.fixtures import CORPUS, fixture, z_cross_c2_halves, witness_hom_f
 from semicover.presentations import analyze_presentation
 from semicover.snf import smith_normal_form
 from semicover.suites import suite_lemmas
+from test_orders import quotient_witness
 from test_snf import det, mat_mul
 
 
@@ -195,8 +195,8 @@ def test_acceptance_6_lex_combination():
     m = GroupModel.zr(2)
     h1 = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
     h2 = Homomorphism(m, GroupModel.zr(1), images=[(0,), (1,)])
-    w1 = cone_from_quotient_order(m, h1, standard_lex_cone(1), radius=6)
-    w2 = cone_from_quotient_order(m, h2, standard_lex_cone(1), radius=6)
+    w1 = quotient_witness(m, h1)
+    w2 = quotient_witness(m, h2)
     w = lex_combine(w1, w2)
     cmp_ = w.comparator()
     ball10 = m.ball(10)
@@ -206,8 +206,7 @@ def test_acceptance_6_lex_combination():
             assert cmp_.le(x, y) == (d0 > 0 or (d0 == 0 and d1 >= 0))
 
     for name, model, hom in witness_hom_fixtures():
-        wit = cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()),
-                                       radius=6)
+        wit = quotient_witness(model, hom)
         # totality-mod-kernel over all ball(6) pairs, exactly (the products
         # x^-1 y of ball(6) pairs are precisely ball(12))
         assert totality_mod_kernel(wit, 6) is None, name

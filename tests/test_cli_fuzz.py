@@ -36,12 +36,14 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _assert_input_error(argv) -> None:
+def _assert_input_error(argv) -> str:
+    """Runs argv, checks it failed as malformed input, returns stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert (code, out.getvalue()) == (2, ""), err.getvalue()
     assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+    return err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,7 @@ def _malformed_selector(draw, kind: str, workdir) -> str:
     """A selector off the grammar, or finite:<path> naming no file, a
     directory, a path too long or with a NUL byte, or a file that is no
     group table: one line of text, a row count other than the order, or
-    one entry out of range or not an integer."""
+    one entry, or the order, out of range or not an ASCII decimal numeral."""
     if kind in ("zr", "free", "text"):
         drawn = {
             "zr": st.builds(lambda r, orders, tail: f"z^{r}" + "".join(f"xC{o}" for o in orders)
@@ -212,12 +214,18 @@ def _malformed_selector(draw, kind: str, workdir) -> str:
         return f"finite:{workdir}/\x00{draw(LINE)}"
     n = draw(st.integers(1, 4))
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]  # the cyclic group's table
+    order = str(n)
     if kind == "row_count":
         rows = (rows * 2)[:draw(st.integers(0, n + 2).filter(lambda c: c != n))]
     elif kind == "entry":
-        bad = draw(st.sampled_from([-1, n, n + 7, "x", "1.5", "#"]))
-        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = bad
-    text = f"order: {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        # int() reads 0_0, +1 and a fullwidth 0; only ASCII decimal numerals are entries
+        bad = draw(st.sampled_from([-1, n, n + 7, "x", "1.5", "#", "0_0", "+1", "\uff10",
+                                    "order"]))
+        if bad == "order":
+            order = chr(0x660 + n)  # the order in an Arabic-Indic digit
+        else:
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = bad
+    text = f"order: {order}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
     (workdir / "bad.tbl").write_text(draw(LINE) if kind == "one_line" else text)
     return f"finite:{workdir / 'bad.tbl'}"
 
@@ -231,6 +239,19 @@ def test_malformed_model_selectors_exit_two(workdir, kind, data):
     cone.write_text(json.dumps(IDENTITY))
     _assert_input_error(["check-cover", f"--model={selector}", "--A", str(cone),
                          "--B", str(cone), "--radius", "1"])
+
+
+@pytest.mark.parametrize("text,row", [
+    ("order: 1\n0_0\n", "'0_0'"),
+    ("order: 2\n0 +1\n1 0\n", "'0 +1'"),
+    ("order: 1\n\uff10\n", "'\uff10'"),
+    ("order: \u0662\n0 1\n1 0\n", "'order: \u0662'"),
+], ids=["underscore", "plus", "fullwidth", "arabic_indic_order"])
+def test_table_entries_are_ascii_decimal_numerals(workdir, text, row):
+    # int() reads each of these spellings; the table format does not
+    path = workdir / "numerals.tbl"
+    path.write_text(text, encoding="utf-8")
+    assert row in _assert_input_error(["sigma", "--table", str(path)])
 
 
 # ---------------------------------------------------------------------------

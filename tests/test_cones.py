@@ -56,12 +56,12 @@ from semicover.groups import joint_image, parse_model, zr_identity_hom
 from semicover.orders import (
     LeftOrderComparator,
     LeftOrderWitness,
-    cone_from_quotient_order,
     pullback_cone,
     pullback_cover,
     standard_lex_cone,
     totality_mod_kernel,
 )
+from test_orders import quotient_witness
 
 
 def z_model():
@@ -663,7 +663,7 @@ def _evaluate_pullback_cover():
     ball = domain.elements
     assert is_subsemigroup(model, pair.a, 3).ok and is_subsemigroup(model, pair.b, 3).ok
     assert ball_members(pair.a, domain) | ball_members(pair.b, domain) == set(range(len(ball)))
-    witness = cone_from_quotient_order(model, hom, standard_lex_cone(2), radius=3)
+    witness = quotient_witness(model, hom)
     assert totality_mod_kernel(witness, 3) is None
 
 

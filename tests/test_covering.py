@@ -1,6 +1,7 @@
 """Covering number tests with brute-force oracles computed in place."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from semicover.covering import (
 )
 from semicover.errors import CoveringMismatch, GroupTooLarge
 from semicover.fixtures import CORPUS, cyclic, fixture, fixture_names
+from semicover.groups import FiniteGroup
 
 
 def brute_subgroups(group):
@@ -214,6 +216,59 @@ def test_census_matches_power_set_scan(name):
     assert res.closed_subsets == closed
     assert res.first_exception == exception
     assert res.all_are_subgroups and exception is None
+
+
+def closure_enumeration(group):
+    """Oracle: every closed subset, the empty one included, sorted.  Each
+    closed set found gets one more element and is closed under all
+    products until nothing new appears; a closed set T is reached from the
+    empty set one element of T at a time."""
+    table = group.table
+    found = {frozenset()}
+    todo = [frozenset()]
+    while todo:
+        s = todo.pop()
+        for x in group.elements():
+            if x in s:
+                continue
+            t = s | {x}
+            while True:
+                more = {table[a][b] for a in t for b in t} - t
+                if not more:
+                    break
+                t |= more
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+    return sorted(sum(1 << x for x in t) for t in found)
+
+
+def _shuffled(group, seed):
+    """The group with its non-identity elements renamed at random, named
+    after the seed."""
+    perm = [0] + random.Random(seed).sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.table):
+        for b, v in enumerate(row):
+            table[perm[a]][perm[b]] = perm[v]
+    return FiniteGroup(table, name=f"{group.name}-{seed}")
+
+
+def _s4():
+    elements = list(permutations(range(4)))  # the identity first
+    index = {p: i for i, p in enumerate(elements)}
+    return FiniteGroup([[index[tuple(p[q[i]] for i in range(4))] for q in elements]
+                        for p in elements], name="S4")
+
+
+@pytest.mark.parametrize("group", [
+    *(_shuffled(fixture(name), seed) for name in CORPUS for seed in range(3)),
+    FiniteGroup([[a ^ b for b in range(32)] for a in range(32)], name="C2^5"),
+    _s4(),
+], ids=lambda g: g.name)
+def test_closed_subsets_match_the_closure_enumeration(group):
+    # the census grows each closed set by right products with generators
+    assert covering._closed_supersets(group) == closure_enumeration(group)
 
 
 def test_census_cap():

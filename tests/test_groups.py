@@ -13,7 +13,9 @@ from semicover import (
     FiniteGroup,
     GroupModel,
     Homomorphism,
+    contains,
     element_order,
+    finite_bits,
     format_element,
     is_normal,
     load_finite_group,
@@ -25,12 +27,19 @@ from semicover.errors import (
     BallTooLarge,
     InvalidElement,
     MalformedTable,
+    ModelMismatch,
     NotAGroup,
     NotNormal,
     ParseError,
 )
 from semicover.fixtures import cyclic, dihedral, fixture, fixture_names, table_text
-from semicover.groups import MAX_GENERATORS, _free_product, joint_image, vector_ops
+from semicover.groups import (
+    MAX_GENERATORS,
+    _free_product,
+    _generators,
+    joint_image,
+    vector_ops,
+)
 
 ALL_MODELS = [
     GroupModel.zr(1),
@@ -139,11 +148,7 @@ def _broken_tables(draw):
     return table
 
 
-@settings(max_examples=300, deadline=None)
-@given(_broken_tables())
-@example([[0, 1], [1, 1]])  # associative with identity, but 1 has no inverse
-@example([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # Latin on row 0 and column 0 only
-def test_table_validation_matches_the_oracle(table):
+def _assert_matches_the_oracle(table):
     expected = _table_verdict(table)
     if expected is None:
         g = FiniteGroup(table)
@@ -152,6 +157,95 @@ def test_table_validation_matches_the_oracle(table):
     with pytest.raises(expected[0]) as info:
         FiniteGroup(table)
     assert getattr(info.value, "witness", None) == expected[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_broken_tables())
+@example([[0, 1], [1, 1]])  # associative with identity, but 1 has no inverse
+@example([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # Latin on row 0 and column 0 only
+def test_table_validation_matches_the_oracle(table):
+    _assert_matches_the_oracle(table)
+
+
+def _relabel(table, perm):
+    """The table with element a renamed perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+@st.composite
+def _loops(draw):
+    """A Latin square of order 1-8 with identity 0, filled cell by cell in
+    random order with backtracking; most are not associative."""
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for table[i][j] in options:
+            if fill(c + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return table
+
+
+@st.composite
+def _monoids(draw):
+    """An associative table of order 2-8 with an identity, relabelled 0, in
+    which some element has no inverse; the other labels are shuffled."""
+    n = draw(st.integers(2, 8))
+    op, one = draw(st.sampled_from([
+        (max, 0),
+        (lambda a, b: min(a + b, n - 1), 0),
+        (lambda a, b: a * b % n, 1),  # Z/n under multiplication
+        (lambda a, b: n - 1 if n - 1 in (a, b) else (a + b) % (n - 1), 0),  # C_(n-1) and a zero
+    ]))
+    perm = [0] * n
+    for label, a in enumerate(draw(st.permutations([a for a in range(n) if a != one])), 1):
+        perm[a] = label
+    return _relabel([[op(a, b) for b in range(n)] for a in range(n)], perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_loops(), _monoids()))
+def test_loops_and_monoids_match_the_oracle(table):
+    # the check reads associativity at a generating set only (Light's test);
+    # a loop that fails it must still name the first failing triple
+    _assert_matches_the_oracle(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_loops(), _monoids()))
+def test_generators_are_picked_greedily(table):
+    # oracle: the right-product closure of the identity and the picks before
+    # each pick, by fixpoint; each pick is the least index outside it
+    gens = _generators(table)
+    for k in range(len(gens) + 1):
+        closure = {0, *gens[:k]}
+        while more := {table[x][g] for x in closure for g in gens[:k]} - closure:
+            closure |= more
+        assert gens[k:k + 1] == [x for x in range(len(table)) if x not in closure][:1]
+
+
+def test_finite_models_compare_tables_not_hashes(monkeypatch):
+    monkeypatch.setattr(FiniteGroup, "__hash__", lambda self: 0)
+    c4, v4 = GroupModel.finite(cyclic(4)), GroupModel.finite(fixture("V4"))
+    assert hash(c4) == hash(v4) and c4 != v4
+    assert GroupModel.finite(cyclic(4)) == c4
+    with pytest.raises(ModelMismatch):
+        contains(v4, finite_bits(c4, [0, 2]), 2)
 
 
 def test_table_text_roundtrip():

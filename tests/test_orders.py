@@ -8,7 +8,6 @@ from semicover import (
     Homomorphism,
     LeftOrderWitness,
     complement,
-    cone_from_quotient_order,
     contains,
     explicit,
     ext_equal,
@@ -16,8 +15,8 @@ from semicover import (
     intersection,
     lex_combine,
     merge_covers,
-    order_from_cone,
     pullback,
+    pullback_cone,
     pullback_cover,
     standard_lex_cone,
     symmetric_part,
@@ -28,6 +27,7 @@ from semicover import (
 from semicover.cones import ball_members
 from semicover.errors import InvalidElement, NotACone, NotNormalized, TrivialQuotient
 from semicover.fixtures import z_cross_c2_halves, witness_hom_fixtures
+from semicover.orders import LeftOrderComparator, validate_cone_axioms
 
 
 def z_model():
@@ -38,20 +38,31 @@ def z_nonneg(m):
     return pullback(Homomorphism(m, GroupModel.zr(1), images=[(1,)]), "lex_nonneg")
 
 
+def quotient_witness(model, hom):
+    """The lex order of hom's target pulled back: the kernel is the preimage
+    of the identity, the cone the preimage of the lex cone."""
+    return LeftOrderWitness(model, pullback_cone(identity_cone(hom.target), hom),
+                            pullback_cone(standard_lex_cone(hom.rank()), hom))
+
+
 # ---------------------------------------------------------------------------
-# order_from_cone
+# comparators from cones
 # ---------------------------------------------------------------------------
 
 def test_order_from_cone_z():
     m = z_model()
-    cmp_ = order_from_cone(m, z_nonneg(m), radius=6)
+    cone = z_nonneg(m)
+    validate_cone_axioms(m, cone, 6)
+    cmp_ = LeftOrderComparator(m, cone)
     assert cmp_.le((3,), (5,))
     assert not cmp_.le((5,), (3,))
 
 
 def test_order_reflexive_on_ball():
     m = z_model()
-    cmp_ = order_from_cone(m, z_nonneg(m), radius=6)
+    cone = z_nonneg(m)
+    validate_cone_axioms(m, cone, 6)
+    cmp_ = LeftOrderComparator(m, cone)
     for x in m.ball(6):
         assert cmp_.le(x, x)
 
@@ -60,7 +71,8 @@ def test_order_z2_lex():
     m = GroupModel.zr(2)
     cone = pullback(Homomorphism(m, GroupModel.zr(2), images=[(1, 0), (0, 1)]),
                     "lex_nonneg")
-    cmp_ = order_from_cone(m, cone, radius=5)
+    validate_cone_axioms(m, cone, 5)
+    cmp_ = LeftOrderComparator(m, cone)
     assert cmp_.le((0, 5), (1, -100))
 
 
@@ -68,18 +80,18 @@ def test_order_from_bad_cone_raises_with_witness():
     m = z_model()
     strict = pullback(Homomorphism(m, GroupModel.zr(1), images=[(1,)]), "lex_pos")
     with pytest.raises(NotACone) as exc:
-        order_from_cone(m, strict, radius=4)
+        validate_cone_axioms(m, strict, 4)
     assert exc.value.witness == ((0,),)  # identity escapes P u P^-1
 
 
 # ---------------------------------------------------------------------------
-# cone_from_quotient_order
+# witnesses pulled back from quotient orders
 # ---------------------------------------------------------------------------
 
 def test_quotient_order_z_cross_c2():
     m = GroupModel.zr(1, (2,))
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
-    w = cone_from_quotient_order(m, phi, standard_lex_cone(1), radius=6)
+    w = quotient_witness(m, phi)
     domain = m.domain(6)
     ball = domain.elements
     kernel = {ball[i] for i in ball_members(w.kernel, domain)}
@@ -90,7 +102,7 @@ def test_quotient_order_z_cross_c2():
 def test_quotient_order_identity_hom():
     m = z_model()
     phi = Homomorphism(m, GroupModel.zr(1), images=[(1,)])
-    w = cone_from_quotient_order(m, phi, standard_lex_cone(1), radius=6)
+    w = quotient_witness(m, phi)
     domain = m.domain(6)
     ball = domain.elements
     assert {ball[i] for i in ball_members(w.kernel, domain)} == {(0,)}
@@ -99,7 +111,7 @@ def test_quotient_order_identity_hom():
 def test_quotient_order_klein_bottle_b_exponent():
     kb = GroupModel.klein_bottle()
     phi = Homomorphism(kb, GroupModel.zr(1), images=[(0,), (1,)])
-    w = cone_from_quotient_order(kb, phi, standard_lex_cone(1), radius=6)
+    w = quotient_witness(kb, phi)
     # kernel is the subgroup generated by a: normal forms with zero b part
     for x in kb.ball(6):
         assert contains(kb, w.kernel, x) == (x[0] == 0)
@@ -178,8 +190,8 @@ def _coordinate_witnesses():
     m = GroupModel.zr(2)
     h1 = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
     h2 = Homomorphism(m, GroupModel.zr(1), images=[(0,), (1,)])
-    w1 = cone_from_quotient_order(m, h1, standard_lex_cone(1), radius=6)
-    w2 = cone_from_quotient_order(m, h2, standard_lex_cone(1), radius=6)
+    w1 = quotient_witness(m, h1)
+    w2 = quotient_witness(m, h2)
     return m, w1, w2
 
 
@@ -201,8 +213,7 @@ def test_lex_combine_gives_lex_order():
 def test_comparator_agrees_with_cone_membership_of_quotient():
     # value-pure cones are compared on images, without forming x^-1 y
     for name, model, hom in witness_hom_fixtures():
-        w = cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()),
-                                     radius=4)
+        w = quotient_witness(model, hom)
         cmp_ = w.comparator()
         ball = model.ball(2)
         for x in ball:
@@ -214,7 +225,7 @@ def test_comparator_agrees_with_cone_membership_of_quotient():
 def test_comparator_rejects_invalid_elements():
     m = GroupModel.zr(1, (2,))
     h = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
-    cmp_ = cone_from_quotient_order(m, h, standard_lex_cone(1), radius=3).comparator()
+    cmp_ = quotient_witness(m, h).comparator()
     assert cmp_.le((0, 1), (1, 0))
     for bad in [(0, 2), [0, 1], (0, [1])]:
         with pytest.raises(InvalidElement):
@@ -233,7 +244,7 @@ def test_lex_combine_idempotent_on_ball():
 def test_lex_combine_klein_self():
     kb = GroupModel.klein_bottle()
     phi = Homomorphism(kb, GroupModel.zr(1), images=[(0,), (1,)])
-    w = cone_from_quotient_order(kb, phi, standard_lex_cone(1), radius=5)
+    w = quotient_witness(kb, phi)
     combined = lex_combine(w, w)
     assert ext_equal(kb, combined.kernel, w.kernel, 5) is None
     assert ext_equal(kb, combined.cone, w.cone, 5) is None
@@ -288,7 +299,7 @@ def test_merge_z_cross_c2_self_consistent_with_lex():
     c = pullback_cover(m, phi, radius=6)
     merged = merge_covers(c, c, radius=6)
     assert ext_equal(m, merged.b, c.b, 6) is None
-    w = cone_from_quotient_order(m, phi, standard_lex_cone(1), radius=6)
+    w = quotient_witness(m, phi)
     combined = lex_combine(w, w)
     assert ext_equal(m, merged.b, combined.cone, 6) is None
 
@@ -309,7 +320,7 @@ def test_merge_rejects_unnormalized_input():
 
 @pytest.mark.parametrize("name,model,hom", witness_hom_fixtures())
 def test_witness_totality_mod_kernel(name, model, hom):
-    w = cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()), radius=4)
+    w = quotient_witness(model, hom)
     cmp_ = w.comparator()
     ball = model.ball(4)
     for x in ball:
@@ -323,7 +334,7 @@ def test_witness_totality_mod_kernel(name, model, hom):
 
 @pytest.mark.parametrize("name,model,hom", witness_hom_fixtures())
 def test_witness_left_invariance(name, model, hom):
-    w = cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()), radius=4)
+    w = quotient_witness(model, hom)
     cmp_ = w.comparator()
     small = model.ball(2)
     ball = model.ball(3)
@@ -353,8 +364,7 @@ def _scan_verdicts(w, radius):
 def _scanned_witnesses():
     """Bundled quotient witnesses, then kernels and cones that are explicit
     lists or fail, on Z^2 and on the Heisenberg group."""
-    out = [(name, cone_from_quotient_order(model, hom, standard_lex_cone(hom.rank()),
-                                           radius=4))
+    out = [(name, quotient_witness(model, hom))
            for name, model, hom in witness_hom_fixtures()]
     z2 = GroupModel.zr(2)
     first = Homomorphism(z2, GroupModel.zr(1), images=[(1,), (0,)])
