@@ -44,7 +44,6 @@ from .covers import (
     order_witness_from_cover,
     reduce_cover,
     refine_pair,
-    torsion_obstruction,
 )
 from .errors import SemicoverError
 from .groups import (
@@ -57,7 +56,6 @@ from .groups import (
     load_finite_group,
     parse_element,
     parse_model,
-    quotient,
 )
 from .orders import (
     LeftOrderWitness,

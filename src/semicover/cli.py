@@ -82,18 +82,13 @@ def _load_cone(model, path: str):
 
 
 def _exhaustive_cap(args) -> int:
-    """`SEMICOVER_CAP`, else `--cap`, else the default; 1 to DEFAULT_SUBGROUP_CAP."""
-    raw = os.environ.get("SEMICOVER_CAP", args.cap)
-    if raw is None:
+    """`--cap`, else the default; 1 to DEFAULT_SUBGROUP_CAP."""
+    if args.cap is None:
         return DEFAULT_EXHAUSTIVE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if not 1 <= cap <= DEFAULT_SUBGROUP_CAP:
-        raise ParseError(f"exhaustive cap {raw!r} is not an integer from 1 to "
+    if not 1 <= args.cap <= DEFAULT_SUBGROUP_CAP:
+        raise ParseError(f"exhaustive cap {args.cap} is not an integer from 1 to "
                          f"{DEFAULT_SUBGROUP_CAP}")
-    return cap
+    return args.cap
 
 
 # ---------------------------------------------------------------------------

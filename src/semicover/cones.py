@@ -111,7 +111,7 @@ class FiniteBits(ConeSet):
         return Form((), False, self.model.identity() in self.indices, {(): False}, self.indices)
 
     def inverse(self) -> ConeSet:
-        table = self.model.group.inverse_table
+        table = self.model.inverse_table
         return FiniteBits(self.model, frozenset(table[i] for i in self.indices))
 
     def to_obj(self) -> dict:
@@ -274,8 +274,6 @@ def finite_bits(model: GroupModel, indices: Iterable[int]) -> FiniteBits:
 def pullback(hom: Homomorphism, region: str) -> Pullback:
     if region not in LEX_REGIONS:
         raise ParseError(f"region must be one of {LEX_REGIONS}, got {region!r}")
-    if hom.images is None:
-        raise ModelMismatch("pullback cones require a Z^r-valued homomorphism")
     return Pullback(hom.source, hom, region)
 
 

@@ -33,15 +33,13 @@ from .cones import (
 )
 from .errors import (
     ClosureViolation,
-    CoveringMismatch,
     DepthExceeded,
     IdentityOnlyH,
     LemmaViolation,
     NotACover,
     NothingToRefine,
 )
-from .covering import subsemigroup_census, two_cover_search
-from .groups import DEFAULT_BALL_CAP, FiniteGroup, GroupModel, element_order, format_element
+from .groups import DEFAULT_BALL_CAP, GroupModel, format_element
 from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
@@ -398,51 +396,3 @@ def order_witness_from_cover(model: GroupModel, a: ConeSet, b: ConeSet,
         bad = sorted(k for k, v in verdicts.items() if not v.ok)
         raise NotACover(f"descended witness fails {', '.join(bad)}", flags=verdicts)
     return witness, verdicts
-
-
-# ---------------------------------------------------------------------------
-# Torsion obstruction
-# ---------------------------------------------------------------------------
-
-class TorsionReport:
-    def __init__(self, group_name: str, order: int, traces: list, conclusion: str,
-                 exhaustive: Optional[dict] = None):
-        self.group_name, self.order = group_name, order
-        self.traces = traces  # (element, order, inverse witness power)
-        self.conclusion, self.exhaustive = conclusion, exhaustive
-
-    def to_obj(self) -> dict:
-        obj = {
-            "group": self.group_name,
-            "order": self.order,
-            "generator_traces": [
-                {"element": g, "order": n, "inverse_as_power": w}
-                for g, n, w in self.traces
-            ],
-            "conclusion": self.conclusion,
-        }
-        if self.exhaustive is not None:
-            obj["exhaustive_search"] = self.exhaustive
-        return obj
-
-
-def torsion_obstruction(group: FiniteGroup, exhaustive_cap: int = 8) -> TorsionReport:
-    """Proof-trace report that a group generated by finite-order elements
-    admits no two-piece cover: every generator g of order n satisfies
-    g^(n-1) = g^-1, forcing g into the maximal subgroup of B.  Small groups
-    additionally get an exhaustive search confirming zero covers."""
-    traces = []
-    for g in range(1, group.order):
-        n, wit = element_order(group, g)
-        if wit != group.inv(g):
-            raise CoveringMismatch(f"g^(n-1) != g^-1 for g = {g} in {group.name}")
-        traces.append((g, n, wit))
-    conclusion = (
-        "every generator equals a positive power of its inverse, so both lie "
-        "in the B side's maximal subgroup; no two proper closed subsets cover "
-        "the group"
-    )
-    exhaustive = None
-    if group.order <= exhaustive_cap:
-        exhaustive = two_cover_search(group, subsemigroup_census(group, exhaustive_cap))
-    return TorsionReport(group.name, group.order, traces, conclusion, exhaustive)

@@ -37,14 +37,6 @@ class NotASubgroup(SemicoverError):
     """Subset is not closed / inverse-closed / missing the identity."""
 
 
-class NotNormal(SemicoverError):
-    """Subgroup is not normal; `witness` is a conjugating pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # -- cone sets --------------------------------------------------------------
 
 class ModelMismatch(SemicoverError):

@@ -6,8 +6,8 @@ family.  A subclass hands `GroupModel.__init__` its equality key, which
 starts with its `kind`, its product, inverse and identity, its generators
 and the exponent-sum rows of its relators.  It defines `validate`, `parse`
 and `format`, `abelian_exponents` if it has maps into Z^r, and `selector`
-where that is not its `kind`; a finite group also defines `domain`.  `ball`
-and `mul` are shared.
+where that is not its `kind`.  `FiniteGroup` also defines `domain`, a
+one-lookup `mul` and an equality that compares tables.  `ball` is shared.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     ModelMismatch,
     NotAGroup,
     NotASubgroup,
-    NotNormal,
     ParseError,
 )
 
@@ -39,77 +38,6 @@ MAX_GENERATORS = 256
 # ---------------------------------------------------------------------------
 # Finite groups
 # ---------------------------------------------------------------------------
-
-class FiniteGroup:
-    """A finite group given by a full Cayley table with identity index 0."""
-
-    def __init__(self, table: Sequence[Sequence[int]], name: str = "finite"):
-        self.table = [list(row) for row in table]
-        self.order = len(self.table)
-        self.name = name
-        self._validate()
-        self.inverse_table = self._build_inverses()
-        # every closed subset as a bitmask, sorted; `covering` fills it once
-        self.closed_subsets: Optional[tuple[int, ...]] = None
-
-    def _validate(self) -> None:
-        n = self.order
-        if n < 1:
-            raise MalformedTable("table must have at least one row")
-        for i, row in enumerate(self.table):
-            if len(row) != n:
-                raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not (0 <= v < n):
-                    raise MalformedTable(f"entry ({i},{j}) = {v!r} out of range [0,{n})")
-        for j in range(n):
-            if self.table[0][j] != j:
-                raise NotAGroup(
-                    f"index 0 is not a left identity at column {j}", witness=(0, j, self.table[0][j])
-                )
-            if self.table[j][0] != j:
-                raise NotAGroup(
-                    f"index 0 is not a right identity at row {j}", witness=(j, 0, self.table[j][0])
-                )
-        # Light's test: the j with (ij)k = i(jk) for all i, k are closed, so generators suffice
-        rows = [tuple(row) for row in self.table]
-        picks = {j: itemgetter(*rows[j]) for j in _generators(rows)}
-        if all(rows[row[j]] == pick(row) for j, pick in picks.items() for row in rows[1:]):
-            return
-        # the first failing triple; i = 0 and j = 0 hold
-        picks = [itemgetter(*row) for row in rows]
-        for i, row in enumerate(rows[1:], 1):
-            for j in range(1, n):
-                if rows[row[j]] != picks[j](row):
-                    k = next(k for k in range(n) if rows[row[j]][k] != row[rows[j][k]])
-                    raise NotAGroup(
-                        f"associativity fails at triple ({i},{j},{k})", witness=(i, j, k)
-                    )
-
-    def _build_inverses(self) -> list[int]:
-        for i, row in enumerate(self.table):
-            if row.count(0) != 1:
-                raise NotAGroup(f"element {i} has {row.count(0)} inverses", witness=(i,))
-        return [row.index(0) for row in self.table]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse_table[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash(self.order)  # equal tables have equal orders
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name}, order={self.order})"
-
 
 def right_closure(table, mask: int, members: list[int], gens: list[int],
                   floor: int = 0) -> Optional[tuple[int, list[int]]]:
@@ -156,25 +84,27 @@ def _generators(table) -> list[int]:
 
 def load_finite_group(text: str, name: str = "finite") -> FiniteGroup:
     """Parse a Cayley table file: `order: n` then n rows of n indices, each
-    an ASCII decimal numeral."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    an ASCII decimal numeral.  A row ends at a line feed, a carriage return
+    before it dropped; entries are separated by spaces and tabs, and blank
+    rows are skipped."""
+    rows = [ln.removesuffix("\r").strip(" \t") for ln in text.split("\n")]
+    lines = [ln for ln in rows if ln]
     if not lines:
         raise MalformedTable("empty table file")
-    m = re.fullmatch(r"order\s*:\s*([0-9]+)", lines[0])
+    m = re.fullmatch(r"order[ \t]*:[ \t]*([0-9]+)", lines[0])
     if not m:
         raise MalformedTable(f"first line must be 'order: n', got {lines[0]!r}")
     n = int(m.group(1))
     if n < 1:
         raise MalformedTable("order must be >= 1")
-    if len(lines) - 1 != n:
-        raise MalformedTable(f"expected {n} table rows, found {len(lines) - 1}")
     table = []
     for ln in lines[1:]:
-        tokens = ln.split()
-        numerals = "".join(tokens)
+        numerals = ln.replace(" ", "").replace("\t", "")
         if not (numerals.isascii() and numerals.isdigit()):
             raise MalformedTable(f"entry in row {ln!r} is not an ASCII decimal numeral")
-        table.append(list(map(int, tokens)))
+        table.append(list(map(int, ln.split())))  # only spaces and tabs split it
+    if len(table) != n:
+        raise MalformedTable(f"expected {n} table rows, found {len(table)}")
     return FiniteGroup(table, name=name)
 
 
@@ -192,64 +122,23 @@ def element_order(group: FiniteGroup, x: int) -> tuple[int, int]:
     return n, prev
 
 
-def _check_subgroup(group: FiniteGroup, subset: frozenset[int]) -> None:
-    if 0 not in subset:
-        raise NotASubgroup("subset does not contain the identity")
-    for a in subset:
-        if group.inv(a) not in subset:
-            raise NotASubgroup(f"subset not inverse-closed at {a}")
-        for b in subset:
-            if group.mul(a, b) not in subset:
-                raise NotASubgroup(f"subset not closed at ({a},{b})")
-
-
-def _escape(group: FiniteGroup, subgroup: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first (g, h) with g h g^-1 outside the subgroup, or None.
-    Raises NotASubgroup on bad input."""
-    sub = frozenset(subgroup)
-    _check_subgroup(group, sub)
-    for g in group.elements():
-        gi = group.inv(g)
-        for h in sub:
-            if group.mul(group.mul(g, h), gi) not in sub:
-                return g, h
-    return None
-
-
 def is_normal(group: FiniteGroup, subgroup: Sequence[int]) -> bool:
-    """Whether gHg^-1 = H for all g.  Raises NotASubgroup on bad input."""
-    return _escape(group, subgroup) is None
-
-
-def quotient(group: FiniteGroup, normal: Sequence[int]) -> tuple[FiniteGroup, "Homomorphism"]:
-    """Coset group of a normal subgroup plus the projection map."""
-    escape = _escape(group, normal)
-    if escape is not None:
-        g, h = escape
-        raise NotNormal(f"subgroup not normal: conjugate of {h} by {g} escapes", witness=(g, h))
-    sub = frozenset(normal)
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in group.elements():
-        if g in coset_of:
-            continue
-        members = sorted(group.mul(g, h) for h in sub)
-        rep = members[0]
-        idx = len(reps)
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = idx
-    # reorder so the identity coset (rep 0) is index 0 and reps ascend
-    order_map = {old: new for new, old in enumerate(sorted(range(len(reps)), key=lambda i: reps[i]))}
-    coset_of = {g: order_map[c] for g, c in coset_of.items()}
-    reps = sorted(reps)
-    k = len(reps)
-    table = [[coset_of[group.mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]
-    quot = FiniteGroup(table, name=f"{group.name}/N")
-    src_model = GroupModel.finite(group)
-    dst_model = GroupModel.finite(quot)
-    hom = Homomorphism(src_model, dst_model, table_map=tuple(coset_of[g] for g in group.elements()))
-    return quot, hom
+    """Whether gHg^-1 = H for all g.  Raises InvalidElement on an entry
+    that is no index of the group and NotASubgroup on a subset that is no
+    subgroup."""
+    for h in subgroup:
+        group.validate(h)
+    sub = frozenset(subgroup)
+    table, inverse = group.table, group.inverse_table
+    if 0 not in sub:
+        raise NotASubgroup("subset does not contain the identity")
+    for a in sub:
+        if inverse[a] not in sub:
+            raise NotASubgroup(f"subset not inverse-closed at {a}")
+        for b in sub:
+            if table[a][b] not in sub:
+                raise NotASubgroup(f"subset not closed at ({a},{b})")
+    return all(table[table[g][h]][inverse[g]] in sub for g in group.elements() for h in sub)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +276,6 @@ class GroupModel:
         self._walk: Optional[tuple] = None  # a ball stopped short, its outer layer's start
 
     # -- constructors
-
-    @staticmethod
-    def finite(group: FiniteGroup) -> "GroupModel":
-        return FiniteModel(group)
 
     @staticmethod
     def zr(rank: int, orders: Sequence[int] = ()) -> "GroupModel":
@@ -546,21 +431,80 @@ class GroupModel:
         return out
 
 
-class FiniteModel(GroupModel):
-    """A finite group by its Cayley table: elements are indices, 0 the
-    identity, and every element but 0 a generator."""
+class FiniteGroup(GroupModel):
+    """A finite group by its full Cayley table: elements are indices, 0 the
+    identity, and every element but 0 a generator.  Scans on it decide
+    exactly, on the whole group (`domain`)."""
 
     kind = "finite"
     is_finite = True
 
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        table = group.table
-        super().__init__(("finite", group), lambda x, y: table[x][y],
-                         group.inverse_table.__getitem__, 0, range(1, group.order))
+    def __init__(self, table: Sequence[Sequence[int]], name: str = "finite"):
+        self.table = rows = [list(row) for row in table]
+        self.order = len(rows)
+        self.name = name
+        self._validate()
+        self.inverse_table = self._build_inverses()
+        # every closed subset as a bitmask, sorted; `covering` fills it once
+        self.closed_subsets: Optional[tuple[int, ...]] = None
+        # `__eq__` compares the tables, and equal tables have equal orders
+        super().__init__(("finite", self.order), lambda x, y: rows[x][y],
+                         self.inverse_table.__getitem__, 0, range(1, self.order))
+
+    def _validate(self) -> None:
+        n = self.order
+        if n < 1:
+            raise MalformedTable("table must have at least one row")
+        for i, row in enumerate(self.table):
+            if len(row) != n:
+                raise MalformedTable(f"row {i} has {len(row)} entries, expected {n}")
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not (0 <= v < n):
+                    raise MalformedTable(f"entry ({i},{j}) = {v!r} out of range [0,{n})")
+        for j in range(n):
+            if self.table[0][j] != j:
+                raise NotAGroup(
+                    f"index 0 is not a left identity at column {j}", witness=(0, j, self.table[0][j])
+                )
+            if self.table[j][0] != j:
+                raise NotAGroup(
+                    f"index 0 is not a right identity at row {j}", witness=(j, 0, self.table[j][0])
+                )
+        # Light's test: the j with (ij)k = i(jk) for all i, k are closed, so generators suffice
+        rows = [tuple(row) for row in self.table]
+        picks = {j: itemgetter(*rows[j]) for j in _generators(rows)}
+        if all(rows[row[j]] == pick(row) for j, pick in picks.items() for row in rows[1:]):
+            return
+        # the first failing triple; i = 0 and j = 0 hold
+        picks = [itemgetter(*row) for row in rows]
+        for i, row in enumerate(rows[1:], 1):
+            for j in range(1, n):
+                if rows[row[j]] != picks[j](row):
+                    k = next(k for k in range(n) if rows[row[j]][k] != row[rows[j][k]])
+                    raise NotAGroup(
+                        f"associativity fails at triple ({i},{j},{k})", witness=(i, j, k)
+                    )
+
+    def _build_inverses(self) -> list[int]:
+        for i, row in enumerate(self.table):
+            if row.count(0) != 1:
+                raise NotAGroup(f"element {i} has {row.count(0)} inverses", witness=(i,))
+        return [row.index(0) for row in self.table]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteGroup) and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash(self.order)
 
     def validate(self, x) -> None:
-        if not isinstance(x, int) or not (0 <= x < self.group.order):
+        if not isinstance(x, int) or not (0 <= x < self.order):
             raise InvalidElement(f"{x!r} is not a valid index")
 
     def parse(self, text: str) -> int:
@@ -574,13 +518,13 @@ class FiniteModel(GroupModel):
     format = staticmethod(str)
 
     def selector(self) -> str:
-        return f"finite:{self.group.name}"
+        return f"finite:{self.name}"
 
     def domain(self, radius: int, cap: int = DEFAULT_BALL_CAP, homs=None) -> "Domain":
         """The whole group, built once and checked exactly (radius 0)."""
         whole = self._balls.get(None)
         if whole is None:
-            elements = list(self.group.elements())
+            elements = list(self.elements())
             n = len(elements)
             # the star tree: element i is 1 * elements[i]
             whole = self._balls[None] = Domain(elements, {x: x for x in elements}, 0,
@@ -820,7 +764,7 @@ def parse_model(selector: str, loader=None) -> GroupModel:
     if sel.startswith("finite:"):
         if loader is None:
             raise ParseError("finite:<path> selector requires a table loader")
-        return GroupModel.finite(loader(sel.split(":", 1)[1]))
+        return loader(sel.split(":", 1)[1])
     m = _ZR_SELECTOR.fullmatch(sel)
     if m:
         rank = int(m.group(1))
@@ -974,33 +918,25 @@ def format_element(model: GroupModel, x) -> str:
 # ---------------------------------------------------------------------------
 
 class Homomorphism:
-    """A homomorphism given either by generator images (infinite sources,
-    abelian Z^r targets) or by a full element map (finite sources)."""
+    """A homomorphism of an infinite model into Z^r, given by the images
+    of the source's generators."""
 
-    def __init__(self, source: GroupModel, target: GroupModel,
-                 images: Optional[Sequence] = None,
-                 table_map: Optional[tuple[int, ...]] = None):
+    def __init__(self, source: GroupModel, target: GroupModel, images: Sequence):
         self.source = source
         self.target = target
         self.images = tuple(tuple(img) if isinstance(img, (list, tuple)) else img
-                            for img in images) if images is not None else None
-        self.table_map = table_map
+                            for img in images)
         self._cache: dict = {}  # element -> image; pure-function memo
-        # equality and hashing read this
-        self.key = (source.key, target.key, self.images, table_map)
-        if (images is None) == (table_map is None):
-            raise ValueError("exactly one of images/table_map is required")
-        if images is not None:
-            self._validate_images()
-            self.ops = vector_ops((self.rank(),))  # the arithmetic of its images
-        elif not source.is_finite:
-            raise ModelMismatch("table_map form requires a finite source")
+        self.key = (source.key, target.key, self.images)  # equality and hashing read this
+        self._validate_images()
+        self.ops = vector_ops((self.rank(),))  # the arithmetic of its images
 
     def _validate_images(self) -> None:
         if not self.target.is_free_abelian:
             raise ModelMismatch("generator-image form targets Z^r only")
         if self.source.is_finite:
-            raise ModelMismatch("finite sources use the table_map form")
+            raise ModelMismatch("finite groups have no nontrivial map into Z^r: "
+                                "pullback cones need an infinite model")
         n = len(self.source.generators())
         if len(self.images) != n:
             raise InvalidElement(f"need {n} generator images, got {len(self.images)}")
@@ -1018,11 +954,7 @@ class Homomorphism:
         return self.target.rank
 
     def apply(self, x):
-        """Image of x: exponent-vector evaluation for Z^r targets, table
-        lookup for finite sources."""
-        if self.table_map is not None:
-            self.source.validate(x)
-            return self.table_map[x]
+        """Image of x: the generator images summed with x's exponents."""
         out = self._cache.get(x)
         if out is None:
             out = self._cache[x] = self._combine(self.source.abelian_exponents(x))
@@ -1039,9 +971,7 @@ class Homomorphism:
         return tuple(vec)
 
     def compose_into(self, outer: "Homomorphism") -> "Homomorphism":
-        """outer o self, for generator-image maps through Z^r."""
-        if self.images is None or outer.images is None:
-            raise ModelMismatch("composition supported for image-form maps only")
+        """outer o self, for outer a map of Z^r."""
         new_images = [outer.apply(img) for img in self.images]
         return Homomorphism(self.source, outer.target, images=new_images)
 

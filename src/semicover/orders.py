@@ -22,7 +22,6 @@ from .cones import (
     cone_to_obj,
     conjugate_escapes,
     ext_equal,
-    finite_bits,
     identity_cone,
     intersection,
     inverse_pairs,
@@ -55,18 +54,8 @@ def pullback_cone(target_cone: ConeSet, hom: Homomorphism) -> ConeSet:
     Each node pulls itself back (`ConeSet.pull_back`): a pullback leaf is
     composed through hom, boolean nodes pull back their parts, and the
     identity leaf becomes the kernel cone; an explicit list raises
-    ModelMismatch.  A map onto a finite group (`table_map`) materializes
-    the target cone on the quotient and pulls the bitset back through the
-    element map instead.
+    ModelMismatch.
     """
-    src = hom.source
-    if hom.table_map is not None:
-        if not hom.target.is_finite:
-            raise ModelMismatch("table-map homomorphisms require a finite target")
-        check_model(hom.target, target_cone)
-        hits = {q for q in hom.target.group.elements() if target_cone.member(q)}
-        good = {i for i, c in enumerate(hom.table_map) if c in hits}
-        return finite_bits(src, good)
     return target_cone.pull_back(hom)
 
 

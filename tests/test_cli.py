@@ -140,23 +140,19 @@ def test_sigma_table_file(tmp_path, capsys):
     assert json.loads(out)["sigma_g"] == 4
 
 
-def test_sigma_cap_env(tmp_path, capsys, monkeypatch):
+def test_sigma_cap_is_a_flag_only(capsys, monkeypatch):
+    # the environment sets no cap: at the default of 8, S3 gets its census
     monkeypatch.setenv("SEMICOVER_CAP", "4")
     code, out = run_cli(capsys, "sigma", "--fixture", "S3", "--exhaustive")
     assert code == 0
-    report = json.loads(out)
-    assert "census" not in report  # order 6 > capped 4, census skipped
+    assert json.loads(out)["census"]["closed_subsets"] == 6
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", "25"])
-def test_exit_two_on_bad_cap(capsys, monkeypatch, cap):
+def test_exit_two_on_bad_cap(capsys, cap):
     code = main(["sigma", "--fixture", "S3", "--exhaustive", "--cap", cap])
     assert code == 2
     assert "cap" in capsys.readouterr().err
-    monkeypatch.setenv("SEMICOVER_CAP", cap)
-    code = main(["sigma", "--fixture", "S3", "--exhaustive"])
-    assert code == 2
-    assert "exhaustive cap" in capsys.readouterr().err
 
 
 def test_sigma_cap_range_ends(capsys):

@@ -246,7 +246,13 @@ def test_malformed_model_selectors_exit_two(workdir, kind, data):
     ("order: 2\n0 +1\n1 0\n", "'0 +1'"),
     ("order: 1\n\uff10\n", "'\uff10'"),
     ("order: \u0662\n0 1\n1 0\n", "'order: \u0662'"),
-], ids=["underscore", "plus", "fullwidth", "arabic_indic_order"])
+    # separators: only spaces and tabs part entries, only a line feed ends a row
+    ("order: 2\n0\u30001\u20281 0\n", r"'0\u30001\u20281 0'"),
+    ("order: 2\n0 1\u20281 0\n", r"'0 1\u20281 0'"),
+    ("order: 2\n0 1\x851 0\n", r"'0 1\x851 0'"),
+    ("order:\u00a02\n0 1\n1 0\n", r"'order:\xa02'"),
+], ids=["underscore", "plus", "fullwidth", "arabic_indic_order", "ideographic_space",
+        "line_separator", "next_line", "no_break_space_order"])
 def test_table_entries_are_ascii_decimal_numerals(workdir, text, row):
     # int() reads each of these spellings; the table format does not
     path = workdir / "numerals.tbl"

@@ -403,7 +403,7 @@ def test_ball_members_memo_follows_the_ball(data):
     # another order
     model = data.draw(st.sampled_from([
         GroupModel.zr(2), GroupModel.free(2), GroupModel.heisenberg(),
-        GroupModel.finite(load_finite_group(D4_TABLE.read_text(), name="D4"))]))
+        load_finite_group(D4_TABLE.read_text(), name="D4")]))
     cone = data.draw(_cone_trees(model, explicit_leaves=True))
     r = data.draw(st.integers(1, 3))
     for radius in (r, r + 1, r):
@@ -458,8 +458,8 @@ def test_lemma_checks_by_class_agree_with_element_scan(data):
 
 
 FORM_MODELS = INFINITE_MODELS + [
-    GroupModel.finite(dihedral(3, name="S3")),
-    GroupModel.finite(load_finite_group(D4_TABLE.read_text(), name="D4")),
+    dihedral(3, name="S3"),
+    load_finite_group(D4_TABLE.read_text(), name="D4"),
 ]
 
 
@@ -680,7 +680,7 @@ def test_evaluation_path_leaves_no_reference_cycles():
 
 
 def test_finite_subsemigroup_exact():
-    s3 = GroupModel.finite(dihedral(3, name="S3"))
+    s3 = dihedral(3, name="S3")
     from semicover.cones import finite_bits
 
     rot = finite_bits(s3, [0, 1, 2])
@@ -765,13 +765,12 @@ def test_symmetric_part_inverse_closed_and_closed(model):
 
 
 def test_symmetric_part_finite_matches_bitset():
-    s3 = GroupModel.finite(dihedral(3, name="S3"))
+    s3 = dihedral(3, name="S3")
     from semicover.cones import finite_bits
 
     cone = finite_bits(s3, [0, 1, 2, 3])
     sym = symmetric_part(s3, cone)
-    table = s3.group
-    direct = {i for i in [0, 1, 2, 3] if table.inverse_table[i] in {0, 1, 2, 3}}
+    direct = {i for i in [0, 1, 2, 3] if s3.inverse_table[i] in {0, 1, 2, 3}}
     for i in range(6):
         assert sym.member(i) == (i in direct)
 
@@ -781,7 +780,7 @@ def test_symmetric_part_finite_matches_bitset():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model", INFINITE_MODELS + FORM_MODELS[-1:] +
-                         [GroupModel.finite(dihedral(6, name="D6"))])
+                         [dihedral(6, name="D6")])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cone_json_roundtrip(model, data):
@@ -815,7 +814,7 @@ def _node_pairs():
     """Per node class: a builder of one node, and a node of that class
     differing from it in one field."""
     z1, z2 = GroupModel.zr(1), GroupModel.zr(2)
-    d4 = GroupModel.finite(dihedral(4))
+    d4 = dihedral(4)
     phi = zr_identity_hom(1)
     pos = Pullback(z1, phi, "lex_pos")
     nonneg = Pullback(z1, phi, "lex_nonneg")

@@ -29,7 +29,6 @@ from semicover import (
     reduce_cover,
     refine_pair,
     symmetric_part,
-    torsion_obstruction,
     union,
 )
 from semicover.cones import CoverPair, ball_members, finite_bits, value_profile
@@ -333,10 +332,10 @@ def test_inverse_reads_match_member_on_covers(model, radius):
 def test_inverse_reads_match_member_on_finite_pairs(name):
     # arbitrary pairs on finite groups: explicit include and exclude
     # lists, bitsets, and the value-pure identity shapes
-    model = GroupModel.finite(fixture(name))
+    model = fixture(name)
     one = identity_cone(model)
     rng = random.Random(f"inverse-{name}")
-    elements = list(range(model.group.order))
+    elements = list(range(model.order))
     shapes = [one, complement(one), union(complement(one), one)]
     for _ in range(12):
         shapes.append(explicit(model, rng.sample(elements, rng.randint(0, len(elements))),
@@ -456,16 +455,16 @@ def test_refine_rejects_non_genuine_cover_with_ha_witness():
 def test_conjugate_split_finite_non_normal_subgroup():
     # D4 with B = a non-normal reflection subgroup: conjugation by the
     # rotation moves the reflection out of H, into the A side
-    d4 = GroupModel.finite(fixture("D4"))
+    d4 = fixture("D4")
     from semicover.cones import finite_bits
 
     refl = next(i for i in range(1, 8)
-                if d4.group.mul(i, i) == 0 and not _is_central(d4.group, i))
+                if d4.mul(i, i) == 0 and not _is_central(d4, i))
     b = finite_bits(d4, [0, refl])
     a = union(complement(b), identity_cone(d4))
     cover = CoverPair(d4, a, b, 1, {})
-    rot = next(i for i in range(1, 8) if d4.group.mul(
-        d4.group.mul(d4.group.inv(i), refl), i) not in (0, refl))
+    rot = next(i for i in range(1, 8) if d4.mul(
+        d4.mul(d4.inv(i), refl), i) not in (0, refl))
     split = conjugate_split(d4, cover, rot)
     assert not split.already_normal
     assert split.h_a_members == [refl]
@@ -481,9 +480,8 @@ def test_no_finite_cover_pair_exists_for_s3():
     from semicover.cones import finite_bits
     from semicover.covering import _mask_members, subsemigroup_census
 
-    g = fixture("S3")
-    model = GroupModel.finite(g)
-    census = subsemigroup_census(g)
+    model = fixture("S3")
+    census = subsemigroup_census(model)
     full = (1 << 6) - 1
     proper = [m for m in census.closed_subsets if m != full]
     for m1 in proper:
@@ -625,34 +623,3 @@ def test_refine_strictly_moves_ball_counts():
     domain = kb.domain(4)
     assert len(ball_members(refined.b, domain)) < len(ball_members(cover.b, domain))
     assert len(ball_members(refined.a, domain)) > len(ball_members(cover.a, domain))
-
-
-# ---------------------------------------------------------------------------
-# torsion_obstruction
-# ---------------------------------------------------------------------------
-
-def test_torsion_obstruction_s3():
-    rep = torsion_obstruction(fixture("S3"))
-    assert len(rep.traces) == 5
-    g = fixture("S3")
-    for elem, order, wit in rep.traces:
-        assert wit == g.inv(elem)
-        power = 0
-        acc = 0
-        for _ in range(order):
-            acc = g.mul(acc, elem) if power else elem
-            power += 1
-        assert acc == 0
-    assert rep.exhaustive["covers_found"] == []
-
-
-def test_torsion_obstruction_trivial_group():
-    rep = torsion_obstruction(fixture("C1"))
-    assert rep.traces == []
-    assert rep.exhaustive["covers_found"] == []
-
-
-def test_torsion_obstruction_v4():
-    rep = torsion_obstruction(fixture("V4"))
-    assert all(order == 2 and wit == elem for elem, order, wit in rep.traces)
-    assert rep.exhaustive["covers_found"] == []

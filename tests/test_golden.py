@@ -37,6 +37,15 @@ def _cases() -> dict:
                 cases[f"{command}_{a}_{b}_r{radius}"] = [
                     command, "--model", "z^1xC2", "--A", str(sides[a]),
                     "--B", str(sides[b]), "--radius", str(radius), *extra]
+    # cones on a finite model: S3's rotations, and the reflections with the identity
+    s3 = {"rotations": INPUTS / "s3_rotations.cone", "reflections": INPUTS / "s3_reflections.cone"}
+    for a, b in (("rotations", "reflections"), ("reflections", "rotations")):
+        for name, command, extra in (("check-cover", "check-cover", []),
+                                     ("check-cover_reduce", "check-cover", ["--reduce"]),
+                                     ("witness", "witness", [])):
+            cases[f"{name}_S3_{a}_{b}"] = [
+                command, "--model", f"finite:{INPUTS / 'S3.tbl'}", "--A", str(s3[a]),
+                "--B", str(s3[b]), *extra]
     for path in sorted(INPUTS.glob("*.fp")):
         cases[f"analyze_{path.stem}"] = ["analyze", "--presentation", str(path)]
     for path in sorted(INPUTS.glob("*.tbl")):

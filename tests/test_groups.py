@@ -21,7 +21,6 @@ from semicover import (
     load_finite_group,
     parse_element,
     parse_model,
-    quotient,
 )
 from semicover.errors import (
     BallTooLarge,
@@ -29,7 +28,6 @@ from semicover.errors import (
     MalformedTable,
     ModelMismatch,
     NotAGroup,
-    NotNormal,
     ParseError,
 )
 from semicover.fixtures import cyclic, dihedral, fixture, fixture_names, table_text
@@ -48,7 +46,7 @@ ALL_MODELS = [
     GroupModel.free(2),
     GroupModel.heisenberg(),
     GroupModel.klein_bottle(),
-    GroupModel.finite(dihedral(3, name="S3")),
+    dihedral(3, name="S3"),
 ]
 
 
@@ -66,6 +64,14 @@ def test_load_c2():
     g = load_finite_group("order: 2\n0 1\n1 0\n")
     assert g.order == 2
     assert g.inverse_table == [0, 1]
+
+
+@pytest.mark.parametrize("text", [
+    "order: 2\r\n0 1\r\n1 0\r\n",        # carriage return before each line feed
+    "order :\t2\n\t0\t1 \n\n  1  \t 0\n",  # tabs, runs of spaces, a blank row
+])
+def test_load_ascii_separators(text):
+    assert load_finite_group(text).table == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("text", [
@@ -241,9 +247,9 @@ def test_generators_are_picked_greedily(table):
 
 def test_finite_models_compare_tables_not_hashes(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "__hash__", lambda self: 0)
-    c4, v4 = GroupModel.finite(cyclic(4)), GroupModel.finite(fixture("V4"))
+    c4, v4 = cyclic(4), fixture("V4")
     assert hash(c4) == hash(v4) and c4 != v4
-    assert GroupModel.finite(cyclic(4)) == c4
+    assert cyclic(4) == c4
     with pytest.raises(ModelMismatch):
         contains(v4, finite_bits(c4, [0, 2]), 2)
 
@@ -281,7 +287,7 @@ def test_invalid_elements_rejected():
     with pytest.raises(InvalidElement):
         GroupModel.zr(1, (2,)).validate((0, 2))  # torsion not reduced
     with pytest.raises(InvalidElement):
-        GroupModel.finite(cyclic(3)).validate(5)
+        cyclic(3).validate(5)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +525,7 @@ def test_image_classes_match_per_element_images(model, image_lists):
 
 
 def test_image_classes_on_finite_elements_without_maps():
-    model = GroupModel.finite(dihedral(3, name="S3"))
+    model = dihedral(3, name="S3")
     assert model.domain(3).classes([]).members == {(): [1, 2, 3, 4, 5]}
     model.ball(2)
     assert model._balls[2].classes([]).members == {(): [1, 2, 3, 4, 5]}
@@ -528,13 +534,13 @@ def test_image_classes_on_finite_elements_without_maps():
 def test_finite_scan_domain_is_built_once():
     # one domain per finite model, so the memos kept on it (image classes,
     # inverse indices, cone member sets) hit on every call
-    model = GroupModel.finite(fixture("D4"))
+    model = fixture("D4")
     first = model.domain(3)
     assert model.domain(1) is first and first.radius == 0
     assert first.elements == list(range(8)) and first.index == {x: x for x in range(8)}
     assert first.classes([]) is model.domain(3).classes([])
     inverse = first.inverses(model.inv)
-    assert inverse == model.group.inverse_table
+    assert inverse == model.inverse_table
     assert model.domain(3).inverses(model.inv) is inverse
 
 
@@ -543,7 +549,7 @@ def test_finite_whole_group_and_ball_keep_separate_memos():
     # its whole group, in another order, with image classes and an inverse
     # index of its own; building one domain's memos must not evict the
     # other's
-    model = GroupModel.finite(fixture("D4"))
+    model = fixture("D4")
     whole = model.domain(1)
     classes, inverse = whole.classes([]), whole.inverses(model.inv)
     ball = model.ball(1)
@@ -553,7 +559,7 @@ def test_finite_whole_group_and_ball_keep_separate_memos():
     assert in_ball.classes([]).members == {(): list(range(1, 8))}
     assert in_ball.classes([]) is not classes
     assert whole.classes([]) is classes and whole.inverses(model.inv) is inverse
-    assert inverse == model.group.inverse_table
+    assert inverse == model.inverse_table
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -589,7 +595,7 @@ def test_inverses_on_ball(model):
 
 
 # ---------------------------------------------------------------------------
-# is_normal / quotient
+# is_normal
 # ---------------------------------------------------------------------------
 
 def test_abelian_subgroups_all_normal():
@@ -611,15 +617,14 @@ def test_s3_order_two_subgroup_not_normal():
     ]
     assert escapes
     assert not is_normal(s3, sub)
-    with pytest.raises(NotNormal):
-        quotient(s3, sub)
 
 
-def test_quotient_c4_by_c2():
-    c4 = cyclic(4)
-    q, proj = quotient(c4, [0, 2])
-    assert q.table == [[0, 1], [1, 0]]
-    assert [proj.apply(x) for x in range(4)] == [0, 1, 0, 1]
+@pytest.mark.parametrize("subgroup", [[0, 9], [0, "a"], [0, -1], [0, 1.0], [0, [1]]])
+def test_is_normal_refuses_entries_that_are_not_indices(subgroup):
+    # S3 has indices 0-5: an index past them, a string, a negative index
+    # (which a list would read from its end), a float and a list
+    with pytest.raises(InvalidElement):
+        is_normal(dihedral(3, name="S3"), subgroup)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +650,13 @@ def test_parse_model_selectors(selector, kind):
     # z^0 and free:1 both have identity ()
     others = [o for o in ALL_MODELS + [GroupModel.zr(0), GroupModel.free(1)] if o.kind != kind]
     assert all(m != o and o != m for o in others)
+
+
+def test_parse_model_finite_is_the_group():
+    text = (Path(__file__).resolve().parent.parent / "inputs" / "S3.tbl").read_text()
+    model = parse_model("finite:S3.tbl", loader=lambda path: load_finite_group(text, name="S3"))
+    assert type(model) is FiniteGroup and model == dihedral(3) and model.selector() == "finite:S3"
+    assert model.domain(1).elements == list(range(6)) and model.mul(1, 1) == model.table[1][1]
 
 
 def test_no_kind_comparisons_in_src():
@@ -683,6 +695,53 @@ def test_one_path_for_vector_sums_and_signs():
                   and _name(node.args[0]) in ("add", "sub") and id(node) not in inside):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# definitions in src that only tests reach, each with the reason it stays
+TEST_ONLY = {
+    "cones.contains": "one checked membership query, the tests' way to read a cone",
+    "cones.ConeSet.children": "the cone tree's structure, walked by the tree tests",
+    "cones._Combination.children": "the cone tree's structure, walked by the tree tests",
+    "cones.Complement.children": "the cone tree's structure, walked by the tree tests",
+    "orders.LeftOrderWitness.comparator": "a witness's order as a comparator, for tests",
+    "orders.LeftOrderComparator.lt": "the strict order, which the order tests compare",
+    "orders.lex_combine": "kernel intersection; ROADMAP item 3 is its caller",
+    "orders.merge_covers": "kernel intersection; ROADMAP item 3 is its caller",
+    "orders.totality_mod_kernel": "left for ROADMAP item 3's kernel bounds",
+    "fixtures.fixture_names": "fixture: the corpus the tests run over",
+    "fixtures.table_text": "fixture: writes a table file for the CLI tests",
+    "fixtures.z_cross_c2_halves": "fixture: the bundled Z x C2 cover",
+}
+
+
+def _scan(node, qual: str, owners: tuple, defined: dict, read: set) -> None:
+    """Record, under node (qualified as `qual`), each top-level function
+    and class and each of their methods but dunders in `defined` (bare
+    name -> qualified names), and each name read in `read`, unless it is
+    read inside a definition of that name (`owners`)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{qual}.{child.name}"
+            top = not owners or (len(owners) == 1 and isinstance(node, ast.ClassDef))
+            if top and not child.name.startswith("__"):
+                defined.setdefault(child.name, []).append(inner)
+            _scan(child, inner, owners + (child.name,), defined, read)
+            continue
+        if isinstance(child, (ast.Name, ast.Attribute)) and _name(child) not in owners:
+            read.add(_name(child))
+        _scan(child, qual, owners, defined, read)
+
+
+def test_library_code_has_a_caller():
+    # every function, class and method the package defines is referenced in
+    # src outside its own definition and __init__.py, or is on TEST_ONLY
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    defined, read = {}, set()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            _scan(ast.parse(path.read_text()), path.stem, (), defined, read)
+    uncalled = sorted(q for name, quals in defined.items() if name not in read for q in quals)
+    assert uncalled == sorted(TEST_ONLY)
 
 
 def _lex_sign(vec) -> int:

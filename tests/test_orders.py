@@ -162,26 +162,6 @@ def test_pullback_cover_heisenberg_center_in_b():
     assert contains(hs, pair.b, (0, 0, -7))
 
 
-def test_pullback_cone_through_finite_quotient():
-    from semicover import quotient
-    from semicover.cones import finite_bits
-    from semicover.fixtures import cyclic
-    from semicover.orders import pullback_cone
-
-    c4 = cyclic(4)
-    _, proj = quotient(c4, [0, 2])
-    target = proj.target
-    # pulling back {identity} of C2 gives the kernel {0, 2}
-    kern = pullback_cone(identity_cone(target), proj)
-    assert sorted(kern.indices) == [0, 2]
-    # pulling back a bitset works through the same path
-    odd = pullback_cone(finite_bits(target, [1]), proj)
-    assert sorted(odd.indices) == [1, 3]
-    # boolean nodes are materialized before pulling back
-    comp = pullback_cone(complement(identity_cone(target)), proj)
-    assert sorted(comp.indices) == [1, 3]
-
-
 # ---------------------------------------------------------------------------
 # lex_combine
 # ---------------------------------------------------------------------------
