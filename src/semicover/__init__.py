@@ -14,7 +14,6 @@ from .cones import (
     contains,
     explicit,
     ext_equal,
-    finite_bits,
     identity_cone,
     intersection,
     invert_cone,
@@ -62,7 +61,6 @@ from .orders import (
     cover_from_witness,
     lex_combine,
     merge_covers,
-    pullback_cone,
     pullback_cover,
     standard_lex_cone,
     totality_mod_kernel,

@@ -142,7 +142,7 @@ def cmd_reduce(args) -> tuple[int, dict]:
 def cmd_descend(args) -> tuple[int, dict]:
     model, a, b = _descent_args(args)
     pair = reduce_cover(model, a, b, args.radius)
-    state = minimal_pair_descent(model, pair, args.max_depth, args.radius)
+    state = minimal_pair_descent(model, pair, args.max_depth)
     report = {"command": "descend", **state.to_obj(), "final_pair": state.current.to_obj()}
     if state.normal is not None:
         report["normal_subgroup_cone"] = cone_to_obj(state.normal)

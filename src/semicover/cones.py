@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from .errors import ModelMismatch, ParseError
 from .groups import (
-    DEFAULT_BALL_CAP,
     MAX_GENERATORS,
     Domain,
     GroupModel,
@@ -264,12 +263,6 @@ class Identity(ConeSet):
 
 
 # -- factories ---------------------------------------------------------------
-
-def finite_bits(model: GroupModel, indices: Iterable[int]) -> FiniteBits:
-    if not model.is_finite:
-        raise ModelMismatch("FiniteBits requires a finite model")
-    return FiniteBits(model, frozenset(indices))
-
 
 def pullback(hom: Homomorphism, region: str) -> Pullback:
     if region not in LEX_REGIONS:
@@ -536,12 +529,12 @@ def value_profile(*cones: ConeSet) -> Optional[tuple]:
     return joint_homs(*cones)
 
 
-def scan_domain(model: GroupModel, radius: int, cap: int, *cones: ConeSet) -> Domain:
+def scan_domain(model: GroupModel, radius: int, *cones: ConeSet) -> Domain:
     """The domain of a verdict that reads only `cones`: the class domain
     of their homomorphisms when all are value-pure, else the ball.  Their
     member sets are then unions of image classes, up to the identity, so
     the first failing element is the same on both."""
-    return model.domain(radius, cap, value_profile(*cones))
+    return model.domain(radius, homs=value_profile(*cones))
 
 
 class ProductScan:
@@ -635,11 +628,11 @@ class ProductScan:
                     return False
         return True
 
-    def by_element(self, cap: int) -> "ProductScan":
+    def by_element(self) -> "ProductScan":
         """This scan on the ball, for the scan by element."""
         if self.domain.hom_keys is None:
             return self
-        return ProductScan(self.model, self.model.domain(self.domain.radius, cap), self.homs,
+        return ProductScan(self.model, self.model.domain(self.domain.radius), self.homs,
                            self.target_cone, self.y_cone)
 
     def _members(self) -> list:
@@ -777,8 +770,7 @@ class Verdict(_Fields):
 # Subsemigroup and cover verification
 # ---------------------------------------------------------------------------
 
-def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
-                    cap: int = DEFAULT_BALL_CAP) -> Verdict:
+def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int) -> Verdict:
     """Check x, y in cone => xy in cone.
 
     Finite models are checked exactly over all pairs.  Infinite models are
@@ -789,9 +781,9 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int,
     wins.
     """
     check_model(model, cone)
-    scan = ProductScan(model, scan_domain(model, radius, cap, cone), compile_cone(cone).homs,
+    scan = ProductScan(model, scan_domain(model, radius, cone), compile_cone(cone).homs,
                        cone, cone)
-    witness = None if scan.clean(cone) else (scan := scan.by_element(cap)).first_pair()
+    witness = None if scan.clean(cone) else (scan := scan.by_element()).first_pair()
     return Verdict.of(witness, scan.domain)
 
 
@@ -821,19 +813,18 @@ class CoverPair:
         }
 
 
-def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
-                  cap: int = DEFAULT_BALL_CAP, check_intersection: bool = True,
-                  check_duality: bool = False) -> CoverPair:
+def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int, *,
+                  check_intersection: bool = True, check_duality: bool = False) -> CoverPair:
     """Verdict bundle: closure of both sides, covering, properness, and
     (optionally) trivial intersection and inverse duality."""
     check_model(model, a)
     check_model(model, b)
-    domain = scan_domain(model, radius, cap, a, b)
+    domain = scan_domain(model, radius, a, b)
     elements, rad = domain.elements, domain.radius
 
     flags = {
-        "closed_A": is_subsemigroup(model, a, radius, cap),
-        "closed_B": is_subsemigroup(model, b, radius, cap),
+        "closed_A": is_subsemigroup(model, a, radius),
+        "closed_B": is_subsemigroup(model, b, radius),
     }
     mem_a = ball_members(a, domain)
     mem_b = ball_members(b, domain)
@@ -852,17 +843,16 @@ def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     pair = CoverPair(model, a, b, radius, flags)
     if check_duality:
         from .covers import check_inverse_duality  # local: avoids an import cycle
-        flags["inverse_duality"] = check_inverse_duality(model, pair, radius, cap)
+        flags["inverse_duality"] = check_inverse_duality(model, pair, radius)
     return pair
 
 
-def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int,
-              cap: int = DEFAULT_BALL_CAP) -> Optional[tuple]:
+def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int) -> Optional[tuple]:
     """None when the cones agree on the domain, else the first differing
     element in BFS order."""
     check_model(model, c1)
     check_model(model, c2)
-    domain = scan_domain(model, radius, cap, c1, c2)
+    domain = scan_domain(model, radius, c1, c2)
     diff = ball_members(c1, domain) ^ ball_members(c2, domain)
     return (domain.elements[min(diff)],) if diff else None
 

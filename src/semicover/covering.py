@@ -69,18 +69,18 @@ def _is_subgroup(group: FiniteGroup, mask: int) -> bool:
 # Subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
+def all_subgroups(group: FiniteGroup) -> list[int]:
     """Every subgroup as a bitmask, sorted: the closed subsets containing
     the identity."""
-    if group.order > cap:
-        raise GroupTooLarge(f"order {group.order} exceeds subgroup cap {cap}")
+    if group.order > DEFAULT_SUBGROUP_CAP:
+        raise GroupTooLarge(f"order {group.order} exceeds subgroup cap {DEFAULT_SUBGROUP_CAP}")
     return [m for m in _closed_subsets(group) if m & 1]
 
 
-def maximal_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
+def maximal_subgroups(group: FiniteGroup) -> list[int]:
     """Proper subgroups maximal under inclusion."""
     full = (1 << group.order) - 1
-    return _maximal([s for s in all_subgroups(group, cap) if s != full])
+    return _maximal([s for s in all_subgroups(group) if s != full])
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +88,10 @@ def maximal_subgroups(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> li
 # ---------------------------------------------------------------------------
 
 class CoveringNumberResult:
-    def __init__(self, group_id: str, sigma_g: Optional[int], sigma_s: Optional[int],
+    def __init__(self, sigma_g: Optional[int], sigma_s: Optional[int],
                  witness_cover: list[list[int]], method: str):
-        self.group_id = group_id
         self.sigma_g, self.sigma_s = sigma_g, sigma_s  # None = undefined (cyclic)
         self.witness_cover, self.method = witness_cover, method
-
-    def to_obj(self) -> dict:
-        return {
-            "group": self.group_id,
-            "sigma_g": self.sigma_g if self.sigma_g is not None else "undefined",
-            "sigma_s": self.sigma_s if self.sigma_s is not None else "undefined",
-            "witness_cover": self.witness_cover,
-            "method": self.method,
-        }
 
 
 def _is_cyclic(group: FiniteGroup) -> bool:
@@ -127,18 +117,18 @@ def _min_cover(full: int, candidates: list[int]) -> Optional[list[int]]:
     return None
 
 
-def sigma_g(group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP) -> CoveringNumberResult:
+def sigma_g(group: FiniteGroup) -> CoveringNumberResult:
     """Exact subgroup covering number, undefined for cyclic groups."""
-    if group.order > cap:
-        raise GroupTooLarge(f"order {group.order} exceeds cap {cap}")
+    if group.order > DEFAULT_SUBGROUP_CAP:
+        raise GroupTooLarge(f"order {group.order} exceeds cap {DEFAULT_SUBGROUP_CAP}")
     if _is_cyclic(group):
-        return CoveringNumberResult(group.name, None, None, [], "maximal_set_cover")
+        return CoveringNumberResult(None, None, [], "maximal_set_cover")
     full = (1 << group.order) - 1
-    cover = _min_cover(full, maximal_subgroups(group, cap))
+    cover = _min_cover(full, maximal_subgroups(group))
     if cover is None:
         raise CoveringMismatch(f"non-cyclic {group.name} is not covered by its maximal subgroups")
     witness = [sorted(_mask_members(m)) for m in cover]
-    return CoveringNumberResult(group.name, len(cover), None, witness, "maximal_set_cover")
+    return CoveringNumberResult(len(cover), None, witness, "maximal_set_cover")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +160,8 @@ def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
     """Subsemigroup covering number via the torsion identity, from the
     group's sigma_g result `base`.  Given the group's census it is
     recomputed from the closed subsets and must agree."""
-    result = CoveringNumberResult(group.name, base.sigma_g, base.sigma_g,
-                                  base.witness_cover, "maximal_set_cover")
+    result = CoveringNumberResult(base.sigma_g, base.sigma_g, base.witness_cover,
+                                  "maximal_set_cover")
     if census is not None:
         full = (1 << group.order) - 1
         # every proper closed set lies in a maximal one, so the maximal

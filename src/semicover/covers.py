@@ -20,12 +20,10 @@ from .cones import (
     complement,
     conjugate_escapes,
     explicit,
-    finite_bits,
     identity_cone,
     intersection,
     inverse_pairs,
     is_cover_pair,
-    is_subsemigroup,
     joint_homs,
     scan_domain,
     symmetric_part,
@@ -39,7 +37,7 @@ from .errors import (
     NotACover,
     NothingToRefine,
 )
-from .groups import DEFAULT_BALL_CAP, GroupModel, format_element
+from .groups import GroupModel, format_element
 from .orders import LeftOrderWitness, validate_witness, witness_ok
 
 B_SIDE = "B_side"
@@ -63,11 +61,11 @@ class IntersectionSplit:
 
 
 def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
-                          radius: int, cap: int = DEFAULT_BALL_CAP) -> IntersectionSplit:
+                          radius: int) -> IntersectionSplit:
     """Split I = A n B by where inverses land.  For a genuine cover one of
     the two parts is empty; both nonempty is reported as a LemmaViolation
     with the concrete non-closure evidence it implies."""
-    domain = scan_domain(model, radius, cap, a, b)
+    domain = scan_domain(model, radius, a, b)
     elements = domain.elements
     mem_a, mem_b = ball_members(a, domain), ball_members(b, domain)
     shared = mem_a & mem_b
@@ -102,14 +100,13 @@ _A_INVERSE = "inverse of an A element is not in B - H"
 _BH_INVERSE = "inverse of a B - H element is not in A - {1}"
 
 
-def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
-                           cap: int = DEFAULT_BALL_CAP) -> Verdict:
+def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> Verdict:
     """For h in H and x in A - {1}: hx and xh stay in A - {1}; likewise
     B - H is stable under multiplication by H on both sides.  The compiled
     forms of A - {1} and B - H are read by one `ProductScan` each: when
     both are clean over H - {1} the cover is saturated on the ball, and
     otherwise each h's first escaping x is found element by element."""
-    domain = scan_domain(model, radius, cap, cover.a, cover.b)
+    domain = scan_domain(model, radius, cover.a, cover.b)
     h_cone = symmetric_part(model, cover.b)
     sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
              (intersection(cover.b, complement(h_cone)), "B - H"))
@@ -117,7 +114,7 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     scans = [(ProductScan(model, domain, homs, side, side), name) for side, name in sides]
     if all(scan.clean(h_cone) for scan, _ in scans):
         return Verdict.of(None, domain)
-    scans = [(scan.by_element(cap), name) for scan, name in scans]
+    scans = [(scan.by_element(), name) for scan, name in scans]
     domain = scans[0][0].domain
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
     elements = domain.elements
@@ -132,14 +129,13 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int,
     return Verdict.of(None, domain)
 
 
-def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
-                          cap: int = DEFAULT_BALL_CAP) -> Verdict:
+def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int) -> Verdict:
     """(A - {1})^-1 = B - H, both inclusions checked on the domain, from the
     sides' member sets.  Each element is paired with the index of its
     inverse, one pair per image class on a value-pure cover
     (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
     is not, as H = B n B^-1."""
-    domain = scan_domain(model, radius, cap, cover.a, cover.b)
+    domain = scan_domain(model, radius, cover.a, cover.b)
     mem_a = ball_members(cover.a, domain)
     mem_b = ball_members(cover.b, domain)
     a_star = mem_a - {0}
@@ -156,8 +152,7 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int,
 # Cover normalization
 # ---------------------------------------------------------------------------
 
-def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
-                 cap: int = DEFAULT_BALL_CAP) -> CoverPair:
+def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> CoverPair:
     """Normalize a verified cover: orient the shared part into B, strip it
     from A (keeping the identity), and, in the degenerate branch where the
     maximal subgroup of B is exactly the nontrivial shared part, swap the
@@ -165,7 +160,7 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
 
     The output flags include trivial intersection and inverse duality.
     """
-    base = is_cover_pair(model, a, b, radius, cap, check_intersection=False)
+    base = is_cover_pair(model, a, b, radius, check_intersection=False)
     if not base.core_ok():
         bad = sorted(k for k, v in base.flags.items() if not v.ok)
         raise NotACover(f"input pair fails {', '.join(bad)}", flags=base.flags)
@@ -175,11 +170,11 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     a = union(a, one_cone)
     b = union(b, one_cone)
 
-    split = classify_intersection(model, a, b, radius, cap)
+    split = classify_intersection(model, a, b, radius)
     if split.side == A_SIDE:
         a, b = b, a
 
-    domain = scan_domain(model, radius, cap, a, b)
+    domain = scan_domain(model, radius, a, b)
     i_ball = ball_members(intersection(a, b), domain)
     h_ball = ball_members(symmetric_part(model, b), domain)
     nontrivial_i = len(i_ball) > 1
@@ -187,8 +182,7 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int,
     def build(a_side: ConeSet, b_side: ConeSet) -> CoverPair:
         shared = intersection(a_side, b_side)
         a_star = union(intersection(a_side, complement(shared)), one_cone)
-        out = is_cover_pair(model, a_star, b_side, radius, cap, check_duality=True)
-        return out
+        return is_cover_pair(model, a_star, b_side, radius, check_duality=True)
 
     if h_ball == i_ball and nontrivial_i:
         # degenerate branch: H = I, so the mirrored argument applies and
@@ -215,15 +209,13 @@ class ConjugateSplit:
         self.h_a_members = [] if h_a_members is None else h_a_members
 
 
-def conjugate_split(model: GroupModel, cover: CoverPair, g,
-                    radius: Optional[int] = None,
-                    cap: int = DEFAULT_BALL_CAP) -> ConjugateSplit:
+def conjugate_split(model: GroupModel, cover: CoverPair, g) -> ConjugateSplit:
     """Split H = symmetric_part(B), the maximal subgroup of B, by where
     conjugation by g sends each element: H_A collects the part landing in
     A, H_B the part landing in B.
-    Ball-local: the split sets are explicit element lists."""
-    radius = cover.radius if radius is None else radius
-    domain = model.domain(radius, cap)
+    Ball-local, at the cover's radius: the split sets are explicit
+    element lists."""
+    domain = model.domain(cover.radius)
     one = model.identity()
     h_cone = symmetric_part(model, cover.b)
     hmem = [domain.elements[i] for i in sorted(ball_members(h_cone, domain))]
@@ -243,38 +235,32 @@ def conjugate_split(model: GroupModel, cover: CoverPair, g,
             h_b.append(h)
     if stable and not h_a:
         return ConjugateSplit(identity_cone(model), h_cone, g, already_normal=True)
-    if model.is_finite:
-        ha_cone = finite_bits(model, [one] + h_a) if h_a else identity_cone(model)
-        hb_cone = finite_bits(model, [one] + h_b)
-    else:
-        ha_cone = union(explicit(model, h_a), identity_cone(model)) if h_a \
-            else identity_cone(model)
-        hb_cone = union(explicit(model, h_b), identity_cone(model)) if h_b \
-            else identity_cone(model)
+    ha_cone = union(explicit(model, h_a), identity_cone(model)) if h_a \
+        else identity_cone(model)
+    hb_cone = union(explicit(model, h_b), identity_cone(model)) if h_b \
+        else identity_cone(model)
     return ConjugateSplit(ha_cone, hb_cone, g, already_normal=False, h_a_members=h_a)
 
 
-def refine_pair(model: GroupModel, cover: CoverPair, g,
-                radius: Optional[int] = None, cap: int = DEFAULT_BALL_CAP,
-                verify: bool = True) -> CoverPair:
+def refine_pair(model: GroupModel, cover: CoverPair, g, *, verify: bool = True) -> CoverPair:
     """Move the A-landing part of H across: A' = A u H_A and
     B' = (B - H_A) u {1}.  With verify=True the construction is checked on
-    the ball: both sides closed, strict inclusions, inverse property, and
-    no nontrivial subgroup inside A'."""
-    radius = cover.radius if radius is None else radius
-    split = conjugate_split(model, cover, g, radius, cap)
+    the ball of the cover's radius: both sides closed, strict inclusions,
+    inverse property, and no nontrivial subgroup inside A'."""
+    radius = cover.radius
+    split = conjugate_split(model, cover, g)
     if split.already_normal or not split.h_a_members:
         raise NothingToRefine(f"conjugation by {g!r} moves nothing into A")
     ha = split.h_a
     a_new = union(cover.a, ha)
     b_new = union(intersection(cover.b, complement(ha)), identity_cone(model))
-    refined = is_cover_pair(model, a_new, b_new, radius, cap, check_duality=False)
+    refined = is_cover_pair(model, a_new, b_new, radius)
     if not verify:
         return refined
 
-    domain = model.domain(radius, cap)
-    for name, cone in (("B'", b_new), ("A'", a_new)):
-        v = is_subsemigroup(model, cone, radius, cap)
+    domain = model.domain(radius)
+    # is_cover_pair has checked both sides' closure on this ball
+    for name, v in (("B'", refined.flags["closed_B"]), ("A'", refined.flags["closed_A"])):
         if not v.ok:
             witness = v.witness
             if name == "B'":
@@ -333,12 +319,12 @@ class DescentState:
         }
 
 
-def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: int):
+def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int):
     """First (g, h) in BFS order with a conjugate of h by g escaping N.
     Cones whose AST proves conjugation stability are exact: no scan."""
     if compile_cone(n_cone).pure:
         return None
-    domain = model.domain(radius, cap)
+    domain = model.domain(radius)
     for g in domain.elements:
         if g == model.identity():
             continue
@@ -349,49 +335,40 @@ def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int, cap: i
     return None
 
 
-def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int,
-                         radius: Optional[int] = None,
-                         cap: int = DEFAULT_BALL_CAP) -> DescentState:
+def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int) -> DescentState:
     """Iteratively refine the pair until the maximal subgroup of the B side
-    is ball-locally normal, or the depth budget runs out.  The violating
-    conjugator is always the first one in BFS order, so runs are
-    reproducible."""
-    radius = cover.radius if radius is None else radius
+    is normal on the ball of the cover's radius, or the depth budget runs
+    out.  The violating conjugator is always the first one in BFS order,
+    so runs are reproducible.  Each refinement shrinks B strictly on that
+    ball (`refine_pair` checks it)."""
     current = cover
     history: list = []
     step = 0
     while True:
         n_cone = symmetric_part(model, current.b)
-        violation = _normality_violation(model, n_cone, radius, cap)
+        violation = _normality_violation(model, n_cone, cover.radius)
         if violation is None:
             outcome = "already_normal" if step == 0 else "normal_found"
             return DescentState(current, step, history, outcome, normal=n_cone)
         if step >= max_depth:
             return DescentState(current, step, history, "depth_exceeded")
         g, h = violation
-        domain = model.domain(radius, cap)
-        v_before = len(ball_members(current.b, domain))
-        current = refine_pair(model, current, g, radius, cap)
-        v_after = len(ball_members(current.b, domain))
-        if not v_after < v_before:
-            raise ClosureViolation("descent did not strictly shrink the B side",
-                                   check="descent_monotone")
+        current = refine_pair(model, current, g)
         history.append((step + 1, g, h))
         step += 1
 
 
 def order_witness_from_cover(model: GroupModel, a: ConeSet, b: ConeSet,
-                             radius: int, max_depth: int = 8,
-                             cap: int = DEFAULT_BALL_CAP) -> tuple[LeftOrderWitness, dict]:
+                             radius: int, max_depth: int = 8) -> tuple[LeftOrderWitness, dict]:
     """Normalize, descend, and package the resulting pair as a left-order
     witness with kernel N and cone V (the final B side).  Returns the
     witness and its `validate_witness` verdicts, all of which hold."""
-    normalized = reduce_cover(model, a, b, radius, cap)
-    state = minimal_pair_descent(model, normalized, max_depth, radius, cap)
+    normalized = reduce_cover(model, a, b, radius)
+    state = minimal_pair_descent(model, normalized, max_depth)
     if not state.succeeded:
         raise DepthExceeded(f"descent exhausted after {state.step} steps", state=state)
     witness = LeftOrderWitness(model, kernel=state.normal, cone=state.current.b)
-    verdicts = validate_witness(witness, radius, cap)
+    verdicts = validate_witness(witness, radius)
     if not witness_ok(verdicts):
         bad = sorted(k for k, v in verdicts.items() if not v.ok)
         raise NotACover(f"descended witness fails {', '.join(bad)}", flags=verdicts)

@@ -15,9 +15,9 @@ from .errors import ParseError
 from .groups import FiniteGroup, GroupModel, Homomorphism
 
 
-def cyclic(n: int, name: str | None = None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=name or f"C{n}")
+    return FiniteGroup(table, name=f"C{n}")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:

@@ -110,8 +110,7 @@ def load_finite_group(text: str, name: str = "finite") -> FiniteGroup:
 
 def element_order(group: FiniteGroup, x: int) -> tuple[int, int]:
     """Least n >= 1 with x^n = 1, plus x^(n-1) as the inverse witness."""
-    if not (0 <= x < group.order):
-        raise InvalidElement(f"index {x} out of range")
+    group.validate(x)
     n = 1
     power = x
     prev = 0

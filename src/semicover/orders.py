@@ -35,7 +35,6 @@ from .cones import (
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
 from .groups import (
-    DEFAULT_BALL_CAP,
     GroupModel,
     Homomorphism,
     image_ops,
@@ -47,17 +46,6 @@ from .groups import (
 # ---------------------------------------------------------------------------
 # Pulling cones back through homomorphisms
 # ---------------------------------------------------------------------------
-
-def pullback_cone(target_cone: ConeSet, hom: Homomorphism) -> ConeSet:
-    """Preimage of a target cone under a homomorphism, as a source cone.
-
-    Each node pulls itself back (`ConeSet.pull_back`): a pullback leaf is
-    composed through hom, boolean nodes pull back their parts, and the
-    identity leaf becomes the kernel cone; an explicit list raises
-    ModelMismatch.
-    """
-    return target_cone.pull_back(hom)
-
 
 def standard_lex_cone(rank: int) -> ConeSet:
     """The non-negative lex cone on Z^rank."""
@@ -101,13 +89,12 @@ class LeftOrderComparator:
         return self.le(x, y) and not self.le(y, x)
 
 
-def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int,
-                         cap: int = DEFAULT_BALL_CAP) -> None:
+def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int) -> None:
     """Check P u P^-1 covers the ball and P n P^-1 is only the identity.
     Raises NotACone with the first failing element."""
     check_model(model, cone)
     inv_cone = invert_cone(model, cone)
-    domain = scan_domain(model, radius, cap, cone)
+    domain = scan_domain(model, radius, cone)
     mem = ball_members(cone, domain)
     mem_inv = ball_members(inv_cone, domain)
     missing = min(domain.indices - (mem | mem_inv), default=None)
@@ -141,19 +128,18 @@ class LeftOrderWitness:
         }
 
 
-def validate_witness(witness: LeftOrderWitness, radius: int,
-                     cap: int = DEFAULT_BALL_CAP) -> dict:
+def validate_witness(witness: LeftOrderWitness, radius: int) -> dict:
     """Verdicts for the witness invariants: kernel closure, inverse
     closure, conjugation stability; cone coverage and antisymmetry into
     the kernel."""
     model = witness.model
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
-    domain = scan_domain(model, radius, cap, witness.kernel, witness.cone)
+    domain = scan_domain(model, radius, witness.kernel, witness.cone)
     elements = domain.elements
     kern, cone = witness.kernel, witness.cone
     out: dict = {}
-    out["kernel_closed"] = is_subsemigroup(model, kern, radius, cap)
+    out["kernel_closed"] = is_subsemigroup(model, kern, radius)
 
     kset = ball_members(kern, domain)
     pairs = inverse_pairs(model, domain, kern, among=kset)
@@ -182,8 +168,7 @@ def witness_ok(verdicts: dict) -> bool:
     return all(v.ok for v in verdicts.values())
 
 
-def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
-                        cap: int = DEFAULT_BALL_CAP) -> Optional[tuple]:
+def totality_mod_kernel(witness: LeftOrderWitness, radius: int) -> Optional[tuple]:
     """Exactly one of x < y, y < x, x^-1 y in kernel, for all pairs in the
     radius ball.  The condition depends only on v = x^-1 y, and the set of
     such products over ball(radius) pairs is exactly ball(2 * radius): any
@@ -194,7 +179,7 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
     (`scan_domain`).  Returns None when verified, else a failing product.
     """
     model, cone, kern = witness.model, witness.cone, witness.kernel
-    for v in scan_domain(model, 2 * radius, cap, cone, kern).elements:
+    for v in scan_domain(model, 2 * radius, cone, kern).elements:
         le_xy, le_yx = cone.member(v), cone.member(model.inv(v))
         if (le_xy and not le_yx) + (le_yx and not le_xy) + kern.member(v) != 1:
             return (v,)
@@ -206,8 +191,7 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int,
 # ---------------------------------------------------------------------------
 
 def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
-                   quotient_cone: ConeSet | None = None, radius: int = 6,
-                   cap: int = DEFAULT_BALL_CAP) -> CoverPair:
+                   quotient_cone: ConeSet | None = None, radius: int = 6) -> CoverPair:
     """The two-piece cover induced by a nontrivial quotient order:
     B = preimage of the non-negative region, A = preimage of the strictly
     negative region with the identity adjoined."""
@@ -218,27 +202,26 @@ def pullback_cover(model: GroupModel, quotient_hom: Homomorphism,
         if not target.is_free_abelian:
             raise ModelMismatch("default cone requires a Z^r target")
         quotient_cone = standard_lex_cone(target.rank)
-    validate_cone_axioms(target, quotient_cone, radius, cap)
+    validate_cone_axioms(target, quotient_cone, radius)
 
     # nontriviality: some ball element must map outside cone n cone^-1
     tkernel = intersection(quotient_cone, invert_cone(target, quotient_cone))
     if all(tkernel.member(quotient_hom.apply(x))
-           for x in model.domain(radius, cap, [quotient_hom]).elements):
+           for x in model.domain(radius, homs=[quotient_hom]).elements):
         raise TrivialQuotient("every ball element maps into the trivial part of the order")
 
-    b = pullback_cone(quotient_cone, quotient_hom)
+    b = quotient_cone.pull_back(quotient_hom)
     a = union(complement(b), identity_cone(model))
-    return is_cover_pair(model, a, b, radius, cap, check_duality=True)
+    return is_cover_pair(model, a, b, radius, check_duality=True)
 
 
-def cover_from_witness(witness: LeftOrderWitness, radius: int = 6,
-                       cap: int = DEFAULT_BALL_CAP) -> CoverPair:
+def cover_from_witness(witness: LeftOrderWitness, radius: int = 6) -> CoverPair:
     """The cover determined directly by a witness cone: B is the cone,
     A is its complement plus the identity."""
     model = witness.model
     b = witness.cone
     a = union(complement(b), identity_cone(model))
-    return is_cover_pair(model, a, b, radius, cap, check_duality=True)
+    return is_cover_pair(model, a, b, radius, check_duality=True)
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +240,42 @@ def lex_combine(w1: LeftOrderWitness, w2: LeftOrderWitness) -> LeftOrderWitness:
     return LeftOrderWitness(model, kernel, cone)
 
 
-def _require_normalized(cover: CoverPair, radius: int, cap: int) -> ConeSet:
+def _require_normalized(cover: CoverPair, radius: int) -> ConeSet:
     """Checks a merge input is normalized; returns its maximal subgroup."""
     model = cover.model
-    flags = is_cover_pair(model, cover.a, cover.b, radius, cap)
+    flags = is_cover_pair(model, cover.a, cover.b, radius)
     if not flags.normalized_ok():
         bad = sorted(k for k, v in flags.flags.items() if not v.ok)
         raise NotNormalized(f"cover fails {', '.join(bad)}")
     n = symmetric_part(model, cover.b)
     if compile_cone(n).pure:
         return n  # conjugation stable by AST shape
-    domain = model.domain(radius, cap)
+    domain = model.domain(radius)
     # conjugators from a small ball (all of a finite group); explicit-set
     # inputs only
-    for g in model.domain(min(radius, 2), cap).elements:
+    for g in model.domain(min(radius, 2)).elements:
         if conjugate_escapes(model, n, g, domain):
             raise NotNormalized(f"maximal subgroup not normal at conjugator {g!r}")
     return n
 
 
-def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6,
-                 cap: int = DEFAULT_BALL_CAP) -> CoverPair:
+def merge_covers(c1: CoverPair, c2: CoverPair, radius: int = 6) -> CoverPair:
     """Merge two normalized covers: the new B keeps the strictly positive
     part of the first cover and refines its kernel by the second cover."""
     if c1.model != c2.model:
         raise ModelMismatch("covers over different models")
     model = c1.model
-    n1 = _require_normalized(c1, radius, cap)
-    n2 = _require_normalized(c2, radius, cap)
+    n1 = _require_normalized(c1, radius)
+    n2 = _require_normalized(c2, radius)
     b_new = union(intersection(c1.b, complement(n1)), intersection(n1, c2.b))
     a_new = union(complement(b_new), identity_cone(model))
-    merged = is_cover_pair(model, a_new, b_new, radius, cap, check_duality=True)
+    merged = is_cover_pair(model, a_new, b_new, radius, check_duality=True)
 
-    domain = scan_domain(model, radius, cap, b_new, c1.b, c1.a, a_new)
+    domain = scan_domain(model, radius, b_new, c1.b, c1.a, a_new)
     stray = min(ball_members(b_new, domain) - ball_members(c1.b, domain), default=None)
     merged.flags["b_shrinks"] = Verdict.first_failure(domain, stray)
     stray = min(ball_members(c1.a, domain) - ball_members(a_new, domain), default=None)
     merged.flags["a_grows"] = Verdict.first_failure(domain, stray)
-    diff = ext_equal(model, symmetric_part(model, b_new), intersection(n1, n2), radius, cap)
+    diff = ext_equal(model, symmetric_part(model, b_new), intersection(n1, n2), radius)
     merged.flags["merged_kernel"] = Verdict.of(diff, domain)
     return merged

@@ -14,7 +14,7 @@ from .cones import CoverPair, Verdict
 from .errors import ParseError
 from .groups import GroupModel, Homomorphism, word_tokens
 from .orders import pullback_cover, standard_lex_cone
-from .snf import DEFAULT_DIM_CAP, cokernel_from_snf, smith_normal_form
+from .snf import cokernel_from_snf, smith_normal_form
 
 
 class PresentationData:
@@ -87,8 +87,7 @@ def word_exponents(word: str, gens: list[str]) -> list[int]:
     return out
 
 
-def analyze_presentation(text: str, radius: int = 6,
-                         dim_cap: int = DEFAULT_DIM_CAP) -> PresentationData:
+def analyze_presentation(text: str, radius: int = 6) -> PresentationData:
     """Abelianize a presentation and, when the free rank is positive, emit
     a ready-made cover certificate.
 
@@ -99,10 +98,10 @@ def analyze_presentation(text: str, radius: int = 6,
     """
     gens, relators = parse_presentation(text)
     matrix = [word_exponents(w, gens) for w in relators]
-    d, _, right = (smith_normal_form(matrix, dim_cap) if matrix else
+    d, _, right = (smith_normal_form(matrix) if matrix else
                    ([], [], [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]))
     diag = [d[i][i] for i in range(min(len(d), len(gens)))]
-    free_rank, torsion, free_cols, _ = cokernel_from_snf(d, right, len(gens))
+    free_rank, torsion, free_cols = cokernel_from_snf(d, len(gens))
 
     z_surjection = None
     cover = None

@@ -34,12 +34,12 @@ def _bezout_step(a: int, b: int) -> tuple[int, int, int, int]:
     return s, (g - s * a) // b, -(b // g), a // g
 
 
-def smith_normal_form(m: Matrix, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Diagonalize an integer matrix: returns (D, L, R) with L*M*R = D."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if rows > dim_cap or cols > dim_cap:
-        raise MatrixTooLarge(f"matrix {rows}x{cols} exceeds cap {dim_cap}")
+    if rows > DEFAULT_DIM_CAP or cols > DEFAULT_DIM_CAP:
+        raise MatrixTooLarge(f"matrix {rows}x{cols} exceeds cap {DEFAULT_DIM_CAP}")
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
     # [M | I] stacked on [I | 0]: row steps act on the top rows and column
@@ -100,18 +100,16 @@ def smith_normal_form(m: Matrix, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[Matrix
             [row[:cols] for row in d[rows:]])
 
 
-def cokernel_from_snf(d: Matrix, right: Matrix,
-                      n_generators: int) -> tuple[int, list[int], list[int], Matrix]:
-    """Cokernel structure read off a Smith normal form (D, _, R) of a
-    relator matrix with n_generators columns.
+def cokernel_from_snf(d: Matrix, n_generators: int) -> tuple[int, list[int], list[int]]:
+    """Cokernel structure read off the diagonal D of a Smith normal form
+    (D, _, R) of a relator matrix with n_generators columns.
 
-    Returns (free_rank, torsion, free_cols, R): torsion is the list of
+    Returns (free_rank, torsion, free_cols): torsion is the list of
     invariant factors > 1; free_cols are the diagonalized coordinates with a
-    zero (or absent) diagonal entry; R is the right transform, so generator
-    i maps to row i of R restricted to free_cols under the surjection onto
-    Z^free_rank.
+    zero (or absent) diagonal entry, so generator i maps to row i of R
+    restricted to free_cols under the surjection onto Z^free_rank.
     """
     rows = len(d)
     torsion = [d[i][i] for i in range(min(rows, n_generators)) if d[i][i] > 1]
     free_cols = [j for j in range(n_generators) if j >= rows or d[j][j] == 0]
-    return len(free_cols), torsion, free_cols, right
+    return len(free_cols), torsion, free_cols

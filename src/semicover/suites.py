@@ -56,10 +56,7 @@ def _random_hom(model: GroupModel, rng: random.Random) -> Homomorphism:
         for i in forced:
             images[i] = (0,) * rank
         if any(any(v) for v in images):
-            try:
-                return Homomorphism(model, GroupModel.zr(rank), images=images)
-            except Exception:
-                continue
+            return Homomorphism(model, GroupModel.zr(rank), images=images)
 
 
 def random_pullback_cover(model: GroupModel, rng: random.Random, radius: int):

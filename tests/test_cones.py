@@ -40,7 +40,6 @@ from semicover.cones import (
     Verdict,
     ball_members,
     compile_cone,
-    finite_bits,
     joint_homs,
     value_profile,
 )
@@ -56,7 +55,6 @@ from semicover.groups import joint_image, parse_model, zr_identity_hom
 from semicover.orders import (
     LeftOrderComparator,
     LeftOrderWitness,
-    pullback_cone,
     pullback_cover,
     standard_lex_cone,
     totality_mod_kernel,
@@ -265,7 +263,7 @@ def _cone_trees(draw, model, explicit_leaves, homs=None):
                                 st.lists(st.sampled_from(ball), max_size=4),
                                 st.sampled_from(("include", "exclude"))))
         if model.kind == "finite":
-            leaves.append(st.builds(lambda xs: finite_bits(model, xs),
+            leaves.append(st.builds(lambda xs: explicit(model, xs),
                                     st.lists(st.sampled_from(ball), max_size=4)))
     return draw(st.recursive(st.one_of(*leaves), lambda k: st.one_of(
         st.builds(union, k, k), st.builds(intersection, k, k), st.builds(complement, k)),
@@ -376,9 +374,9 @@ def test_pullback_cone_agrees_with_target_membership(data):
     tree = data.draw(_cone_trees(target, explicit_leaves=data.draw(st.booleans()), homs=homs))
     if any(isinstance(node, ExplicitSet) for node in _tree_nodes(tree)):
         with pytest.raises(ModelMismatch):
-            pullback_cone(tree, phi)
+            tree.pull_back(phi)
         return
-    pulled = pullback_cone(tree, phi)
+    pulled = tree.pull_back(phi)
     for x in model.ball(2):
         assert pulled.member(x) == tree.member(phi.apply(x)), x
 
@@ -681,12 +679,10 @@ def test_evaluation_path_leaves_no_reference_cycles():
 
 def test_finite_subsemigroup_exact():
     s3 = dihedral(3, name="S3")
-    from semicover.cones import finite_bits
-
-    rot = finite_bits(s3, [0, 1, 2])
+    rot = explicit(s3, [0, 1, 2])
     v = is_subsemigroup(s3, rot, 1)
     assert v.ok and v.radius_checked == 0
-    bad = finite_bits(s3, [0, 1])
+    bad = explicit(s3, [0, 1])
     assert is_subsemigroup(s3, bad, 1).status == "counterexample"
 
 
@@ -766,9 +762,7 @@ def test_symmetric_part_inverse_closed_and_closed(model):
 
 def test_symmetric_part_finite_matches_bitset():
     s3 = dihedral(3, name="S3")
-    from semicover.cones import finite_bits
-
-    cone = finite_bits(s3, [0, 1, 2, 3])
+    cone = explicit(s3, [0, 1, 2, 3])
     sym = symmetric_part(s3, cone)
     direct = {i for i in [0, 1, 2, 3] if s3.inverse_table[i] in {0, 1, 2, 3}}
     for i in range(6):

@@ -31,7 +31,7 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover.cones import CoverPair, ball_members, finite_bits, value_profile
+from semicover.cones import CoverPair, ball_members, value_profile
 from semicover.covers import DescentState
 from semicover.errors import (
     ClosureViolation,
@@ -340,7 +340,7 @@ def test_inverse_reads_match_member_on_finite_pairs(name):
     for _ in range(12):
         shapes.append(explicit(model, rng.sample(elements, rng.randint(0, len(elements))),
                                rng.choice(("include", "exclude"))))
-        shapes.append(union(finite_bits(model, rng.sample(elements, 3)), one))
+        shapes.append(union(explicit(model, rng.sample(elements, 3)), one))
     for _ in range(40):
         _check_inverse_reads(model, rng.choice(shapes), rng.choice(shapes), 1)
 
@@ -439,6 +439,16 @@ def test_refine_mechanics_on_synthetic_instance():
     assert a_new - a_old == b_old - b_new  # exactly the moved piece changes sides
 
 
+def test_cover_flags_are_keyword_only():
+    # a fifth positional argument, such as a ball cap, is refused rather
+    # than read as a flag
+    kb, cover = klein_synthetic_cover()
+    with pytest.raises(TypeError):
+        is_cover_pair(kb, cover.a, cover.b, 4, DEFAULT_BALL_CAP)
+    with pytest.raises(TypeError):
+        refine_pair(kb, cover, (0, 1), DEFAULT_BALL_CAP)
+
+
 def test_refine_rejects_non_genuine_cover_with_ha_witness():
     # the synthetic pair cannot be a genuine cover; the closure argument's
     # excluded case (a B' pair multiplying into the moved piece) is reported
@@ -456,11 +466,9 @@ def test_conjugate_split_finite_non_normal_subgroup():
     # D4 with B = a non-normal reflection subgroup: conjugation by the
     # rotation moves the reflection out of H, into the A side
     d4 = fixture("D4")
-    from semicover.cones import finite_bits
-
     refl = next(i for i in range(1, 8)
                 if d4.mul(i, i) == 0 and not _is_central(d4, i))
-    b = finite_bits(d4, [0, refl])
+    b = explicit(d4, [0, refl])
     a = union(complement(b), identity_cone(d4))
     cover = CoverPair(d4, a, b, 1, {})
     rot = next(i for i in range(1, 8) if d4.mul(
@@ -477,7 +485,6 @@ def _is_central(group, x):
 def test_no_finite_cover_pair_exists_for_s3():
     # cross-check at the cone level: every pair of proper closed subsets of
     # S3 fails covering (or properness)
-    from semicover.cones import finite_bits
     from semicover.covering import _mask_members, subsemigroup_census
 
     model = fixture("S3")
@@ -486,8 +493,8 @@ def test_no_finite_cover_pair_exists_for_s3():
     proper = [m for m in census.closed_subsets if m != full]
     for m1 in proper:
         for m2 in proper:
-            pair = is_cover_pair(model, finite_bits(model, _mask_members(m1)),
-                                 finite_bits(model, _mask_members(m2)), 1)
+            pair = is_cover_pair(model, explicit(model, _mask_members(m1)),
+                                 explicit(model, _mask_members(m2)), 1)
             assert not (pair.flags["covers"].ok and pair.flags["proper_A"].ok
                         and pair.flags["proper_B"].ok), (m1, m2)
 

@@ -15,7 +15,7 @@ from semicover import (
     Homomorphism,
     contains,
     element_order,
-    finite_bits,
+    explicit,
     format_element,
     is_normal,
     load_finite_group,
@@ -251,7 +251,7 @@ def test_finite_models_compare_tables_not_hashes(monkeypatch):
     assert hash(c4) == hash(v4) and c4 != v4
     assert cyclic(4) == c4
     with pytest.raises(ModelMismatch):
-        contains(v4, finite_bits(c4, [0, 2]), 2)
+        contains(v4, explicit(c4, [0, 2]), 2)
 
 
 def test_table_text_roundtrip():
@@ -434,6 +434,12 @@ def test_element_order_s3_three_cycle():
     assert len(three_cycles) == 2
     for x in three_cycles:
         assert element_order(s3, x)[1] == s3.mul(x, x)
+
+
+@pytest.mark.parametrize("x", [1.5, "1", None, -1, 6])
+def test_element_order_rejects_a_non_index(x):
+    with pytest.raises(InvalidElement):
+        element_order(dihedral(3, name="S3"), x)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +748,99 @@ def test_library_code_has_a_caller():
             _scan(ast.parse(path.read_text()), path.stem, (), defined, read)
     uncalled = sorted(q for name, quals in defined.items() if name not in read for q in quals)
     assert uncalled == sorted(TEST_ONLY)
+
+
+# defaulted parameters that no call in src sets, each with the reason it stays
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "the entry point: the console script passes no arguments",
+    "covers.refine_pair(verify)": "the tests' one view of a refinement before its checks",
+    "groups.GroupModel.ball(cap)": "the one ball bound; tests lower it to reach BallTooLarge",
+    "groups.GroupModel.domain(cap)": "the one ball bound; tests lower it to reach BallTooLarge",
+    "groups.FiniteGroup.domain(cap)": "the one ball bound, as on every model",
+    "orders.merge_covers(radius)": "kernel intersection; ROADMAP item 3 is its caller",
+    "suites.suite_lemmas(faults)": "keeps the suite tests short",
+}
+
+
+def _defaults(fn) -> dict:
+    """The defaulted parameters of a def, each with its default's AST dump."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    pairs = list(zip(pos[len(pos) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return {a.arg: ast.dump(d) for a, d in pairs}
+
+
+def test_every_default_is_set_by_a_caller():
+    # every defaulted parameter of a function or method in src is set by
+    # some call in src to another value than its default, or is on
+    # UNSET_DEFAULTS.  Calls match definitions by bare name (a class name
+    # calls its __init__).  An argument that is a bare parameter of the
+    # calling definition passes on what that parameter is given, so it
+    # sets the callee's parameter only once the caller's is set (a
+    # fixpoint); any other argument sets it
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defs = {}  # bare name -> [(qualified name, def)]
+    for stem, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if isinstance(fn, ast.FunctionDef):
+                    qual = f"{stem}.{node.name}.{fn.name}" if fn is not node \
+                        else f"{stem}.{fn.name}"
+                    defs.setdefault(fn.name, []).append((qual, fn))
+                    if fn.name == "__init__":
+                        defs.setdefault(node.name, []).append((qual, fn))
+    tracked = {id(fn): qual for entries in defs.values() for qual, fn in entries}
+    is_set, passes = set(), []
+
+    def origin(value, scope):
+        # (definition, parameter) whose values a bare name passes on
+        for fn in reversed(scope):
+            args = fn.args
+            if value.id in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                return (tracked[id(fn)], value.id) if id(fn) in tracked else None
+        return None
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                bind(child, scope)
+            calls(child, scope + [child] * isinstance(child, ast.FunctionDef))
+
+    def bind(call, scope):
+        for qual, fn in defs.get(_name(call.func), ()):
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if params[:1] in (["self"], ["cls"]):
+                params = params[1:]
+            defaults, given = _defaults(fn), []
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    given += [(p, None) for p in params[i:]]
+                    break
+                given += [(p, arg) for p in params[i:i + 1]]
+            for kw in call.keywords:
+                given += [(kw.arg, kw.value)] if kw.arg else [(p, None) for p in defaults]
+            for p, arg in given:
+                if arg is not None and defaults.get(p) == ast.dump(arg):
+                    continue
+                source = origin(arg, scope) if isinstance(arg, ast.Name) else None
+                if source is None:
+                    is_set.add((qual, p))
+                else:
+                    passes.append((source, (qual, p)))
+
+    for tree in trees.values():
+        calls(tree, [])
+    grown = True
+    while grown:
+        new = {dst for src_, dst in passes if src_ in is_set} - is_set
+        is_set |= new
+        grown = bool(new)
+    unset = {f"{qual}({p})" for entries in defs.values() for qual, fn in entries
+             for p in _defaults(fn) if (qual, p) not in is_set}
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
 def _lex_sign(vec) -> int:

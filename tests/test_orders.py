@@ -16,7 +16,6 @@ from semicover import (
     lex_combine,
     merge_covers,
     pullback,
-    pullback_cone,
     pullback_cover,
     standard_lex_cone,
     symmetric_part,
@@ -41,8 +40,8 @@ def z_nonneg(m):
 def quotient_witness(model, hom):
     """The lex order of hom's target pulled back: the kernel is the preimage
     of the identity, the cone the preimage of the lex cone."""
-    return LeftOrderWitness(model, pullback_cone(identity_cone(hom.target), hom),
-                            pullback_cone(standard_lex_cone(hom.rank()), hom))
+    return LeftOrderWitness(model, identity_cone(hom.target).pull_back(hom),
+                            standard_lex_cone(hom.rank()).pull_back(hom))
 
 
 # ---------------------------------------------------------------------------
