@@ -19,15 +19,7 @@ from types import SimpleNamespace
 
 from . import fixtures
 from .cones import cone_from_obj, cone_to_obj, is_cover_pair
-from .covering import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    DEFAULT_SUBGROUP_CAP,
-    scorza_check,
-    sigma_g,
-    sigma_s_finite,
-    subsemigroup_census,
-    two_cover_search,
-)
+from .covering import DEFAULT_EXHAUSTIVE_CAP, DEFAULT_SUBGROUP_CAP, subsemigroup_census
 from .covers import minimal_pair_descent, order_witness_from_cover, reduce_cover
 from .errors import (
     DepthExceeded,
@@ -44,7 +36,7 @@ from .errors import (
 )
 from .groups import load_finite_group, parse_model
 from .presentations import analyze_presentation
-from .suites import run_suite
+from .suites import run_suite, sigma_report
 
 INPUT_ERRORS = (
     ParseError, MalformedTable, NotAGroup, InvalidElement, ModelMismatch,
@@ -172,36 +164,9 @@ def cmd_sigma(args) -> tuple[int, dict]:
     else:
         raise ParseError("sigma needs --fixture or --table")
     cap = _exhaustive_cap(args)
-    res_g = sigma_g(group)
-    exhaustive = args.exhaustive and group.order <= cap
-    census = subsemigroup_census(group, cap) if exhaustive else None
-    res_s = sigma_s_finite(group, res_g, census)
-    left, right = scorza_check(group, res_g)
-    checks = {
-        "sigma_identity": res_g.sigma_g == res_s.sigma_s,
-        "sigma_not_2_or_7": res_g.sigma_g not in (2, 7),
-        "klein_quotient_criterion_agreement": left == right,
-    }
-    report = {
-        "command": "sigma",
-        "group": group.name,
-        "order": group.order,
-        "sigma_g": res_g.sigma_g if res_g.sigma_g is not None else "undefined",
-        "sigma_s": res_s.sigma_s if res_s.sigma_s is not None else "undefined",
-        "witness_cover": res_g.witness_cover,
-        "method": res_s.method,
-        "checks": checks,
-        "covering_number_three": left,
-        "has_klein_four_quotient": right,
-    }
-    if census is not None:
-        search = two_cover_search(group, census)
-        report["census"] = {"closed_subsets": len(census.closed_subsets),
-                            "all_are_subgroups": census.all_are_subgroups}
-        report["two_cover_search"] = {k: search[k] for k in ("pairs_checked", "covers_found")}
-        checks["census_subgroups"] = census.all_are_subgroups
-        checks["no_two_cover"] = not search["covers_found"]
-    return (0 if all(checks.values()) else 1), report
+    census = subsemigroup_census(group, cap) if args.exhaustive and group.order <= cap else None
+    report = {"command": "sigma", **sigma_report(group, census)}
+    return (0 if all(report["checks"].values()) else 1), report
 
 
 def cmd_verify(args) -> tuple[int, dict]:

@@ -156,7 +156,7 @@ def subsemigroup_census(group: FiniteGroup,
 
 
 def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
-                   census: Optional[CensusResult] = None) -> CoveringNumberResult:
+                   census: Optional[CensusResult]) -> CoveringNumberResult:
     """Subsemigroup covering number via the torsion identity, from the
     group's sigma_g result `base`.  Given the group's census it is
     recomputed from the closed subsets and must agree."""
@@ -210,10 +210,4 @@ def two_cover_search(group: FiniteGroup, census: CensusResult) -> dict:
             pairs += 1
             if (s | t) == full:
                 found.append((sorted(_mask_members(s)), sorted(_mask_members(t))))
-    return {
-        "group": group.name,
-        "order": group.order,
-        "closed_subsets": len(census.closed_subsets),
-        "pairs_checked": pairs,
-        "covers_found": found,
-    }
+    return {"pairs_checked": pairs, "covers_found": found}

@@ -1,87 +1,63 @@
 """Bundled Cayley-table corpus (every group of order <= 12) and the
 infinite-model cover fixtures used by the verification suites.
 
-Tables are built programmatically with the identity at index 0 and pass
-the full load-time validation; `fixture(name)` is the canonical entry
-point.
+Every table is built by `_group` from a list of elements, the identity
+first, and their product, and passes the full load-time validation;
+`fixture(name)` is the canonical entry point.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Callable, Sequence
 
 from .cones import ConeSet, complement, pullback
 from .errors import ParseError
 from .groups import FiniteGroup, GroupModel, Homomorphism
 
 
+def _group(name: str, elements: Sequence, product: Callable) -> FiniteGroup:
+    """The group of `elements` under `product`, element k at index k."""
+    index = {x: k for k, x in enumerate(elements)}
+    return FiniteGroup([[index[product(x, y)] for y in elements] for x in elements], name=name)
+
+
 def cyclic(n: int) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"C{n}")
+    return _group(f"C{n}", range(n), lambda a, b: (a + b) % n)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    n2 = g2.order
-    order = g1.order * n2
+    """Pairs (a, b) at index a * |g2| + b."""
+    pairs = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+    return _group(name or f"{g1.name}x{g2.name}", pairs,
+                  lambda x, y: (g1.mul(x[0], y[0]), g2.mul(x[1], y[1])))
 
-    def enc(a, b):
-        return a * n2 + b
 
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(g1.order):
-        for b1 in range(n2):
-            for a2 in range(g1.order):
-                for b2 in range(n2):
-                    table[enc(a1, b1)][enc(a2, b2)] = enc(g1.mul(a1, a2), g2.mul(b1, b2))
-    return FiniteGroup(table, name=name or f"{g1.name}x{g2.name}")
+def _inverting(m: int, twist: int, name: str) -> FiniteGroup:
+    """<a, b | a^m = 1, b^2 = a^twist, b a b^-1 = a^-1>: elements a^i b^j
+    as (i, j) at index j*m + i."""
+    def product(x, y):
+        (i1, j1), (i2, j2) = x, y
+        return ((i1 + (-i2 if j1 else i2) + twist * (j1 & j2)) % m, j1 ^ j2)
+
+    return _group(name, [(i, j) for j in range(2) for i in range(m)], product)
 
 
 def dihedral(n: int, name: str | None = None) -> FiniteGroup:
-    """Order 2n: elements r^i s^j encoded as j*n + i."""
-    order = 2 * n
-
-    def enc(i, j):
-        return j * n + i
-
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    table[enc(i1, j1)][enc(i2, j2)] = enc(i, j1 ^ j2)
-    return FiniteGroup(table, name=name or f"D{n}")
+    """Order 2n: elements r^i s^j at index j*n + i."""
+    return _inverting(n, 0, name or f"D{n}")
 
 
 def dicyclic(n: int, name: str | None = None) -> FiniteGroup:
     """Order 4n: <a, b | a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1>,
-    elements a^i b^j encoded as j*2n + i.  dicyclic(2) is Q8."""
-    m = 2 * n
-    order = 4 * n
-
-    def enc(i, j):
-        return j * m + i
-
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        i, j = (i1 + i2) % m, j2
-                    elif j2 == 0:
-                        i, j = (i1 - i2) % m, 1
-                    else:
-                        i, j = (i1 - i2 + n) % m, 0
-                    table[enc(i1, j1)][enc(i2, j2)] = enc(i, j)
-    return FiniteGroup(table, name=name or f"Dic{n}")
+    elements a^i b^j at index j*2n + i.  dicyclic(2) is Q8."""
+    return _inverting(2 * n, n, name or f"Dic{n}")
 
 
 def alternating4() -> FiniteGroup:
+    """The even permutations of 0..3 in sorted order; p q is p after q."""
     perms = sorted(p for p in permutations(range(4)) if _parity(p) == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms]
-    return FiniteGroup(table, name="A4")
+    return _group("A4", perms, lambda p, q: tuple(p[k] for k in q))
 
 
 def _parity(p) -> int:
@@ -121,10 +97,6 @@ def fixture(name: str) -> FiniteGroup:
         return _BUILDERS[name]()
     except KeyError:
         raise ParseError(f"unknown fixture {name!r}; known: {sorted(_BUILDERS)}") from None
-
-
-def fixture_names() -> list[str]:
-    return list(CORPUS)
 
 
 def table_text(group: FiniteGroup) -> str:

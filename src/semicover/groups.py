@@ -925,7 +925,6 @@ class Homomorphism:
         self.target = target
         self.images = tuple(tuple(img) if isinstance(img, (list, tuple)) else img
                             for img in images)
-        self._cache: dict = {}  # element -> image; pure-function memo
         self.key = (source.key, target.key, self.images)  # equality and hashing read this
         self._validate_images()
         self.ops = vector_ops((self.rank(),))  # the arithmetic of its images
@@ -954,10 +953,7 @@ class Homomorphism:
 
     def apply(self, x):
         """Image of x: the generator images summed with x's exponents."""
-        out = self._cache.get(x)
-        if out is None:
-            out = self._cache[x] = self._combine(self.source.abelian_exponents(x))
-        return out
+        return self._combine(self.source.abelian_exponents(x))
 
     def _combine(self, exps) -> tuple:
         """The sum of the generator images with the exponents `exps`."""

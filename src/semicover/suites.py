@@ -9,6 +9,7 @@ order is fixed.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from .cones import ext_equal, is_cover_pair, symmetric_part, ball_members, explicit, union, intersection, complement
 from .covers import (
@@ -17,11 +18,11 @@ from .covers import (
     order_witness_from_cover,
     reduce_cover,
 )
-from .covering import (DEFAULT_SUBGROUP_CAP, scorza_check, sigma_g, sigma_s_finite,
-                       subsemigroup_census, two_cover_search)
+from .covering import (DEFAULT_SUBGROUP_CAP, CensusResult, scorza_check, sigma_g,
+                       sigma_s_finite, subsemigroup_census, two_cover_search)
 from .errors import ParseError, TrivialQuotient, UnknownSuite
 from .fixtures import CORPUS, fixture, witness_hom_fixtures
-from .groups import GroupModel, Homomorphism, format_element
+from .groups import FiniteGroup, GroupModel, Homomorphism, format_element
 from .orders import cover_from_witness, pullback_cover, standard_lex_cone
 
 SUITE_NAMES = ("lemmas", "roundtrip", "finite")
@@ -215,28 +216,49 @@ def suite_roundtrip(radius: int = 5) -> dict:
 # Finite corpus
 # ---------------------------------------------------------------------------
 
+def sigma_report(group: FiniteGroup, census: Optional[CensusResult]) -> dict:
+    """The covering numbers of a finite group with the checks on them: the
+    sigma identity, sigma not 2 or 7 and the Klein-four-quotient criterion,
+    and, given the group's census, the census identity and no two-piece
+    cover."""
+    res_g = sigma_g(group)
+    res_s = sigma_s_finite(group, res_g, census)
+    left, right = scorza_check(group, res_g)
+    checks = {
+        "sigma_identity": res_g.sigma_g == res_s.sigma_s,
+        "sigma_not_2_or_7": res_g.sigma_g not in (2, 7),
+        "klein_quotient_criterion_agreement": left == right,
+    }
+    report = {
+        "group": group.name,
+        "order": group.order,
+        "sigma_g": res_g.sigma_g if res_g.sigma_g is not None else "undefined",
+        "sigma_s": res_s.sigma_s if res_s.sigma_s is not None else "undefined",
+        "witness_cover": res_g.witness_cover,
+        "method": res_s.method,
+        "checks": checks,
+        "covering_number_three": left,
+        "has_klein_four_quotient": right,
+    }
+    if census is not None:
+        report["census"] = {"closed_subsets": len(census.closed_subsets),
+                            "all_are_subgroups": census.all_are_subgroups}
+        report["two_cover_search"] = search = two_cover_search(group, census)
+        checks["census_subgroups"] = census.all_are_subgroups
+        checks["no_two_cover"] = not search["covers_found"]
+    return report
+
+
 def suite_finite() -> dict:
-    """Corpus-wide finite checks: census identity and no two-piece covers,
-    the sigma identity recomputed from the census, the excluded covering
-    numbers, and the Klein-four-quotient criterion."""
+    """`sigma_report` with the census on every group of the corpus."""
     rows = []
     failures = []
     for name in CORPUS:
         group = fixture(name)
-        census = subsemigroup_census(group, DEFAULT_SUBGROUP_CAP)
-        res_g = sigma_g(group)
-        res_s = sigma_s_finite(group, res_g, census)
-        left, right = scorza_check(group, res_g)
-        checks = {
-            "census_subgroups": census.all_are_subgroups,
-            "no_two_cover": not two_cover_search(group, census)["covers_found"],
-            "sigma_identity": res_g.sigma_g == res_s.sigma_s,
-            "sigma_not_2_or_7": res_g.sigma_g not in (2, 7),
-            "klein_quotient_criterion": left == right,
-        }
+        report = sigma_report(group, subsemigroup_census(group, DEFAULT_SUBGROUP_CAP))
+        checks = report["checks"]
         ok = all(checks.values())
-        rows.append({"fixture": name, "order": group.order,
-                     "sigma_g": res_g.sigma_g if res_g.sigma_g is not None else "undefined",
+        rows.append({"fixture": name, "order": group.order, "sigma_g": report["sigma_g"],
                      "ok": ok})
         if not ok:
             failures.append({"fixture": name,

@@ -95,6 +95,25 @@ def test_witness_subcommand(cover_files, capsys):
         assert contains(m, kernel, x) == (x in ((0, 0), (0, 1)))
 
 
+def test_witness_depth_exceeded_report(cover_files, capsys, monkeypatch):
+    # a descent that stops at its depth budget: exit 1, no witness, and the
+    # descent's state in the report
+    import semicover.covers as covers_mod
+    from semicover.covers import DescentState
+
+    def fake_descent(model, cover, max_depth):
+        return DescentState(cover, 0, [], "depth_exceeded")
+
+    monkeypatch.setattr(covers_mod, "minimal_pair_descent", fake_descent)
+    a, b = cover_files
+    code, out = run_cli(capsys, "witness", "--model", "z^1xC2",
+                        "--A", a, "--B", b, "--radius", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["outcome"] == "depth_exceeded" and "witness" not in report
+    assert report["descent"] == {"outcome": "depth_exceeded", "step": 0, "history": []}
+
+
 def test_reduce_subcommand(cover_files, capsys):
     a, b = cover_files
     code, out = run_cli(capsys, "reduce", "--model", "z^1xC2",

@@ -22,7 +22,7 @@ from semicover.covering import (
     two_cover_search,
 )
 from semicover.errors import CoveringMismatch, GroupTooLarge
-from semicover.fixtures import CORPUS, cyclic, fixture, fixture_names
+from semicover.fixtures import CORPUS, cyclic, fixture
 from semicover.groups import FiniteGroup
 
 
@@ -366,7 +366,7 @@ def test_corpus_has_every_group_up_to_order_12():
     # counts per order for groups of order <= 12: a fixed classification
     expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5}
     counts = {}
-    for name in fixture_names():
+    for name in CORPUS:
         g = fixture(name)
         counts[g.order] = counts.get(g.order, 0) + 1
     assert counts == expected

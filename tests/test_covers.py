@@ -121,6 +121,25 @@ def test_reduce_overlap_cover_swap_branch():
     assert {ball[i] for i in ball_members(inter, domain)} == {(0, 0)}
 
 
+@pytest.mark.parametrize("radius", [3, 5])
+def test_reduce_a_side_split_swaps_the_sides(radius):
+    # A = {x <= 0} and B = {(x, y) >= 0 lex} on Z^2: the inverses of the
+    # shared part {x = 0, y > 0} lie in A only, so the split lands on the
+    # A side and the sides trade names first
+    m = GroupModel.zr(2)
+    first = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
+    a = complement(pullback(first, "lex_pos"))
+    b = pullback(Homomorphism(m, GroupModel.zr(2), images=[(1, 0), (0, 1)]), "lex_nonneg")
+    split = classify_intersection(m, a, b, radius)
+    assert split.side == "A_side" and split.i_b == []
+    assert split.i_a[:3] == [(0, 1), (0, 2), (0, 3)]
+    red = reduce_cover(m, a, b, radius)
+    assert len(red.flags) == 7 and all(v.ok for v in red.flags.values())
+    mirrored = reduce_cover(m, b, a, radius)
+    assert ext_equal(m, red.a, mirrored.a, radius) is None
+    assert ext_equal(m, red.b, mirrored.b, radius) is None
+
+
 def test_reduce_z_split_no_swap():
     m = z_model()
     red = reduce_cover(m, z_nonneg(m), z_nonpos(m), 6)
@@ -601,7 +620,7 @@ def test_witness_depth_exceeded_carries_state(monkeypatch):
     m, a, b = overlap_model_and_cones()
     stalled = DescentState(None, 3, [], "depth_exceeded")
 
-    def fake_descent(model, cover, max_depth, radius=None, cap=0):
+    def fake_descent(model, cover, max_depth):
         return stalled
 
     monkeypatch.setattr(covers_mod, "minimal_pair_descent", fake_descent)

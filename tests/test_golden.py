@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from semicover.cli import main
-from semicover.fixtures import fixture_names
+from semicover.fixtures import CORPUS
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,7 +50,7 @@ def _cases() -> dict:
         cases[f"analyze_{path.stem}"] = ["analyze", "--presentation", str(path)]
     for path in sorted(INPUTS.glob("*.tbl")):
         cases[f"sigma_{path.stem}"] = ["sigma", "--exhaustive", "--table", str(path)]
-    for name in fixture_names():
+    for name in CORPUS:
         cases[f"sigma_fixture_{name}"] = ["sigma", "--fixture", name, "--exhaustive",
                                           "--cap", "12"]
     return cases

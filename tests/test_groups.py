@@ -1,6 +1,7 @@
 """Group model tests: table loading, arithmetic, balls, homomorphisms."""
 
 import ast
+import hashlib
 import itertools
 import tracemalloc
 from operator import add, sub
@@ -30,7 +31,9 @@ from semicover.errors import (
     NotAGroup,
     ParseError,
 )
-from semicover.fixtures import cyclic, dihedral, fixture, fixture_names, table_text
+from semicover.fixtures import (
+    _BUILDERS, CORPUS, cyclic, dicyclic, dihedral, direct_product, fixture, table_text,
+)
 from semicover.groups import (
     MAX_GENERATORS,
     _free_product,
@@ -135,7 +138,7 @@ def _broken_tables(draw):
     """A corpus table, or one of order 1 or 2, left intact or broken once:
     one entry changed, two rows swapped, an entry out of range or not an
     int, or a row dropped."""
-    name = draw(st.one_of(st.sampled_from(["C1", "C2"]), st.sampled_from(fixture_names())))
+    name = draw(st.one_of(st.sampled_from(["C1", "C2"]), st.sampled_from(CORPUS)))
     table = [row[:] for row in fixture(name).table]
     n = len(table)
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -257,6 +260,50 @@ def test_finite_models_compare_tables_not_hashes(monkeypatch):
 def test_table_text_roundtrip():
     g = fixture("Q8")
     assert load_finite_group(table_text(g)).table == g.table
+
+
+# sha256 of `table_text` of every bundled table and of three tables built
+# past the corpus (D7, Dic5, D3xC4), as the builders first wrote them
+PINNED_TABLES = {
+    "C1": "c5e44fbefac5b1fa8731837c0ff42de25a4a21fcd0df72ff10010483e6c31ef8",
+    "C2": "c3e10bd82af83f75e358acbeb6cd02d22534edb061d7aefed0aea3652fa56883",
+    "C3": "07a8b79a625cad2c3ca64fa83440f2c5f06fd9769d9585c517bbb1ece85b42da",
+    "C4": "ebb51cc6e16b9d243cdafb926e1aae2ffa11f900a70a77c60e08a9d196651d41",
+    "C5": "01c5b17685d8d6fc851babe9d829c2f77bc30ce9d1136a50b5022aca47db2f9c",
+    "C6": "0f0045d0d736ddfbed269e4fb2fbbda2646444d102f5e06f9822a6392792ce6e",
+    "C7": "3340fc21045fd113332a2e753d5dd48e7545a22bd5d36c056caab28e9de0588d",
+    "C8": "8d43eb5e23128dd7f1251b6ebb41da88e9e41d5203e5b129c3bbb8923e6d259e",
+    "C9": "cbd4d83a3bbe0af2d52cbb7a5e40fabd83fb4801509f6cd689f49bc0c6058cbd",
+    "C10": "34129a72ed2f784cd505625fbac11bd1f6db055f987b54a5e218fb3724f65f26",
+    "C11": "29674e735cdf0a935ee84f5903be7cd0072feaccd8e5e88642af3745b03cb50b",
+    "C12": "1ef7682713807f935ad42b03242302e7e3b8ed06a054f3d72c1fc5617c76cdb4",
+    "V4": "3cd7b70d6b4d2dd7d3375b76f8c616a649cbe6fd9fb8973a1751e9b8593a4985",
+    "C2xC2": "3cd7b70d6b4d2dd7d3375b76f8c616a649cbe6fd9fb8973a1751e9b8593a4985",
+    "C2xC2xC2": "b7edf8dfd97d407022229f0043be4ef3790687e344e17f2a501ef06f59ded01b",
+    "C4xC2": "b59b330e308fbb010b4537df465b3e02eb912c98a50c1529c419afb50aca43e0",
+    "C6xC2": "02b59cc863f8ac171ebb76b5a8cd8ae7e7715ed273656dd9d15bb18aab655c26",
+    "C3xC3": "51ba572af14fef0c7b9c5ec44ca1fd8d05370fa108182043a958b26005e93a79",
+    "S3": "3bc7fee618ce00fbf130dc92f2db5fc738b37d4676185de5484f68906d0bf1bf",
+    "D4": "91d52f9e39367d51a1db81626a2834169bca9872d3c2aedbf61cee186cea327a",
+    "D5": "e11512252fc92eae01d01bec617febc17c650db7590d5aa97250a838327c47a7",
+    "D6": "d5e605824c054ff43cad0b787802cec8a89fe76ebcff82d6032f743f38448aee",
+    "Q8": "e3969540bb5ad0c670deef6dc25460f770bc43c5486fbf65bf27a3abd9eaea96",
+    "Dic3": "0ad1a35eaad44c761ec7fd2d4de15a9def013299e7fe4b7550036540cb6f6754",
+    "A4": "9920574523208336b197749e0e2e1999a5d21f165bc6bae2c8a4b5a3170b5588",
+    "D7": "4c66f39b1c798caecf3c74137fbac99d022d614ea4ede50ff82130fb0e730c6c",
+    "Dic5": "3237c1ba250fac19cd8fedd21513eada64d400e600701ba3c49b5ab34b257f7d",
+    "D3xC4": "35d4275edc9546d650bb4f199a1106b5135f20a67022a0ebb850bb1258c5085f",
+}
+
+
+def test_fixture_tables_are_pinned():
+    built = {name: fixture(name) for name in _BUILDERS}
+    built.update((g.name, g) for g in (dihedral(7), dicyclic(5),
+                                       direct_product(dihedral(3), cyclic(4))))
+    assert all(g.name == name for name, g in built.items())
+    digests = {name: hashlib.sha256(table_text(g).encode()).hexdigest()
+               for name, g in built.items()}
+    assert digests == PINNED_TABLES
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +761,6 @@ TEST_ONLY = {
     "orders.lex_combine": "kernel intersection; ROADMAP item 3 is its caller",
     "orders.merge_covers": "kernel intersection; ROADMAP item 3 is its caller",
     "orders.totality_mod_kernel": "left for ROADMAP item 3's kernel bounds",
-    "fixtures.fixture_names": "fixture: the corpus the tests run over",
     "fixtures.table_text": "fixture: writes a table file for the CLI tests",
     "fixtures.z_cross_c2_halves": "fixture: the bundled Z x C2 cover",
 }
