@@ -164,7 +164,10 @@ def cmd_sigma(args) -> tuple[int, dict]:
     else:
         raise ParseError("sigma needs --fixture or --table")
     cap = _exhaustive_cap(args)
-    census = subsemigroup_census(group, cap) if args.exhaustive and group.order <= cap else None
+    if args.exhaustive and group.order > cap:
+        raise ParseError(f"--exhaustive on a group of order {group.order} needs --cap >= "
+                         f"{group.order}, got {cap}")
+    census = subsemigroup_census(group, cap) if args.exhaustive else None
     report = {"command": "sigma", **sigma_report(group, census)}
     return (0 if all(report["checks"].values()) else 1), report
 

@@ -700,24 +700,6 @@ def _merged(su: tuple, sv: tuple) -> Optional[tuple]:
     return tuple(out)
 
 
-def conjugate_escapes(model: GroupModel, cone: ConeSet, g, domain: Domain) -> list[int]:
-    """Ascending indices of the domain's members h of the cone whose conjugate
-    g^-1 h g is not a member.  The conjugate has the image of h, so it
-    leaves the cone exactly when one of the two is among the compiled
-    form's exceptions and the other is not: only the conjugates of the
-    exceptions are formed."""
-    exceptions = compile_cone(cone).exceptions
-    members, index = ball_members(cone, domain), domain.index
-    out = []
-    for e in exceptions:
-        if model.conj(g, e) not in exceptions:  # h = e
-            out.append(index.get(e))
-        c = model.conj(model.inv(g), e)         # h = g e g^-1, whose conjugate is e
-        if c not in exceptions:
-            out.append(index.get(c))
-    return sorted(i for i in out if i in members)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -785,6 +767,37 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int) -> Verdict:
                        cone, cone)
     witness = None if scan.clean(cone) else (scan := scan.by_element()).first_pair()
     return Verdict.of(witness, scan.domain)
+
+
+def normality_verdict(model: GroupModel, cone: ConeSet, radius: int) -> Verdict:
+    """Check g^-1 h g in cone for every member h of the cone and every g in
+    the ball of the radius; the witness is the first g in BFS order with
+    its first member h whose conjugate leaves the cone.  Conjugating by g
+    alone is enough: the ball is closed under inverses, so g^-1 is scanned
+    too.
+
+    A conjugate has the image of h under every map into Z^r, so a
+    value-pure cone is exact at radius 0, and on any other cone g^-1 h g
+    leaves it exactly when one of the two is among the compiled form's
+    exceptions and the other is not: only the conjugates of the
+    exceptions are formed."""
+    form = compile_cone(cone)
+    if form.pure:
+        return Verdict("verified")
+    domain = model.domain(radius)
+    exceptions, members, index = form.exceptions, ball_members(cone, domain), domain.index
+    for g in domain.elements:
+        escapes = []
+        for e in exceptions:
+            if model.conj(g, e) not in exceptions:  # h = e
+                escapes.append(index.get(e))
+            h = model.conj(model.inv(g), e)         # h = g e g^-1, whose conjugate is e
+            if h not in exceptions:
+                escapes.append(index.get(h))
+        bad = min((i for i in escapes if i in members), default=None)
+        if bad is not None:
+            return Verdict.of((g, domain.elements[bad]), domain)
+    return Verdict.of(None, domain)
 
 
 class CoverPair:

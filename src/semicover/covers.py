@@ -16,15 +16,14 @@ from .cones import (
     Verdict,
     ProductScan,
     ball_members,
-    compile_cone,
     complement,
-    conjugate_escapes,
     explicit,
     identity_cone,
     intersection,
     inverse_pairs,
     is_cover_pair,
     joint_homs,
+    normality_verdict,
     scan_domain,
     symmetric_part,
     union,
@@ -202,44 +201,17 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> Cove
 # Conjugate split and refinement
 # ---------------------------------------------------------------------------
 
-class ConjugateSplit:
-    def __init__(self, h_a: ConeSet, h_b: ConeSet, g, already_normal: bool,
-                 h_a_members: Optional[list] = None):
-        self.h_a, self.h_b, self.g, self.already_normal = h_a, h_b, g, already_normal
-        self.h_a_members = [] if h_a_members is None else h_a_members
-
-
-def conjugate_split(model: GroupModel, cover: CoverPair, g) -> ConjugateSplit:
-    """Split H = symmetric_part(B), the maximal subgroup of B, by where
-    conjugation by g sends each element: H_A collects the part landing in
-    A, H_B the part landing in B.
-    Ball-local, at the cover's radius: the split sets are explicit
-    element lists."""
+def conjugate_split(model: GroupModel, cover: CoverPair, g) -> list:
+    """H_A: the members h != 1 of H = symmetric_part(B), the maximal
+    subgroup of B, whose conjugate g^-1 h g lands in A - B, in BFS order.
+    Ball-local, at the cover's radius."""
     domain = model.domain(cover.radius)
-    one = model.identity()
-    h_cone = symmetric_part(model, cover.b)
-    hmem = [domain.elements[i] for i in sorted(ball_members(h_cone, domain))]
-    if all(x == one for x in hmem):
+    hmem = ball_members(symmetric_part(model, cover.b), domain) - {0}
+    if not hmem:
         raise IdentityOnlyH("the maximal subgroup of B is trivial on the ball")
-    h_a, h_b = [], []
-    stable = True
-    for h in hmem:
-        if h == one:
-            continue
-        c = model.conj(g, h)
-        if not h_cone.member(c):
-            stable = False
-        if cover.a.member(c) and not cover.b.member(c):
-            h_a.append(h)
-        else:
-            h_b.append(h)
-    if stable and not h_a:
-        return ConjugateSplit(identity_cone(model), h_cone, g, already_normal=True)
-    ha_cone = union(explicit(model, h_a), identity_cone(model)) if h_a \
-        else identity_cone(model)
-    hb_cone = union(explicit(model, h_b), identity_cone(model)) if h_b \
-        else identity_cone(model)
-    return ConjugateSplit(ha_cone, hb_cone, g, already_normal=False, h_a_members=h_a)
+    elements = domain.elements
+    conjugates = [(elements[i], model.conj(g, elements[i])) for i in sorted(hmem)]
+    return [h for h, c in conjugates if cover.a.member(c) and not cover.b.member(c)]
 
 
 def refine_pair(model: GroupModel, cover: CoverPair, g, *, verify: bool = True) -> CoverPair:
@@ -248,10 +220,10 @@ def refine_pair(model: GroupModel, cover: CoverPair, g, *, verify: bool = True) 
     the ball of the cover's radius: both sides closed, strict inclusions,
     inverse property, and no nontrivial subgroup inside A'."""
     radius = cover.radius
-    split = conjugate_split(model, cover, g)
-    if split.already_normal or not split.h_a_members:
+    h_a = conjugate_split(model, cover, g)
+    if not h_a:
         raise NothingToRefine(f"conjugation by {g!r} moves nothing into A")
-    ha = split.h_a
+    ha = union(explicit(model, h_a), identity_cone(model))
     a_new = union(cover.a, ha)
     b_new = union(intersection(cover.b, complement(ha)), identity_cone(model))
     refined = is_cover_pair(model, a_new, b_new, radius)
@@ -319,22 +291,6 @@ class DescentState:
         }
 
 
-def _normality_violation(model: GroupModel, n_cone: ConeSet, radius: int):
-    """First (g, h) in BFS order with a conjugate of h by g escaping N.
-    Cones whose AST proves conjugation stability are exact: no scan."""
-    if compile_cone(n_cone).pure:
-        return None
-    domain = model.domain(radius)
-    for g in domain.elements:
-        if g == model.identity():
-            continue
-        bad = conjugate_escapes(model, n_cone, g, domain) + \
-            conjugate_escapes(model, n_cone, model.inv(g), domain)
-        if bad:
-            return g, domain.elements[min(bad)]
-    return None
-
-
 def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int) -> DescentState:
     """Iteratively refine the pair until the maximal subgroup of the B side
     is normal on the ball of the cover's radius, or the depth budget runs
@@ -346,13 +302,13 @@ def minimal_pair_descent(model: GroupModel, cover: CoverPair, max_depth: int) ->
     step = 0
     while True:
         n_cone = symmetric_part(model, current.b)
-        violation = _normality_violation(model, n_cone, cover.radius)
-        if violation is None:
+        verdict = normality_verdict(model, n_cone, cover.radius)
+        if verdict.ok:
             outcome = "already_normal" if step == 0 else "normal_found"
             return DescentState(current, step, history, outcome, normal=n_cone)
         if step >= max_depth:
             return DescentState(current, step, history, "depth_exceeded")
-        g, h = violation
+        g, h = verdict.witness
         current = refine_pair(model, current, g)
         history.append((step + 1, g, h))
         step += 1

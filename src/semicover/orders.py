@@ -20,7 +20,6 @@ from .cones import (
     compile_cone,
     complement,
     cone_to_obj,
-    conjugate_escapes,
     ext_equal,
     identity_cone,
     intersection,
@@ -28,6 +27,7 @@ from .cones import (
     invert_cone,
     is_cover_pair,
     is_subsemigroup,
+    normality_verdict,
     pullback,
     scan_domain,
     symmetric_part,
@@ -35,6 +35,7 @@ from .cones import (
 )
 from .errors import ModelMismatch, NotACone, NotNormalized, TrivialQuotient
 from .groups import (
+    Domain,
     GroupModel,
     Homomorphism,
     image_ops,
@@ -89,19 +90,25 @@ class LeftOrderComparator:
         return self.le(x, y) and not self.le(y, x)
 
 
+def _totality(model: GroupModel, cone: ConeSet, domain: Domain, kernel: frozenset) -> tuple:
+    """The first index of the domain in neither P nor P^-1, and the first
+    in both outside `kernel`, an index set of the domain; None where there
+    is none."""
+    mem = ball_members(cone, domain)
+    mem_inv = ball_members(invert_cone(model, cone), domain)
+    return (min(domain.indices - (mem | mem_inv), default=None),
+            min((mem & mem_inv) - kernel, default=None))
+
+
 def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int) -> None:
     """Check P u P^-1 covers the ball and P n P^-1 is only the identity.
     Raises NotACone with the first failing element."""
     check_model(model, cone)
-    inv_cone = invert_cone(model, cone)
     domain = scan_domain(model, radius, cone)
-    mem = ball_members(cone, domain)
-    mem_inv = ball_members(inv_cone, domain)
-    missing = min(domain.indices - (mem | mem_inv), default=None)
+    missing, bad = _totality(model, cone, domain, frozenset({0}))
     if missing is not None:
         raise NotACone("cone union its inverse misses an element",
                        witness=(domain.elements[missing],))
-    bad = min((mem & mem_inv) - {0}, default=None)
     if bad is not None:
         raise NotACone("cone meets its inverse off the identity",
                        witness=(domain.elements[bad],))
@@ -136,7 +143,6 @@ def validate_witness(witness: LeftOrderWitness, radius: int) -> dict:
     check_model(model, witness.kernel)
     check_model(model, witness.cone)
     domain = scan_domain(model, radius, witness.kernel, witness.cone)
-    elements = domain.elements
     kern, cone = witness.kernel, witness.cone
     out: dict = {}
     out["kernel_closed"] = is_subsemigroup(model, kern, radius)
@@ -146,20 +152,10 @@ def validate_witness(witness: LeftOrderWitness, radius: int) -> dict:
     bad = next((i for i, j in pairs if j not in kset), None)
     out["kernel_inverse_closed"] = Verdict.first_failure(domain, bad)
 
-    if compile_cone(kern).pure:
-        # abelian-image leaves cannot distinguish conjugates: exact verdict
-        out["kernel_conjugation_stable"] = Verdict("verified", radius_checked=0)
-    else:
-        escapes = ((g, conjugate_escapes(model, kern, g, domain)) for g in elements)
-        conj_bad = next(((g, elements[bad[0]]) for g, bad in escapes if bad), None)
-        out["kernel_conjugation_stable"] = Verdict.of(conj_bad, domain)
+    out["kernel_conjugation_stable"] = normality_verdict(model, kern, radius)
 
-    inv_cone = invert_cone(model, cone)
-    cmem = ball_members(cone, domain)
-    imem = ball_members(inv_cone, domain)
-    missing = min(domain.indices - (cmem | imem), default=None)
+    missing, stray = _totality(model, cone, domain, kset)
     out["cone_covers"] = Verdict.first_failure(domain, missing)
-    stray = min(cmem & imem - kset, default=None)
     out["cone_antisymmetric_mod_kernel"] = Verdict.first_failure(domain, stray)
     return out
 
@@ -241,21 +237,17 @@ def lex_combine(w1: LeftOrderWitness, w2: LeftOrderWitness) -> LeftOrderWitness:
 
 
 def _require_normalized(cover: CoverPair, radius: int) -> ConeSet:
-    """Checks a merge input is normalized; returns its maximal subgroup."""
+    """Checks a merge input is normalized and its maximal subgroup normal
+    on the ball (`normality_verdict`); returns that subgroup."""
     model = cover.model
     flags = is_cover_pair(model, cover.a, cover.b, radius)
     if not flags.normalized_ok():
         bad = sorted(k for k, v in flags.flags.items() if not v.ok)
         raise NotNormalized(f"cover fails {', '.join(bad)}")
     n = symmetric_part(model, cover.b)
-    if compile_cone(n).pure:
-        return n  # conjugation stable by AST shape
-    domain = model.domain(radius)
-    # conjugators from a small ball (all of a finite group); explicit-set
-    # inputs only
-    for g in model.domain(min(radius, 2)).elements:
-        if conjugate_escapes(model, n, g, domain):
-            raise NotNormalized(f"maximal subgroup not normal at conjugator {g!r}")
+    verdict = normality_verdict(model, n, radius)
+    if not verdict.ok:
+        raise NotNormalized(f"maximal subgroup not normal at conjugator {verdict.witness[0]!r}")
     return n
 
 

@@ -181,6 +181,16 @@ def test_sigma_cap_range_ends(capsys):
     assert code == 0 and json.loads(out)["census"]["closed_subsets"] == 10
 
 
+@pytest.mark.parametrize("cap", [["--cap", "4"], []], ids=["cap-4", "default-cap"])
+def test_sigma_exhaustive_above_cap_is_refused(capsys, cap):
+    # the census was asked for on a group past the cap: exit 2, naming the
+    # order and the cap, rather than a report without the census
+    code = main(["sigma", "--fixture", "A4", "--exhaustive", *cap])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert f"order 12 needs --cap >= 12, got {cap[1] if cap else 8}" in captured.err
+
+
 def test_exit_two_on_negative_count(capsys):
     code = main(["verify", "--suite", "lemmas", "--count", "-5", "--radius", "4"])
     assert code == 2

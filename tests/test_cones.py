@@ -41,6 +41,7 @@ from semicover.cones import (
     ball_members,
     compile_cone,
     joint_homs,
+    normality_verdict,
     value_profile,
 )
 from semicover.covers import (
@@ -293,6 +294,11 @@ def test_value_classes_agree_with_element_scan(data):
 
     v = is_subsemigroup(model, cone, radius)
     assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
+    # conjugation stability: the first g, then the first member h, whose
+    # conjugate g^-1 h g fails node `member()`
+    escape = next(((g, h) for g in ball for h in ball
+                   if cone.member(h) and not cone.member(model.conj(g, h))), None)
+    assert normality_verdict(model, cone, radius).witness == escape
 
     kernel = data.draw(st.one_of(st.just(None), _cone_trees(model, explicit_leaves=False)))
     if kernel is None:
@@ -303,6 +309,23 @@ def test_value_classes_agree_with_element_scan(data):
     scan = next((v for v in model.ball(2 * radius)
                  if not _exactly_one(cone, kernel, v, model.inv(v))), None)
     assert (totality_mod_kernel(witness, radius) is None) == (scan is None)
+
+
+def test_normality_verdict_reads_conjugators_past_ball_two():
+    # N = {1} and the conjugates of b^3 and b^-3 by ball(2): the members of
+    # N on ball(4) are 1 and b^3, b^-3, which no conjugator from ball(2)
+    # moves out of N, while a^3 moves b^3 out
+    fr = GroupModel.free(2)
+    b3 = (2, 2, 2)
+    n = explicit(fr, {fr.identity()} | {fr.conj(g, x) for g in fr.ball(2)
+                                        for x in (b3, fr.inv(b3))})
+    assert len(n.elements) == 19
+    v = normality_verdict(fr, n, 4)
+    assert (v.status, v.radius_checked) == ("counterexample", 4)
+    assert v.to_obj(fr)["witness"] == ["a^3", "b^3"]
+    members = [h for h in fr.ball(4) if n.member(h)]
+    assert members == [(), b3, fr.inv(b3)]
+    assert all(n.member(fr.conj(g, h)) for g in fr.ball(2) for h in members)
 
 
 # every model kind, torsion factors included, with the largest radius drawn

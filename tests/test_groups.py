@@ -750,6 +750,27 @@ def test_one_path_for_vector_sums_and_signs():
     assert found == []
 
 
+def test_conjugation_only_in_the_normality_verdict():
+    # every conjugate in src is formed by `cones.normality_verdict`, the one
+    # check of conjugation stability, or by `covers.conjugate_split`, which
+    # splits H along the conjugator that check found: no second normality
+    # scan
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    found = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{qual}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else qual
+            if isinstance(child, ast.Call) and _name(child.func) == "conj":
+                found.add(inner)
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == ["cones.normality_verdict", "covers.conjugate_split"]
+
+
 # definitions in src that only tests reach, each with the reason it stays
 TEST_ONLY = {
     "cones.contains": "one checked membership query, the tests' way to read a cone",
