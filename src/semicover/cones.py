@@ -37,9 +37,17 @@ _REGION_TABLES = {region: {(s,): s in signs for s in (-1, 0, 1)}
 
 class _Fields:
     """Equality and repr over the fields a class names in `_fields`: equal
-    when the classes are the same and the fields compare equal."""
+    when the classes are the same and the fields compare equal.  Instances
+    are immutable: `__init__` writes the fields straight into the instance
+    dict, and assigning or deleting an attribute raises."""
 
     _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -64,11 +72,9 @@ class ConeSet(_Fields):
     Every member set on a domain is read off the compiled form
     (`ball_members`).
 
-    A node is immutable: equality, hashing and repr read the fields its
-    class names in `_fields`, each class's `__init__` writes them straight
-    into the instance dict, and assigning an attribute raises.  Besides its
-    fields a node keeps two memos, set with `object.__setattr__` and left
-    out of `_fields` so that equality, hashing and repr ignore them: its
+    A node is immutable (`_Fields`) and hashes its fields.  Besides its
+    fields it keeps two memos, set with `object.__setattr__` and left out
+    of `_fields` so that equality, hashing and repr ignore them: its
     compiled form (`compile_cone`: the sign-pattern table and the
     exceptions) and its member set on the last domain asked for
     (`ball_members`)."""
@@ -77,12 +83,6 @@ class ConeSet(_Fields):
 
     def __hash__(self):
         return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def member(self, x) -> bool:
         raise NotImplementedError
@@ -431,19 +431,30 @@ class Form:
     wrapper node costs O(children).  A form never refers to a cone node,
     so forms kept on nodes make no reference cycles."""
 
-    __slots__ = ("homs", "pure", "one", "table", "compute", "find", "_exceptions")
+    __slots__ = ("homs", "pure", "one", "table", "compute", "find", "_exceptions", "_key")
 
     def __init__(self, homs: tuple, pure: bool, one: bool, table: dict,
                  exceptions: frozenset = frozenset(), compute=None, find=None):
         self.homs, self.pure, self.one, self.table = homs, pure, one, table
         self.compute, self.find = compute, find
         self._exceptions = None if find else exceptions
+        self._key = None
 
     @property
     def exceptions(self) -> frozenset:
         if self._exceptions is None:
             self._exceptions, self.find = self.find(self), None
         return self._exceptions
+
+    @property
+    def key(self) -> tuple:
+        """The form's extension, built on first use: its maps' keys, its
+        value at each of their 3^k sign patterns and its exceptions.  Equal
+        keys mean equal member sets; the key holds no map and no node."""
+        if self._key is None:
+            values = tuple(map(self.value, product((-1, 0, 1), repeat=len(self.homs))))
+            self._key = tuple([h.key for h in self.homs]), values, self.exceptions
+        return self._key
 
     def value(self, signs: tuple) -> bool:
         v = self.table.get(signs)
@@ -707,16 +718,16 @@ def _merged(su: tuple, sv: tuple) -> Optional[tuple]:
 class Verdict(_Fields):
     """Outcome of one check.  radius_checked = 0 marks an exact verdict
     (finite group or AST-decidable); ball-local verdicts carry the radius.
-    Verdicts compare by value and, being mutable, are not hashable."""
+    Verdicts compare by value and are immutable, so a memo may share them
+    (`decide_once`); they define no hash."""
 
     _fields = ("status", "witness", "radius_checked", "note")
 
     def __init__(self, status: str, witness: Optional[tuple] = None,
                  radius_checked: int = 0, note: str = ""):
-        self.status = status  # verified | counterexample | inconclusive
-        self.witness = witness
-        self.radius_checked = radius_checked
-        self.note = note
+        d = self.__dict__
+        d["status"] = status  # verified | counterexample | inconclusive
+        d["witness"], d["radius_checked"], d["note"] = witness, radius_checked, note
 
     @classmethod
     def of(cls, witness: Optional[tuple], domain: Domain, note: str = "") -> "Verdict":
@@ -748,6 +759,26 @@ class Verdict(_Fields):
         return obj
 
 
+def decide_once(domain: Domain, question: tuple, cones: tuple, decide):
+    """`decide()`, the verdict on `question` about the cones, kept in the
+    domain's memo under the question and each cone's extension
+    (`Form.key`): every verdict kept is the domain's first failure in BFS
+    order, which the cones' member sets fix.  The memo is skipped when a
+    cone's 3^k sign patterns outnumber the domain's elements, so a key
+    costs at most one pass over the domain."""
+    key = [question]
+    for cone in cones:
+        form = compile_cone(cone)
+        if 3 ** len(form.homs) > len(domain.elements):
+            return decide()
+        key.append(form.key)
+    key, memo = tuple(key), domain.verdicts
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = decide()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Subsemigroup and cover verification
 # ---------------------------------------------------------------------------
@@ -763,10 +794,13 @@ def is_subsemigroup(model: GroupModel, cone: ConeSet, radius: int) -> Verdict:
     wins.
     """
     check_model(model, cone)
-    scan = ProductScan(model, scan_domain(model, radius, cone), compile_cone(cone).homs,
-                       cone, cone)
-    witness = None if scan.clean(cone) else (scan := scan.by_element()).first_pair()
-    return Verdict.of(witness, scan.domain)
+    domain = scan_domain(model, radius, cone)
+
+    def decide() -> Verdict:
+        scan = ProductScan(model, domain, compile_cone(cone).homs, cone, cone)
+        witness = None if scan.clean(cone) else (scan := scan.by_element()).first_pair()
+        return Verdict.of(witness, scan.domain)
+    return decide_once(domain, ("closed",), (cone,), decide)
 
 
 def normality_verdict(model: GroupModel, cone: ConeSet, radius: int) -> Verdict:
@@ -829,35 +863,36 @@ class CoverPair:
 def is_cover_pair(model: GroupModel, a: ConeSet, b: ConeSet, radius: int, *,
                   check_intersection: bool = True, check_duality: bool = False) -> CoverPair:
     """Verdict bundle: closure of both sides, covering, properness, and
-    (optionally) trivial intersection and inverse duality."""
+    (optionally) trivial intersection and inverse duality, decided once per
+    domain (`decide_once`); each pair gets its own copy of the flags."""
     check_model(model, a)
     check_model(model, b)
     domain = scan_domain(model, radius, a, b)
     elements, rad = domain.elements, domain.radius
 
-    flags = {
-        "closed_A": is_subsemigroup(model, a, radius),
-        "closed_B": is_subsemigroup(model, b, radius),
-    }
-    mem_a = ball_members(a, domain)
-    mem_b = ball_members(b, domain)
-
-    missing = min(domain.indices - (mem_a | mem_b), default=None)
-    flags["covers"] = Verdict.first_failure(domain, missing)
-    for side, mem in (("A", mem_a), ("B", mem_b)):
-        out = next((i for i in range(len(elements)) if i not in mem), None)
-        flags[f"proper_{side}"] = (
-            Verdict("verified", witness=(elements[out],), radius_checked=rad) if out is not None
-            else Verdict("counterexample", radius_checked=rad,
-                         note=f"side {side} contains the whole ball"))
-    if check_intersection:
-        bad = min((mem_a & mem_b) - {0}, default=None)
-        flags["trivial_intersection"] = Verdict.first_failure(domain, bad)
-    pair = CoverPair(model, a, b, radius, flags)
-    if check_duality:
-        from .covers import check_inverse_duality  # local: avoids an import cycle
-        flags["inverse_duality"] = check_inverse_duality(model, pair, radius)
-    return pair
+    def decide() -> dict:
+        flags = {"closed_A": is_subsemigroup(model, a, radius),
+                 "closed_B": is_subsemigroup(model, b, radius)}
+        mem_a, mem_b = ball_members(a, domain), ball_members(b, domain)
+        missing = min(domain.indices - (mem_a | mem_b), default=None)
+        flags["covers"] = Verdict.first_failure(domain, missing)
+        for side, mem in (("A", mem_a), ("B", mem_b)):
+            out = next((i for i in range(len(elements)) if i not in mem), None)
+            flags[f"proper_{side}"] = (
+                Verdict("verified", witness=(elements[out],), radius_checked=rad)
+                if out is not None
+                else Verdict("counterexample", radius_checked=rad,
+                             note=f"side {side} contains the whole ball"))
+        if check_intersection:
+            bad = min((mem_a & mem_b) - {0}, default=None)
+            flags["trivial_intersection"] = Verdict.first_failure(domain, bad)
+        if check_duality:
+            from .covers import check_inverse_duality  # local: avoids an import cycle
+            flags["inverse_duality"] = check_inverse_duality(
+                model, CoverPair(model, a, b, radius), radius)
+        return flags
+    flags = decide_once(domain, ("cover", check_intersection, check_duality), (a, b), decide)
+    return CoverPair(model, a, b, radius, dict(flags))
 
 
 def ext_equal(model: GroupModel, c1: ConeSet, c2: ConeSet, radius: int) -> Optional[tuple]:

@@ -17,6 +17,7 @@ from .cones import (
     ProductScan,
     ball_members,
     complement,
+    decide_once,
     explicit,
     identity_cone,
     intersection,
@@ -133,18 +134,21 @@ def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int) -> V
     sides' member sets.  Each element is paired with the index of its
     inverse, one pair per image class on a value-pure cover
     (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
-    is not, as H = B n B^-1."""
+    is not, as H = B n B^-1.  Decided once per domain (`decide_once`)."""
     domain = scan_domain(model, radius, cover.a, cover.b)
-    mem_a = ball_members(cover.a, domain)
-    mem_b = ball_members(cover.b, domain)
-    a_star = mem_a - {0}
-    pairs = inverse_pairs(model, domain, cover.a, cover.b)
-    bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)), None)
-    if bad is not None:
-        return Verdict.first_failure(domain, bad, _A_INVERSE)
-    bad = next((i for i, j in pairs if i in mem_b and j not in mem_b and j not in a_star),
-               None)
-    return Verdict.first_failure(domain, bad, _BH_INVERSE)
+
+    def decide() -> Verdict:
+        mem_a, mem_b = ball_members(cover.a, domain), ball_members(cover.b, domain)
+        a_star = mem_a - {0}
+        pairs = inverse_pairs(model, domain, cover.a, cover.b)
+        bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)),
+                   None)
+        if bad is not None:
+            return Verdict.first_failure(domain, bad, _A_INVERSE)
+        bad = next((i for i, j in pairs if i in mem_b and j not in mem_b and j not in a_star),
+                   None)
+        return Verdict.first_failure(domain, bad, _BH_INVERSE)
+    return decide_once(domain, ("inverse_duality",), (cover.a, cover.b), decide)
 
 
 # ---------------------------------------------------------------------------

@@ -811,13 +811,14 @@ class Domain:
 
     What derives from the elements alone is built on first use and kept
     here: the full index set, the inverse index and the image classes of
-    each hom list.  A domain refers to neither its model nor any
-    homomorphism, so it makes no reference cycle with them or with the
-    cone nodes that keep their member sets on it.  Callers must not mutate
-    a domain or anything it hands out."""
+    each hom list.  `verdicts` is the memo of the verdicts decided on the
+    domain (`cones.decide_once`), keyed by plain tuples.  A domain refers
+    to neither its model nor any homomorphism, so it makes no reference
+    cycle with them or with the cone nodes that keep their member sets on
+    it.  Callers must not mutate a domain or anything it hands out."""
 
     __slots__ = ("elements", "index", "radius", "parent", "via", "steps", "hom_keys",
-                 "_indices", "_inverses", "_classes")
+                 "_indices", "_inverses", "_classes", "verdicts")
 
     def __init__(self, elements: list, index: dict, radius: int, parent, via, steps,
                  hom_keys: Optional[tuple] = None):
@@ -826,6 +827,7 @@ class Domain:
         self._indices: Optional[frozenset] = None
         self._inverses: Optional[list] = None
         self._classes: dict = {}  # the hom list's keys -> (ImageClasses, the walk extending it)
+        self.verdicts: dict = {}
 
     @property
     def indices(self) -> frozenset:

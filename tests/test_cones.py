@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from semicover import (
     symmetric_part,
     union,
 )
+from semicover import covers
 from semicover.cones import (
     LEX_REGIONS,
     Complement,
@@ -897,6 +899,131 @@ def test_verdicts_compare_by_value():
         "Verdict(status='verified', witness=None, radius_checked=0, note='')"
     with pytest.raises(TypeError):
         hash(v)
+
+
+def test_verdicts_refuse_assignment():
+    # a verdict kept in a domain's memo is shared by every check that reads
+    # it, so none may change it
+    v = Verdict("counterexample", witness=((1,),), radius_checked=3, note="x")
+    for name in (*Verdict._fields, "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v == Verdict("counterexample", ((1,),), 3, "x")
+
+
+# ---------------------------------------------------------------------------
+# The domain's verdict memo
+# ---------------------------------------------------------------------------
+
+FRESH_MODELS = [
+    lambda: GroupModel.zr(1, (2,)), lambda: GroupModel.zr(2), lambda: GroupModel.free(2),
+    GroupModel.heisenberg, GroupModel.klein_bottle, lambda: dihedral(3, name="S3"),
+]
+
+
+def _memo_verdicts(models, a, b, radius):
+    """Every verdict the memo keeps, on the pair (a, b), each decided on
+    the model that `models()` gives."""
+    return (is_subsemigroup(models(), a, radius), is_subsemigroup(models(), b, radius),
+            check_inverse_duality(models(), CoverPair(models(), a, b, radius), radius),
+            is_cover_pair(models(), a, b, radius, check_duality=True).flags,
+            is_cover_pair(models(), a, b, radius, check_intersection=False).flags)
+
+
+def _twins(model, cone) -> list:
+    """New nodes that denote the cone's set."""
+    out = [union(cone, cone), intersection(cone, cone)]
+    if cone.member(model.identity()):
+        out.append(union(cone, identity_cone(model)))
+    return out
+
+
+def _rebuilt(cone, hom_of, element_of):
+    """The cone's tree with each pullback's map and each listed element
+    replaced by its image under `hom_of` and `element_of`."""
+    model = cone.model
+    if isinstance(cone, Pullback):
+        return pullback(hom_of(cone.hom), cone.region)
+    if isinstance(cone, ExplicitSet):
+        return explicit(model, map(element_of, cone.elements), cone.mode)
+    if isinstance(cone, FiniteBits):
+        return explicit(model, map(element_of, cone.indices))
+    if isinstance(cone, Complement):
+        return complement(_rebuilt(cone.part, hom_of, element_of))
+    if isinstance(cone, Identity):
+        return cone
+    return type(cone)(model, tuple(_rebuilt(c, hom_of, element_of) for c in cone.parts))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_verdict_memo_agrees_with_a_fresh_model(data):
+    # twins of decided cones read their verdicts off the domain's memo,
+    # keyed by the cones' extensions; they must be the verdicts that a
+    # fresh model of the same group decides for them, one model per verdict
+    fresh = data.draw(st.sampled_from(FRESH_MODELS))
+    model = fresh()
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    a, b = (data.draw(_cone_trees(model, explicit_leaves=True)) for _ in range(2))
+    pairs = []
+    for ta in _twins(model, a):
+        tb = data.draw(st.sampled_from(_twins(model, b)))
+        pairs += [(ta, tb), (tb, ta)]
+    # A padded by an empty list is decided on the ball, and so are its
+    # relatives: A over other maps, and A with its listed elements moved.
+    # Each has A's sign table, so a key without the maps or without the
+    # exceptions would confuse it with A
+    pad = explicit(model, [])
+    homs = {h: data.draw(_value_homs(model)) for h in compile_cone(a).homs}
+    moved = {x: data.draw(st.sampled_from(model.ball(2))) for x in model.ball(2)}
+    pairs.append((union(a, pad), b))
+    for hom_of, element_of in ((homs.get, lambda x: x), (lambda h: h, moved.get)):
+        pairs.append((union(_rebuilt(a, hom_of, element_of), pad), b))
+    _memo_verdicts(lambda: model, a, b, radius)
+    for x, y in pairs:
+        assert _memo_verdicts(lambda: model, x, y, radius) == _memo_verdicts(fresh, x, y, radius)
+
+
+def test_verdict_memo_spares_the_repeated_scans(monkeypatch):
+    # reduce_cover re-verifies the cover it is given, and each check builds
+    # new nodes for sets already decided: on the reduced cover of a
+    # pullback cover, reducing again runs no closure scan, and its duality
+    # verdict is read, not scanned again
+    model = GroupModel.heisenberg()
+    hom = Homomorphism(model, GroupModel.zr(1), images=[(1,), (-2,)])
+    scans, pairs = [], []
+    clean, inverse_pairs = ProductScan.clean, covers.inverse_pairs
+    monkeypatch.setattr(ProductScan, "clean", lambda self, xs: scans.append(xs) or clean(self, xs))
+    monkeypatch.setattr(covers, "inverse_pairs",
+                        lambda *args, **kwargs: pairs.append(args) or inverse_pairs(*args, **kwargs))
+    cover = pullback_cover(model, hom, radius=3)
+    red = reduce_cover(model, cover.a, cover.b, 3)
+    assert scans and pairs
+    done = len(scans)
+    again = reduce_cover(model, red.a, red.b, 3)
+    assert len(scans) == done and again.flags == red.flags
+    done = len(pairs)
+    assert check_inverse_duality(model, red, 3) == red.flags["inverse_duality"]
+    assert len(pairs) == done
+
+
+def test_verdict_memo_skips_keys_longer_than_the_domain():
+    # the union of pullbacks through 20 distinct maps (all one region: each
+    # map scales the identity of Z^2) has a key of 3^20 values, far more
+    # than the 25 elements of ball(3) of z^2: the memo is skipped and the
+    # verdicts come at once
+    model = GroupModel.zr(2)
+    b = union(*[pullback(Homomorphism(model, GroupModel.zr(2), images=[(k, 0), (0, k)]),
+                         "lex_nonneg") for k in range(1, 21)])
+    a = union(complement(b), identity_cone(model))
+    start = time.perf_counter()
+    pair = is_cover_pair(model, a, b, 3, check_duality=True)
+    assert time.perf_counter() - start < 1
+    assert sorted(pair.flags) == ["closed_A", "closed_B", "covers", "inverse_duality",
+                                  "proper_A", "proper_B", "trivial_intersection"]
+    assert all(v.ok and v.radius_checked == 3 for v in pair.flags.values())
 
 
 def test_comparator_refuses_a_cone_from_another_model():

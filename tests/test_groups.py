@@ -771,6 +771,26 @@ def test_conjugation_only_in_the_normality_verdict():
     assert sorted(found) == ["cones.normality_verdict", "covers.conjugate_split"]
 
 
+def test_verdict_memo_only_in_decide_once():
+    # a domain's verdict memo is read and written by `cones.decide_once`
+    # alone, so every verdict in it is keyed one way (`Form.key`);
+    # `Domain.__init__` only creates it
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    found = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{qual}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else qual
+            if isinstance(child, ast.Attribute) and child.attr == "verdicts":
+                found.add(inner)
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == ["cones.decide_once", "groups.Domain.__init__"]
+
+
 # definitions in src that only tests reach, each with the reason it stays
 TEST_ONLY = {
     "cones.contains": "one checked membership query, the tests' way to read a cone",
