@@ -2,7 +2,8 @@
 
 A ConeSet is an immutable expression tree.  `member` decides any element
 of the owning model structurally; member sets on a domain are read off
-the tree's compiled form (`compile_cone`, `ball_members`).
+the tree's compiled form (`compile_cone`, `ball_members`), and inverse
+member sets off its inverse form (`inverse_members`).
 Verification is exact on finite groups and ball-local on infinite models;
 ball-local verdicts always carry the radius they were checked at.
 """
@@ -73,11 +74,12 @@ class ConeSet(_Fields):
     (`ball_members`).
 
     A node is immutable (`_Fields`) and hashes its fields.  Besides its
-    fields it keeps two memos, set with `object.__setattr__` and left out
-    of `_fields` so that equality, hashing and repr ignore them: its
-    compiled form (`compile_cone`: the sign-pattern table and the
-    exceptions) and its member set on the last domain asked for
-    (`ball_members`)."""
+    fields it keeps memos, set with `object.__setattr__` and left out of
+    `_fields` so that equality, hashing and repr ignore them: its compiled
+    form (`compile_cone`: the sign-pattern table and the exceptions) and
+    its inverse form (`_inverse_form`), and its member set and inverse
+    member set on the last domain asked for (`ball_members`,
+    `inverse_members`)."""
 
     model: GroupModel
 
@@ -333,12 +335,14 @@ def contains(model: GroupModel, cone: ConeSet, x) -> bool:
 
 def invert_cone(model: GroupModel, cone: ConeSet) -> ConeSet:
     """A cone S' with S'(x) = S(x^-1) for every x, each node inverting
-    itself (`ConeSet.inverse`).  Its form is derived from the cone's
-    (`_inverse_form`), which reads the cone's sign table at negated signs."""
+    itself (`ConeSet.inverse`).  Its form is the cone's inverse form
+    (`_inverse_form`, kept on the cone), which reads the cone's sign table
+    at negated signs; `inverse_members` reads the same form on a domain
+    without building a node."""
     check_model(model, cone)
     out = cone.inverse()
     if out is not cone:
-        object.__setattr__(out, "_compiled", _inverse_form(compile_cone(cone), model))
+        object.__setattr__(out, "_compiled", _inverse_form(cone))
     return out
 
 
@@ -356,17 +360,31 @@ def symmetric_part(model: GroupModel, cone: ConeSet) -> ConeSet:
 
 def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
     """Indices of the domain's elements belonging to the cone (index 0 is
-    the identity), read off its compiled form: the identity by `one`, any
-    other element by the form's value at its image class's sign pattern,
-    flipped for the form's exceptions.  The result is kept on the node with
-    the domain it was computed for, and replaced when another domain is
-    asked for.  A class domain (`scan_domain`) holds one element per image
-    class under its maps, so a cone that is not value-pure over those maps
-    raises ModelMismatch there: its members need not be whole classes."""
-    stored = vars(cone).get("_members")
+    the identity), read off its compiled form (`_read_members`)."""
+    return _read_members(cone, domain, "_members", compile_cone)
+
+
+def inverse_members(cone: ConeSet, domain: Domain) -> frozenset:
+    """Indices of the domain's elements whose inverse belongs to the cone,
+    read off its inverse form (`_read_members`).  On a class domain x^-1
+    for x in class w lies in class -w, which need not be on the domain:
+    the inverse form reads it at x's own sign pattern."""
+    return _read_members(cone, domain, "_inverse_members", _inverse_form)
+
+
+def _read_members(cone: ConeSet, domain: Domain, slot: str, form_of) -> frozenset:
+    """The member set of the form `form_of(cone)` on the domain: the
+    identity by `one`, any other element by the form's value at its image
+    class's sign pattern, flipped for the form's exceptions.  It is kept
+    in the node's `slot` with the domain, and replaced when another domain
+    is asked for.  A class domain (`scan_domain`) holds one element per
+    image class under its maps, so a cone that is not value-pure over
+    those maps raises ModelMismatch there: its members need not be whole
+    classes."""
+    stored = vars(cone).get(slot)
     if stored is not None and stored[0] is domain:
         return stored[1]
-    form = compile_cone(cone)
+    form = form_of(cone)
     over = domain.hom_keys  # a class domain's maps; None on a ball or finite group
     if over is not None and not (form.pure and all(h.key in over for h in form.homs)):
         raise ModelMismatch("a class domain decides only value-pure cones over its maps")
@@ -378,32 +396,8 @@ def ball_members(cone: ConeSet, domain: Domain) -> frozenset:
     index = domain.index
     out.symmetric_difference_update([i for i in map(index.get, form.exceptions) if i])
     out = frozenset(out)
-    object.__setattr__(cone, "_members", (domain, out))
+    object.__setattr__(cone, slot, (domain, out))
     return out
-
-
-def inverse_pairs(model: GroupModel, domain: Domain, *cones: ConeSet,
-                  among: Optional[frozenset] = None) -> list:
-    """(i, j) pairs, ascending in i, with element j of the domain standing
-    for the inverse of element i, for deciding inverse conditions on the
-    cones' member sets; with `among`, an index set of the domain, only the
-    pairs whose i is in it.
-
-    When the cones are value-pure, each element other than the identity
-    has the membership of its joint image class, and x^-1 for x in class w
-    lies in class -w: i runs over the identity and the first index of each
-    class, and the first failing i is the first failing element in BFS
-    order.  Otherwise i runs over the whole domain (`Domain.inverses`)."""
-    homs = value_profile(*cones)
-    if homs is None:
-        inverse = domain.inverses(model.inv)
-        return list(enumerate(inverse)) if among is None else [(i, inverse[i]) for i in sorted(among)]
-    members, cls, keys, _, _ = domain.classes(homs)
-    if among is None:
-        firsts = [0] + [idxs[0] for idxs in members.values()]
-    else:
-        firsts = [i for i in sorted(among) if not i or members[keys[cls[i]]][0] == i]
-    return [(i, i and members[tuple([-c for c in keys[cls[i]]])][0]) for i in firsts]
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +502,18 @@ def _combined(cones: tuple, how, one) -> Form:
                 compute=lambda s: how(f.value(tuple([s[i] for i in pos])) for f, pos in picks))
 
 
-def _inverse_form(base: Form, model: GroupModel) -> Form:
-    """The form of x -> x^-1 in the cone: phi(x^-1) = -phi(x) negates
-    every sign, and the exceptions are inverted."""
-    return Form(base.homs, base.pure, base.one, {},
-                compute=lambda s: base.value(tuple([-v for v in s])),
-                find=lambda _: frozenset(model.inv(e) for e in base.exceptions))
+def _inverse_form(cone: ConeSet) -> Form:
+    """The form of x -> x^-1 in the cone, built on first use and kept on
+    the node: phi(x^-1) = -phi(x) negates every sign, and the exceptions
+    are inverted."""
+    form = vars(cone).get("_inverse")
+    if form is None:
+        base, inv = compile_cone(cone), cone.model.inv
+        form = Form(base.homs, base.pure, base.one, {},
+                    compute=lambda s: base.value(tuple([-v for v in s])),
+                    find=lambda _: frozenset(map(inv, base.exceptions)))
+        object.__setattr__(cone, "_inverse", form)
+    return form
 
 
 def joint_homs(*cones: ConeSet) -> tuple:

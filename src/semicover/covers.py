@@ -21,7 +21,7 @@ from .cones import (
     explicit,
     identity_cone,
     intersection,
-    inverse_pairs,
+    inverse_members,
     is_cover_pair,
     joint_homs,
     normality_verdict,
@@ -49,9 +49,10 @@ A_SIDE = "A_side"
 # ---------------------------------------------------------------------------
 
 class IntersectionSplit:
-    """I = A n B on the domain.  On value-pure sides `i_a` and `i_b` hold
-    one element per image class (`inverse_pairs`), and on a class domain
-    so does `i_members`; the first element of each is the ball's."""
+    """I = A n B on the domain, in BFS order: `i_members` all of it, `i_a`
+    and `i_b` the parts whose inverses land in one side only.  On a class
+    domain each holds one element per image class; the first element of
+    each is the ball's."""
 
     def __init__(self, side: str, i_a: list, i_b: list, i_members: list):
         self.side = side            # which side is guaranteed to absorb <I>
@@ -67,13 +68,10 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
     with the concrete non-closure evidence it implies."""
     domain = scan_domain(model, radius, a, b)
     elements = domain.elements
-    mem_a, mem_b = ball_members(a, domain), ball_members(b, domain)
-    shared = mem_a & mem_b
-    i_a, i_b = [], []
-    for i, j in inverse_pairs(model, domain, a, b, among=shared):
-        in_a, in_b = j in mem_a, j in mem_b
-        if in_a != in_b:
-            (i_a if in_a else i_b).append(elements[i])
+    shared = ball_members(a, domain) & ball_members(b, domain)
+    inv_a, inv_b = inverse_members(a, domain), inverse_members(b, domain)
+    i_a = [elements[i] for i in sorted(shared & inv_a - inv_b)]
+    i_b = [elements[i] for i in sorted(shared & inv_b - inv_a)]
     if i_a and i_b:
         x, y = i_a[0], i_b[0]
         z = model.mul(model.inv(x), model.inv(y))
@@ -105,7 +103,8 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> 
     B - H is stable under multiplication by H on both sides.  The compiled
     forms of A - {1} and B - H are read by one `ProductScan` each: when
     both are clean over H - {1} the cover is saturated on the ball, and
-    otherwise each h's first escaping x is found element by element."""
+    otherwise each h's first escaping x is found element by element, h
+    running over the members of B whose inverse is in B."""
     domain = scan_domain(model, radius, cover.a, cover.b)
     h_cone = symmetric_part(model, cover.b)
     sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
@@ -117,8 +116,8 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> 
     scans = [(scan.by_element(), name) for scan, name in scans]
     domain = scans[0][0].domain
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
-    elements = domain.elements
-    for h in sorted(ball_members(h_cone, domain) - {0}):
+    elements, b = domain.elements, cover.b
+    for h in sorted(ball_members(b, domain) & inverse_members(b, domain) - {0}):
         for scan, name in scans:
             left, right = scan.first(h, left=True), scan.first(h, left=False)
             x = min((i for i in (left, right) if i is not None), default=None)
@@ -131,24 +130,23 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> 
 
 def check_inverse_duality(model: GroupModel, cover: CoverPair, radius: int) -> Verdict:
     """(A - {1})^-1 = B - H, both inclusions checked on the domain, from the
-    sides' member sets.  Each element is paired with the index of its
-    inverse, one pair per image class on a value-pure cover
-    (`inverse_pairs`), and x is in B - H exactly when x is in B and x^-1
-    is not, as H = B n B^-1.  Decided once per domain (`decide_once`)."""
-    domain = scan_domain(model, radius, cover.a, cover.b)
+    sides' member sets and inverse member sets (`inverse_members`): x is in
+    B - H exactly when x is in B and x^-1 is not, as H = B n B^-1, and
+    x^-1 is in A - {1} exactly when x is an inverse member of A other than
+    the identity.  Decided once per domain (`decide_once`)."""
+    a, b = cover.a, cover.b
+    domain = scan_domain(model, radius, a, b)
 
     def decide() -> Verdict:
-        mem_a, mem_b = ball_members(cover.a, domain), ball_members(cover.b, domain)
-        a_star = mem_a - {0}
-        pairs = inverse_pairs(model, domain, cover.a, cover.b)
-        bad = next((i for i, j in pairs if i in a_star and (i in mem_b or j not in mem_b)),
-                   None)
+        a_star, mem_b = ball_members(a, domain) - {0}, ball_members(b, domain)
+        inv_a, inv_b = inverse_members(a, domain), inverse_members(b, domain)
+        bad = min((a_star & mem_b) | (a_star - inv_b), default=None)
         if bad is not None:
             return Verdict.first_failure(domain, bad, _A_INVERSE)
-        bad = next((i for i, j in pairs if i in mem_b and j not in mem_b and j not in a_star),
-                   None)
-        return Verdict.first_failure(domain, bad, _BH_INVERSE)
-    return decide_once(domain, ("inverse_duality",), (cover.a, cover.b), decide)
+        # B - B^-1 never holds the identity, so x^-1 = 1 needs no check
+        return Verdict.first_failure(domain, min(mem_b - inv_b - inv_a, default=None),
+                                     _BH_INVERSE)
+    return decide_once(domain, ("inverse_duality",), (a, b), decide)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +176,9 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> Cove
         a, b = b, a
 
     domain = scan_domain(model, radius, a, b)
-    i_ball = ball_members(intersection(a, b), domain)
-    h_ball = ball_members(symmetric_part(model, b), domain)
+    mem_b = ball_members(b, domain)
+    i_ball = ball_members(a, domain) & mem_b
+    h_ball = mem_b & inverse_members(b, domain)
     nontrivial_i = len(i_ball) > 1
 
     def build(a_side: ConeSet, b_side: ConeSet) -> CoverPair:
@@ -206,11 +205,11 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> Cove
 # ---------------------------------------------------------------------------
 
 def conjugate_split(model: GroupModel, cover: CoverPair, g) -> list:
-    """H_A: the members h != 1 of H = symmetric_part(B), the maximal
-    subgroup of B, whose conjugate g^-1 h g lands in A - B, in BFS order.
-    Ball-local, at the cover's radius."""
-    domain = model.domain(cover.radius)
-    hmem = ball_members(symmetric_part(model, cover.b), domain) - {0}
+    """H_A: the members h != 1 of H = B n B^-1, the maximal subgroup of B,
+    whose conjugate g^-1 h g lands in A - B, in BFS order.  Ball-local, at
+    the cover's radius."""
+    domain, b = model.domain(cover.radius), cover.b
+    hmem = ball_members(b, domain) & inverse_members(b, domain) - {0}
     if not hmem:
         raise IdentityOnlyH("the maximal subgroup of B is trivial on the ball")
     elements = domain.elements
@@ -257,14 +256,17 @@ def refine_pair(model: GroupModel, cover: CoverPair, g, *, verify: bool = True) 
         raise ClosureViolation("A does not grow strictly", check="a_strict")
     if not (b_star < b_old):
         raise ClosureViolation("B does not shrink strictly", check="b_strict")
-    inverse = domain.inverses(model.inv)
-    for i in sorted(a_star - {0}):
-        if inverse[i] not in b_star:
+    nontrivial = a_star - {0}
+    missing = nontrivial - inverse_members(b_new, domain)
+    paired = nontrivial & inverse_members(a_new, domain)
+    if missing or paired:
+        # the first failing element; the inverse property wins a tie
+        i = min(missing | paired)
+        if i in missing:
             raise ClosureViolation("inverse of an A' element is missing from B'",
                                    witness=(domain.elements[i],), check="inverse_property")
-        if inverse[i] in a_star:
-            raise ClosureViolation("A' contains a nontrivial symmetric pair",
-                                   witness=(domain.elements[i],), check="no_subgroup")
+        raise ClosureViolation("A' contains a nontrivial symmetric pair",
+                               witness=(domain.elements[i],), check="no_subgroup")
     return refined
 
 

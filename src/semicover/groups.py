@@ -810,22 +810,22 @@ class Domain:
     its zero-class element only has that product's image.
 
     What derives from the elements alone is built on first use and kept
-    here: the full index set, the inverse index and the image classes of
-    each hom list.  `verdicts` is the memo of the verdicts decided on the
-    domain (`cones.decide_once`), keyed by plain tuples.  A domain refers
+    here: the full index set and the image classes of each hom list; x^-1
+    conditions read cones' inverse member sets (`cones.inverse_members`).
+    `verdicts` is the memo of the verdicts decided on the domain
+    (`cones.decide_once`), keyed by plain tuples.  A domain refers
     to neither its model nor any homomorphism, so it makes no reference
     cycle with them or with the cone nodes that keep their member sets on
     it.  Callers must not mutate a domain or anything it hands out."""
 
     __slots__ = ("elements", "index", "radius", "parent", "via", "steps", "hom_keys",
-                 "_indices", "_inverses", "_classes", "verdicts")
+                 "_indices", "_classes", "verdicts")
 
     def __init__(self, elements: list, index: dict, radius: int, parent, via, steps,
                  hom_keys: Optional[tuple] = None):
         self.elements, self.index, self.radius = elements, index, radius
         self.parent, self.via, self.steps, self.hom_keys = parent, via, steps, hom_keys
         self._indices: Optional[frozenset] = None
-        self._inverses: Optional[list] = None
         self._classes: dict = {}  # the hom list's keys -> (ImageClasses, the walk extending it)
         self.verdicts: dict = {}
 
@@ -836,14 +836,6 @@ class Domain:
         if self._indices is None:
             self._indices = frozenset(range(len(self.elements)))
         return self._indices
-
-    def inverses(self, inv) -> list:
-        """The index of each element's inverse, for `inv` the model's
-        inversion; balls and finite groups are inverse-closed."""
-        if self._inverses is None:
-            index = self.index
-            self._inverses = [index[inv(x)] for x in self.elements]
-        return self._inverses
 
     def classes(self, homs) -> ImageClasses:
         """The elements' classes under the joint image of `homs`.

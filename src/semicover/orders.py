@@ -23,7 +23,7 @@ from .cones import (
     ext_equal,
     identity_cone,
     intersection,
-    inverse_pairs,
+    inverse_members,
     invert_cone,
     is_cover_pair,
     is_subsemigroup,
@@ -90,12 +90,11 @@ class LeftOrderComparator:
         return self.le(x, y) and not self.le(y, x)
 
 
-def _totality(model: GroupModel, cone: ConeSet, domain: Domain, kernel: frozenset) -> tuple:
+def _totality(cone: ConeSet, domain: Domain, kernel: frozenset) -> tuple:
     """The first index of the domain in neither P nor P^-1, and the first
     in both outside `kernel`, an index set of the domain; None where there
     is none."""
-    mem = ball_members(cone, domain)
-    mem_inv = ball_members(invert_cone(model, cone), domain)
+    mem, mem_inv = ball_members(cone, domain), inverse_members(cone, domain)
     return (min(domain.indices - (mem | mem_inv), default=None),
             min((mem & mem_inv) - kernel, default=None))
 
@@ -105,7 +104,7 @@ def validate_cone_axioms(model: GroupModel, cone: ConeSet, radius: int) -> None:
     Raises NotACone with the first failing element."""
     check_model(model, cone)
     domain = scan_domain(model, radius, cone)
-    missing, bad = _totality(model, cone, domain, frozenset({0}))
+    missing, bad = _totality(cone, domain, frozenset({0}))
     if missing is not None:
         raise NotACone("cone union its inverse misses an element",
                        witness=(domain.elements[missing],))
@@ -148,13 +147,12 @@ def validate_witness(witness: LeftOrderWitness, radius: int) -> dict:
     out["kernel_closed"] = is_subsemigroup(model, kern, radius)
 
     kset = ball_members(kern, domain)
-    pairs = inverse_pairs(model, domain, kern, among=kset)
-    bad = next((i for i, j in pairs if j not in kset), None)
+    bad = min(kset - inverse_members(kern, domain), default=None)
     out["kernel_inverse_closed"] = Verdict.first_failure(domain, bad)
 
     out["kernel_conjugation_stable"] = normality_verdict(model, kern, radius)
 
-    missing, stray = _totality(model, cone, domain, kset)
+    missing, stray = _totality(cone, domain, kset)
     out["cone_covers"] = Verdict.first_failure(domain, missing)
     out["cone_antisymmetric_mod_kernel"] = Verdict.first_failure(domain, stray)
     return out
@@ -170,16 +168,16 @@ def totality_mod_kernel(witness: LeftOrderWitness, radius: int) -> Optional[tupl
     such products over ball(radius) pairs is exactly ball(2 * radius): any
     word of length <= 2r splits into two halves of length <= r.
 
-    When both cones are value-pure the condition depends only on the
-    image class of v, so ball(2r) is cut down to its class domain
-    (`scan_domain`).  Returns None when verified, else a failing product.
+    With P the cone, the three read v in P - P^-1, in P^-1 - P and in the
+    kernel, so exactly one holds on P ^ P^-1 ^ kernel.  When both cones are
+    value-pure, ball(2r) is cut down to its class domain (`scan_domain`).
+    Returns None when verified, else the first failing product.
     """
-    model, cone, kern = witness.model, witness.cone, witness.kernel
-    for v in scan_domain(model, 2 * radius, cone, kern).elements:
-        le_xy, le_yx = cone.member(v), cone.member(model.inv(v))
-        if (le_xy and not le_yx) + (le_yx and not le_xy) + kern.member(v) != 1:
-            return (v,)
-    return None
+    cone, kern = witness.cone, witness.kernel
+    domain = scan_domain(witness.model, 2 * radius, cone, kern)
+    exact = ball_members(cone, domain) ^ inverse_members(cone, domain) ^ ball_members(kern, domain)
+    bad = min(domain.indices - exact, default=None)
+    return None if bad is None else (domain.elements[bad],)
 
 
 # ---------------------------------------------------------------------------

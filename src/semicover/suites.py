@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .cones import ext_equal, is_cover_pair, symmetric_part, ball_members, explicit, union, intersection, complement
+from .cones import (ball_members, complement, explicit, ext_equal, intersection, inverse_members,
+                    is_cover_pair, symmetric_part, union)
 from .covers import (
     check_coset_saturation,
     check_inverse_duality,
@@ -150,14 +151,14 @@ def _reduce_fixed_point(model, red, radius) -> bool:
 
 
 def _fault_inject(model, red, radius):
-    """Move the first B - H - {1} ball element into A; at least one lemma
-    verifier must report a counterexample."""
+    """Move the first B - H ball element into A; at least one lemma
+    verifier must report a counterexample.  B - H = B - B^-1, which holds
+    no identity."""
     domain = model.domain(radius)
-    h_cone = symmetric_part(model, red.b)
-    members = (domain.elements[i] for i in sorted(ball_members(red.b, domain)))
-    moved = next((x for x in members if x != model.identity() and not h_cone.member(x)), None)
-    if moved is None:
+    b_minus_h = ball_members(red.b, domain) - inverse_members(red.b, domain)
+    if not b_minus_h:
         return None
+    moved = domain.elements[min(b_minus_h)]
     bump = explicit(model, [moved])
     a_bad = union(red.a, bump)
     b_bad = intersection(red.b, complement(bump))

@@ -27,7 +27,7 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover import covers
+from semicover import cones
 from semicover.cones import (
     LEX_REGIONS,
     Complement,
@@ -42,6 +42,7 @@ from semicover.cones import (
     Verdict,
     ball_members,
     compile_cone,
+    inverse_members,
     joint_homs,
     normality_verdict,
     value_profile,
@@ -435,6 +436,25 @@ def test_ball_members_memo_follows_the_ball(data):
             for node in _tree_nodes(cone):
                 assert ball_members(node, domain) == \
                     {i for i, x in enumerate(domain.elements) if node.member(x)}, (radius, node)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_inverse_members_agree_with_member_of_the_inverse(data):
+    # inverse_members(C) is {i : C.member(x_i^-1)} on ball(r) of every
+    # model family, on the class domain of a value-pure tree, where x_i^-1
+    # may lie outside the domain, and on a finite whole group
+    model = data.draw(st.sampled_from(FORM_MODELS))
+    radius = PROPERTY_RADIUS.get(model.kind, 3)
+    cone = data.draw(_cone_trees(model, explicit_leaves=data.draw(st.booleans())))
+    domains = [model.domain(radius)]
+    homs = value_profile(cone)
+    if homs and not model.is_finite:
+        # a fresh model has walked no ball, so it builds the class domain
+        domains.append(parse_model(model.selector()).domain(radius, homs=homs))
+    for domain in domains:
+        assert inverse_members(cone, domain) == \
+            {i for i, x in enumerate(domain.elements) if cone.member(model.inv(x))}
 
 
 def _element_path(model, pair):
@@ -884,7 +904,8 @@ def test_memos_stay_out_of_equality_hash_and_repr(build, other):
     before = (hash(node), repr(node))
     compile_cone(node)
     ball_members(node, node.model.domain(2))
-    assert {"_compiled", "_members"} <= node.__dict__.keys()
+    inverse_members(node, node.model.domain(2))
+    assert {"_compiled", "_members", "_inverse", "_inverse_members"} <= node.__dict__.keys()
     object.__setattr__(node, "_compiled", compile_cone(other))
     object.__setattr__(node, "_members", (None, frozenset({0})))
     assert node == fresh and (hash(node), repr(node)) == before
@@ -990,23 +1011,24 @@ def test_verdict_memo_spares_the_repeated_scans(monkeypatch):
     # reduce_cover re-verifies the cover it is given, and each check builds
     # new nodes for sets already decided: on the reduced cover of a
     # pullback cover, reducing again runs no closure scan, and its duality
-    # verdict is read, not scanned again
+    # verdict is read, not scanned again.  An inverse member set computed
+    # reads the cone's inverse form; one read off the node's memo does not
     model = GroupModel.heisenberg()
     hom = Homomorphism(model, GroupModel.zr(1), images=[(1,), (-2,)])
-    scans, pairs = [], []
-    clean, inverse_pairs = ProductScan.clean, covers.inverse_pairs
+    scans, inverse_sets = [], []
+    clean, inverse_form = ProductScan.clean, cones._inverse_form
     monkeypatch.setattr(ProductScan, "clean", lambda self, xs: scans.append(xs) or clean(self, xs))
-    monkeypatch.setattr(covers, "inverse_pairs",
-                        lambda *args, **kwargs: pairs.append(args) or inverse_pairs(*args, **kwargs))
+    monkeypatch.setattr(cones, "_inverse_form",
+                        lambda cone: inverse_sets.append(cone) or inverse_form(cone))
     cover = pullback_cover(model, hom, radius=3)
     red = reduce_cover(model, cover.a, cover.b, 3)
-    assert scans and pairs
+    assert scans and inverse_sets
     done = len(scans)
     again = reduce_cover(model, red.a, red.b, 3)
     assert len(scans) == done and again.flags == red.flags
-    done = len(pairs)
+    done = len(inverse_sets)
     assert check_inverse_duality(model, red, 3) == red.flags["inverse_duality"]
-    assert len(pairs) == done
+    assert len(inverse_sets) == done
 
 
 def test_verdict_memo_skips_keys_longer_than_the_domain():

@@ -364,6 +364,23 @@ def test_inverse_reads_match_member_on_finite_pairs(name):
         _check_inverse_reads(model, rng.choice(shapes), rng.choice(shapes), 1)
 
 
+def test_split_lists_every_element_of_a_walked_ball():
+    # on free:2 at radius 3 no element but 1 maps to 0 under the
+    # abelianization, so the value-pure pair's domain is the whole ball,
+    # where ab and ba share an image class: with G and P = {x >= 0 lex}
+    # as the sides, i_a (or i_b, swapped) is all of P - P^-1, every member
+    # of each class
+    model = GroupModel.free(2)
+    hom = Homomorphism(model, GroupModel.zr(2), images=[(1, 0), (0, 1)])
+    whole = union(complement(identity_cone(model)), identity_cone(model))
+    p = pullback(hom, "lex_nonneg")
+    assert model.domain(3, homs=value_profile(whole, p)) is model.domain(3)
+    for a, b in ((whole, p), (p, whole)):
+        _check_inverse_reads(model, a, b, 3)
+    split = classify_intersection(model, whole, p, 3)
+    assert split.side == "A_side" and len(split.i_a) > len({hom.apply(x) for x in split.i_a})
+
+
 def test_saturation_catches_moved_element():
     m, red = _normalized_overlap_cover()
     moved, bad = _fault_injected(m, red, 8)
@@ -451,6 +468,45 @@ def test_refine_mechanics_on_synthetic_instance():
     assert a_old < a_new          # A grows strictly
     assert b_new < b_old          # B shrinks strictly
     assert a_new - a_old == b_old - b_new  # exactly the moved piece changes sides
+
+
+def _refine_inverse_failure(model, cover, g):
+    """refine_pair's inverse checks by member() on each element of A' -
+    {1} in BFS order and its inverse: (check, witness) or None."""
+    refined = refine_pair(model, cover, g, verify=False)
+    for x in model.domain(cover.radius).elements[1:]:
+        if refined.a.member(x):
+            if not refined.b.member(model.inv(x)):
+                return "inverse_property", (x,)
+            if refined.a.member(model.inv(x)):
+                return "no_subgroup", (x,)
+    return None
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "D5", "A4"])
+def test_refine_inverse_checks_match_member(name):
+    # seeded pairs on finite groups whose refinement passes the closure and
+    # strictness checks: its inverse checks report the first failing
+    # element that member() on inverses finds, or pass where it finds none
+    model = fixture(name)
+    rng = random.Random(f"refine-{name}")
+    reached = []
+    for _ in range(60):
+        b = explicit(model, [0] + rng.sample(range(1, model.order), rng.randint(1, model.order - 1)))
+        cover = CoverPair(model, union(complement(b), identity_cone(model)), b, 1, {})
+        for g in range(1, model.order):
+            try:
+                refine_pair(model, cover, g)
+                got = None
+            except ClosureViolation as exc:
+                if exc.check not in ("inverse_property", "no_subgroup"):
+                    continue
+                got = exc.check, exc.witness
+            except (IdentityOnlyH, NothingToRefine):
+                continue
+            assert got == _refine_inverse_failure(model, cover, g), (b, g)
+            reached.append(got)
+    assert any(reached)
 
 
 def test_cover_flags_are_keyword_only():

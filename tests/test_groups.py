@@ -41,6 +41,7 @@ from semicover.groups import (
     joint_image,
     vector_ops,
 )
+from semicover.cones import inverse_members
 
 ALL_MODELS = [
     GroupModel.zr(1),
@@ -585,45 +586,60 @@ def test_image_classes_on_finite_elements_without_maps():
 
 
 def test_finite_scan_domain_is_built_once():
-    # one domain per finite model, so the memos kept on it (image classes,
-    # inverse indices, cone member sets) hit on every call
+    # one domain per finite model, so the memos kept on it (image classes)
+    # and on cones for it (member sets, inverse member sets) hit on every
+    # call
     model = fixture("D4")
     first = model.domain(3)
     assert model.domain(1) is first and first.radius == 0
     assert first.elements == list(range(8)) and first.index == {x: x for x in range(8)}
     assert first.classes([]) is model.domain(3).classes([])
-    inverse = first.inverses(model.inv)
-    assert inverse == model.inverse_table
-    assert model.domain(3).inverses(model.inv) is inverse
+    cone = explicit(model, [1, 2, 5])
+    inverse = inverse_members(cone, first)
+    assert inverse == _inverse_oracle(model, cone, first)
+    assert inverse_members(cone, model.domain(3)) is inverse
 
 
 def test_finite_whole_group_and_ball_keep_separate_memos():
     # a finite model's ball(1) holds every element in BFS order: as many as
-    # its whole group, in another order, with image classes and an inverse
-    # index of its own; building one domain's memos must not evict the
-    # other's
+    # its whole group, in another order, with image classes of its own, and
+    # a cone's inverse member set on it indexes the ball; building one
+    # domain's memos must not evict the other's, nor may a cone read the
+    # other domain's set
     model = fixture("D4")
     whole = model.domain(1)
-    classes, inverse = whole.classes([]), whole.inverses(model.inv)
+    cone = explicit(model, [1, 3, 4])
+    classes, inverse = whole.classes([]), inverse_members(cone, whole)
     ball = model.ball(1)
     in_ball = model._balls[1]
     assert sorted(ball) == whole.elements and ball != whole.elements
-    assert [ball[j] for j in in_ball.inverses(model.inv)] == [model.inv(x) for x in ball]
+    on_ball = inverse_members(cone, in_ball)
+    assert on_ball == _inverse_oracle(model, cone, in_ball) != inverse
+    assert {ball[i] for i in on_ball} == {whole.elements[i] for i in inverse}
     assert in_ball.classes([]).members == {(): list(range(1, 8))}
     assert in_ball.classes([]) is not classes
-    assert whole.classes([]) is classes and whole.inverses(model.inv) is inverse
-    assert inverse == model.inverse_table
+    assert whole.classes([]) is classes
+    assert inverse_members(cone, whole) == inverse == _inverse_oracle(model, cone, whole)
+
+
+def _inverse_oracle(model, cone, domain) -> set:
+    """The indices of the domain's elements whose inverse is in the cone,
+    by member() on each inverse."""
+    return {i for i, x in enumerate(domain.elements) if cone.member(model.inv(x))}
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_inverse_index_on_ball(model):
+    # a cone's inverse member set is member() on each inverse, kept on the
+    # cone for its domain and computed afresh for another
     domain = model.domain(3)
-    ball = domain.elements
-    inverse = domain.inverses(model.inv)
-    assert [ball[j] for j in inverse] == [model.inv(x) for x in ball]
-    assert model.domain(3).inverses(model.inv) is inverse
-    small = model.domain(2)
-    assert small.inverses(model.inv) == [small.index[model.inv(x)] for x in small.elements]
+    for mode in ("include", "exclude"):
+        cone = explicit(model, domain.elements[1::3], mode)
+        inverse = inverse_members(cone, domain)
+        assert inverse == _inverse_oracle(model, cone, domain)
+        assert inverse_members(cone, model.domain(3)) is inverse
+        small = model.domain(2)
+        assert inverse_members(cone, small) == _inverse_oracle(model, cone, small)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +785,24 @@ def test_conjugation_only_in_the_normality_verdict():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == ["cones.normality_verdict", "covers.conjugate_split"]
+
+
+def test_inverse_conditions_read_inverse_members():
+    # every x^-1 condition on a domain is read off `cones.inverse_members`:
+    # src names no inverse pair list and no per-element inverse index, and
+    # builds no inverse, symmetric-part or intersection node only to read
+    # its member set
+    src = Path(__file__).resolve().parent.parent / "src" / "semicover"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _name(node) in ("inverse_pairs", "inverses") or (
+                    isinstance(node, ast.Call) and _name(node.func) == "ball_members"
+                    and any(isinstance(arg, ast.Call) and _name(arg.func) in
+                            ("invert_cone", "symmetric_part", "intersection")
+                            for arg in node.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_verdict_memo_only_in_decide_once():
