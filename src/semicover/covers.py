@@ -104,7 +104,7 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> 
     forms of A - {1} and B - H are read by one `ProductScan` each: when
     both are clean over H - {1} the cover is saturated on the ball, and
     otherwise each h's first escaping x is found element by element, h
-    running over the members of B whose inverse is in B."""
+    running over the members of the H node other than 1."""
     domain = scan_domain(model, radius, cover.a, cover.b)
     h_cone = symmetric_part(model, cover.b)
     sides = ((intersection(cover.a, complement(identity_cone(model))), "A - {1}"),
@@ -116,8 +116,8 @@ def check_coset_saturation(model: GroupModel, cover: CoverPair, radius: int) -> 
     scans = [(scan.by_element(), name) for scan, name in scans]
     domain = scans[0][0].domain
     # 1x = x1 = x, and x is drawn from A - {1} or B - H: h = 1 is skipped
-    elements, b = domain.elements, cover.b
-    for h in sorted(ball_members(b, domain) & inverse_members(b, domain) - {0}):
+    elements = domain.elements
+    for h in sorted(ball_members(h_cone, domain) - {0}):
         for scan, name in scans:
             left, right = scan.first(h, left=True), scan.first(h, left=False)
             x = min((i for i in (left, right) if i is not None), default=None)

@@ -27,7 +27,7 @@ from semicover import (
     symmetric_part,
     union,
 )
-from semicover import cones
+from semicover import covers
 from semicover.cones import (
     LEX_REGIONS,
     Complement,
@@ -453,8 +453,13 @@ def test_inverse_members_agree_with_member_of_the_inverse(data):
         # a fresh model has walked no ball, so it builds the class domain
         domains.append(parse_model(model.selector()).domain(radius, homs=homs))
     for domain in domains:
-        assert inverse_members(cone, domain) == \
-            {i for i, x in enumerate(domain.elements) if cone.member(model.inv(x))}
+        assert inverse_members(cone, domain) == inverse_oracle(cone, domain)
+
+
+def inverse_oracle(cone, domain) -> set:
+    """The indices of the domain's elements whose inverse is in the cone,
+    by member() on each inverse."""
+    return {i for i, x in enumerate(domain.elements) if cone.member(cone.model.inv(x))}
 
 
 def _element_path(model, pair):
@@ -906,10 +911,13 @@ def test_memos_stay_out_of_equality_hash_and_repr(build, other):
     ball_members(node, node.model.domain(2))
     inverse_members(node, node.model.domain(2))
     assert {"_compiled", "_members", "_inverse", "_inverse_members"} <= node.__dict__.keys()
-    object.__setattr__(node, "_compiled", compile_cone(other))
-    object.__setattr__(node, "_members", (None, frozenset({0})))
+    for slot in ("_compiled", "_inverse"):
+        object.__setattr__(node, slot, compile_cone(other))
+    for slot in ("_members", "_inverse_members"):
+        object.__setattr__(node, slot, (None, frozenset({0})))
     assert node == fresh and (hash(node), repr(node)) == before
-    assert "_compiled" not in repr(node) and "_members" not in repr(node)
+    assert not any(slot in repr(node)
+                   for slot in ("_compiled", "_members", "_inverse", "_inverse_members"))
 
 
 def test_verdicts_compare_by_value():
@@ -1011,15 +1019,15 @@ def test_verdict_memo_spares_the_repeated_scans(monkeypatch):
     # reduce_cover re-verifies the cover it is given, and each check builds
     # new nodes for sets already decided: on the reduced cover of a
     # pullback cover, reducing again runs no closure scan, and its duality
-    # verdict is read, not scanned again.  An inverse member set computed
-    # reads the cone's inverse form; one read off the node's memo does not
+    # verdict is read, not scanned again: deciding duality reads both
+    # sides' inverse member sets, and a verdict read off the memo reads none
     model = GroupModel.heisenberg()
     hom = Homomorphism(model, GroupModel.zr(1), images=[(1,), (-2,)])
     scans, inverse_sets = [], []
-    clean, inverse_form = ProductScan.clean, cones._inverse_form
+    clean, inverse_of = ProductScan.clean, covers.inverse_members
     monkeypatch.setattr(ProductScan, "clean", lambda self, xs: scans.append(xs) or clean(self, xs))
-    monkeypatch.setattr(cones, "_inverse_form",
-                        lambda cone: inverse_sets.append(cone) or inverse_form(cone))
+    monkeypatch.setattr(covers, "inverse_members",
+                        lambda cone, domain: inverse_sets.append(cone) or inverse_of(cone, domain))
     cover = pullback_cover(model, hom, radius=3)
     red = reduce_cover(model, cover.a, cover.b, 3)
     assert scans and inverse_sets

@@ -45,6 +45,7 @@ from semicover.fixtures import fixture, z_cross_c2_halves
 from semicover.groups import DEFAULT_BALL_CAP, parse_model
 from semicover.orders import LeftOrderWitness, validate_witness, witness_ok
 from semicover.suites import random_pullback_cover
+from test_cones import inverse_oracle
 
 
 def z_model():
@@ -275,10 +276,13 @@ def _check_inverse_reads(model, a, b, radius):
     pair = CoverPair(model, a, b, radius)
     v = check_inverse_duality(model, pair, radius)
     assert (v.status, v.witness, v.note) == _duality_by_members(model, pair, radius)
-    ball = model.domain(radius).elements
-    shared = [x for x in ball if a.member(x) and b.member(x)]
-    i_a = [x for x in shared if a.member(model.inv(x)) and not b.member(model.inv(x))]
-    i_b = [x for x in shared if b.member(model.inv(x)) and not a.member(model.inv(x))]
+    domain = model.domain(radius)
+    inv_a, inv_b = inverse_oracle(a, domain), inverse_oracle(b, domain)
+    ball = domain.elements
+    shared = [i for i, x in enumerate(ball) if a.member(x) and b.member(x)]
+    i_a = [ball[i] for i in shared if i in inv_a and i not in inv_b]
+    i_b = [ball[i] for i in shared if i in inv_b and i not in inv_a]
+    shared = [ball[i] for i in shared]
     if i_a and i_b:
         with pytest.raises(LemmaViolation) as exc:
             classify_intersection(model, a, b, radius)
@@ -474,11 +478,13 @@ def _refine_inverse_failure(model, cover, g):
     """refine_pair's inverse checks by member() on each element of A' -
     {1} in BFS order and its inverse: (check, witness) or None."""
     refined = refine_pair(model, cover, g, verify=False)
-    for x in model.domain(cover.radius).elements[1:]:
+    domain = model.domain(cover.radius)
+    inv_a, inv_b = inverse_oracle(refined.a, domain), inverse_oracle(refined.b, domain)
+    for i, x in enumerate(domain.elements[1:], 1):
         if refined.a.member(x):
-            if not refined.b.member(model.inv(x)):
+            if i not in inv_b:
                 return "inverse_property", (x,)
-            if refined.a.member(model.inv(x)):
+            if i in inv_a:
                 return "no_subgroup", (x,)
     return None
 
