@@ -208,26 +208,29 @@ def _format_int_tuple(x) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
 
 
-def _grow(walk: "Domain", lo: int, cap: int, product, onward) -> int:
-    """Append the next BFS layer to `walk`, whose outer layer starts at
-    index lo; return where the new one starts.  Step k is followed by the
-    steps onward[k] only: its inverse leads back to the parent."""
+def _grow(walk: "Domain", lo: int, cap: int, product, onward, radius: int) -> int:
+    """Append BFS layers to `walk`, whose outer layer starts at index lo,
+    up to `radius`; return where the outer one starts.  Step k is followed
+    by the steps onward[k] only: its inverse leads back to the parent."""
     out, index, parent, via, steps = walk.elements, walk.index, walk.parent, walk.via, walk.steps
     every = range(len(steps))
-    hi = len(out)
-    for p in range(lo, hi):
-        x = out[p]
-        for k in onward[via[p]] if p else every:
-            y = product(x, steps[k])
-            if y not in index:
-                index[y] = len(out)
-                out.append(y)
-                parent.append(p)
-                via.append(k)
-                if len(out) > cap:
-                    raise BallTooLarge(f"ball exceeds cap {cap}")
-    walk.radius += 1
-    return hi
+    n = len(out)
+    while walk.radius < radius:
+        hi = n
+        for p in range(lo, hi):
+            x = out[p]
+            for k in onward[via[p]] if p else every:
+                y = product(x, steps[k])
+                if index.setdefault(y, n) == n:
+                    n += 1
+                    out.append(y)
+                    parent.append(p)
+                    via.append(k)
+                    if n > cap:
+                        raise BallTooLarge(f"ball exceeds cap {cap}")
+        walk.radius += 1
+        lo = hi
+    return lo
 
 
 def _free_product(x, y):
@@ -272,7 +275,7 @@ class GroupModel:
         # radius -> the ball's Domain; None -> a finite model's whole group;
         # (radius, hom keys) -> the domain `domain` gave for those homs
         self._balls: dict = {}
-        self._walk: Optional[tuple] = None  # a ball stopped short, its outer layer's start
+        self._walk: Optional[tuple] = None  # a ball stopped short, with its images (`ball`)
 
     # -- constructors
 
@@ -347,21 +350,37 @@ class GroupModel:
 
         The enumeration is kept as a `Domain` (see `domain`) with its index
         map and spanning tree: element i > 0 is ball[parent[i]] *
-        steps[via[i]], with parent[i] < i.  Given `homs`, the walk stops
-        after the first layer with an element but the identity of image
-        zero under them; it is kept, and the next call continues it."""
+        steps[via[i]], with parent[i] < i.  Given `homs`, the walk carries
+        each element's joint image under them, its parent's plus its step's,
+        and stops after the first layer with an element but the identity of
+        image zero; it is kept with those images, and the next call continues
+        it.  The last layer needs no images: a zero there leaves the ball the domain."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         walk = self._balls.get(radius)
         if walk is None:
-            walk, lo = self._walk if self._walk and self._walk[0].radius <= radius else (None, 0)
+            fits = self._walk and self._walk[0].radius <= radius
+            walk, lo, seen = self._walk if fits else (None, 0, ())
             self._walk = None  # a walk cut by BallTooLarge is dropped
             steps, onward = self._steps
             walk = walk or Domain([self.identity()], {self.identity(): 0}, 0, [0], [0], steps)
-            while walk.radius < radius and (homs is None or walk.kernel_index(homs) is None):
-                lo = _grow(walk, lo, cap, self._extend, onward)
+            if homs is None:
+                lo = _grow(walk, lo, cap, self._extend, onward, radius)
+            else:
+                keys, ops = tuple([h.key for h in homs]), image_ops(homs)
+                if not seen or seen[0] != keys:
+                    seen = keys, ops, [ops.zero], [joint_image(homs, s) for s in steps]
+                _, _, images, step_images = seen
+                start, parent, via = 1, walk.parent, walk.via
+                while walk.radius < radius:
+                    for p, k in zip(parent[len(images):], via[len(images):]):
+                        images.append(ops.add(images[p], step_images[k]))
+                    if ops.zero in images[start:]:
+                        break
+                    start = len(images)
+                    lo = _grow(walk, lo, cap, self._extend, onward, walk.radius + 1)
             if walk.radius < radius:
-                self._walk = walk, lo
+                self._walk = walk, lo, seen
             else:
                 self._balls[radius] = walk
         if len(walk.elements) > cap:  # every ball holds 1
@@ -373,60 +392,57 @@ class GroupModel:
         ball of that radius; ball(0) is the identity alone, on which no
         ball-local verdict means anything, so it is refused.  Given `homs`,
         which every cone of the scan factors through, it is the ball's
-        class domain (`_class_domain`), unless the whole ball is walked,
-        already or to find the zero class.  `cap` bounds the elements held,
-        on a class domain its representatives plus that walk's."""
+        class domain (`_class_domain`), built once per hom keys, unless the
+        ball is walked already or its zero class holds no element but the
+        identity before the last layer.  `cap` bounds the elements held, on
+        a class domain its representatives plus the prefix's."""
         if radius < 1:
             raise ValueError("radius must be >= 1 for infinite models")
         key = radius if homs is None else (radius, tuple([h.key for h in homs]))
         done = self._balls.get(key)
         if done is None:
             self.ball(radius, cap, homs)
-            done = self._balls[key] = self._balls.get(radius) or \
-                self._class_domain(self._walk[0], homs, key, cap)
+            done = self._balls[key] = self._balls.get(radius) or self._class_domain(key, cap)
         if len(done.elements) > cap:
             raise BallTooLarge(f"ball exceeds cap {cap}")
         return done
 
-    def _class_domain(self, prefix: "Domain", homs, key: tuple, cap: int) -> "Domain":
+    def _class_domain(self, key: tuple, cap: int) -> "Domain":
         """For key (radius, hom keys), the identity, the first element of
-        every other joint image class of ball(radius) under homs, and z,
-        the first element of image zero but the identity, which `prefix`
-        holds, in ball order.  The classes are walked as a ball with the
-        steps' images for steps, and a class first reached from class c by
-        step s has rep(c) * s for first element: the ball numbers an
-        element by its (parent, step), and rep(c) precedes every other
-        element of c and reaches the class by the same step."""
+        every other joint image class of ball(radius) under the maps, and z,
+        the first element of image zero but the identity, in ball order.
+        z, its parent's image and its place are read off the images of the
+        stopped prefix (`ball`), which holds z.  The classes are walked as a
+        ball with the steps' images for steps, and a class first reached
+        from class c by step s has rep(c) * s for first element: the ball
+        numbers an element by its (parent, step), and rep(c) precedes every
+        other element of c and reaches the class by the same step."""
         radius, hom_keys = key
+        prefix, _, (_, ops, images, step_images) = self._walk
         steps, onward = self._steps
-        ops = image_ops(homs)
-        pc, z = prefix.classes(homs), prefix.kernel_index(homs)
-        walk = Domain([pc.keys[0]], {pc.keys[0]: 0}, 0, [0], [0],
-                      [joint_image(homs, s) for s in steps])
-        lo = 0
-        while walk.radius < radius:
-            lo = _grow(walk, lo, cap - len(prefix.elements), ops.add, onward)
+        walk = Domain([ops.zero], {ops.zero: 0}, 0, [0], [0], step_images)
+        _grow(walk, 0, cap - len(prefix.elements), ops.add, onward, radius)
         # rep(c) is reached by the class walk's step via[c], and the walk
         # never follows a step by its inverse
         elements, parent, via, extend = [prefix.elements[0]], walk.parent, walk.via, self._extend
         for c in range(1, len(parent)):
             elements.append(extend(elements[parent[c]], steps[via[c]]))
-        q = len(set(pc.cls[1:z])) + 1  # z's place: after the classes met before it
+        z = images.index(ops.zero, 1)
+        q = len(set(images[1:z])) + 1  # z's place: after the classes met before it
         parent = [p + (p >= q) for p in parent]
         elements.insert(q, prefix.elements[z])
-        parent.insert(q, walk.index[pc.keys[pc.cls[prefix.parent[z]]]])
+        parent.insert(q, walk.index[images[prefix.parent[z]]])
         via.insert(q, prefix.via[z])
         out = Domain(elements, {x: i for i, x in enumerate(elements)}, radius, parent, via,
                      steps, hom_keys)
-        # its classes under homs: the BFS's, with z in the zero class
+        # its classes under the maps: the BFS's, with z in the zero class
         keys, buckets = walk.elements, {}
-        cls = list(range(len(keys)))
-        cls.insert(q, 0)
+        cls = [*range(q), 0, *range(q, len(keys))]
         signs = list(map(ops.signs, keys))
         for c in cls[1:]:
             buckets.setdefault(signs[c], []).append(c)
         members = {keys[c]: [i] for i, c in enumerate(cls) if i}
-        out._classes[hom_keys] = ImageClasses(members, cls, keys, signs, buckets), None
+        out._classes[hom_keys] = ImageClasses(members, cls, keys, signs, buckets)
         return out
 
 
@@ -809,14 +825,16 @@ class Domain:
     i > 0 equal to elements[parent[i]] * steps[via[i]]; on a class domain
     its zero-class element only has that product's image.
 
-    What derives from the elements alone is built on first use and kept
-    here: the full index set and the image classes of each hom list; x^-1
-    conditions read cones' inverse member sets (`cones.inverse_members`).
-    `verdicts` is the memo of the verdicts decided on the domain
-    (`cones.decide_once`), keyed by plain tuples.  A domain refers
-    to neither its model nor any homomorphism, so it makes no reference
-    cycle with them or with the cone nodes that keep their member sets on
-    it.  Callers must not mutate a domain or anything it hands out."""
+    What derives from the elements alone is built once, on first use, and
+    kept here: the full index set and the image classes of each hom list,
+    a class domain's own from the walk that built it; none for a ball
+    prefix still being walked (`GroupModel.ball`), which is never handed
+    out as a domain.  x^-1 conditions read cones' inverse member sets
+    (`cones.inverse_members`).  `verdicts` is the memo of the verdicts
+    decided on the domain (`cones.decide_once`), keyed by plain tuples.  A
+    domain refers to neither its model nor any homomorphism, so it makes no
+    reference cycle with them or with the cone nodes that keep their member
+    sets on it.  Callers must not mutate a domain or anything it hands out."""
 
     __slots__ = ("elements", "index", "radius", "parent", "via", "steps", "hom_keys",
                  "_indices", "_classes", "verdicts")
@@ -826,7 +844,7 @@ class Domain:
         self.elements, self.index, self.radius = elements, index, radius
         self.parent, self.via, self.steps, self.hom_keys = parent, via, steps, hom_keys
         self._indices: Optional[frozenset] = None
-        self._classes: dict = {}  # the hom list's keys -> (ImageClasses, the walk extending it)
+        self._classes: dict = {}  # the hom list's keys -> its ImageClasses
         self.verdicts: dict = {}
 
     @property
@@ -843,36 +861,17 @@ class Domain:
         Walks the spanning tree: a homomorphism into Z^r has
         phi(x * s) = phi(x) + phi(s), so each element's image is its
         parent's plus its step's.  Only the steps are mapped, and each
-        distinct (parent class, step) pair costs one vector addition.  On
-        a ball still being walked (`GroupModel.domain`) each call extends
-        the classes over the elements added since the last one."""
+        distinct (parent class, step) pair costs one vector addition."""
         key = tuple([h.key for h in homs])
         hit = self._classes.get(key)
-        if hit is None:
-            walk = _class_walk(self.elements, self.parent, self.via,
-                               [joint_image(homs, s) for s in self.steps], image_ops(homs))
-            hit = self._classes[key] = (next(walk), walk)
-        elif len(hit[0].cls) < len(self.elements):
-            next(hit[1])
-        return hit[0]
-
-    def kernel_index(self, homs) -> Optional[int]:
-        """The first index but 0 with joint image zero under `homs`, or None."""
-        classes = self.classes(homs)
-        return (classes.members.get(classes.keys[0]) or [None])[0]
-
-
-def _class_walk(elements, parent, via, step_images, ops: VectorOps):
-    """`Domain.classes`, resumed to classify the elements appended since."""
-    n_steps = len(step_images)
-    zero, add, signs_of = ops.zero, ops.add, ops.signs
-    keys, signs, members, class_of = [zero], [signs_of(zero)], [[]], {zero: 0}
-    cls, moves, classes, buckets = [0], {}, {}, {}
-    hit = ImageClasses(classes, cls, keys, signs, buckets)
-    while True:
-        start = len(cls)
-        cls.extend([0] * (len(elements) - start))
-        for i in range(start, len(cls)):
+        if hit is not None:
+            return hit
+        ops, parent, via = image_ops(homs), self.parent, self.via
+        step_images = [joint_image(homs, s) for s in self.steps]
+        n_steps, zero, add, signs_of = len(step_images), ops.zero, ops.add, ops.signs
+        keys, signs, members, class_of = [zero], [signs_of(zero)], [[]], {zero: 0}
+        cls, moves, classes, buckets = [0] * len(self.elements), {}, {}, {}
+        for i in range(1, len(cls)):
             p, k = parent[i], via[i]
             move = cls[p] * n_steps + k
             c = moves.get(move)
@@ -890,7 +889,8 @@ def _class_walk(elements, parent, via, step_images, ops: VectorOps):
                 moves[move] = c
             cls[i] = c
             members[c].append(i)
-        yield hit
+        hit = self._classes[key] = ImageClasses(classes, cls, keys, signs, buckets)
+        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,22 @@ def _cone_trees(draw, model, explicit_leaves, homs=None):
 PROPERTY_RADIUS = {"free": 2, "heisenberg": 2}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_value_classes_agree_with_element_scan(data):
+def test_value_classes_agree_with_element_scan():
     # ball_members, the class-level closure and the class-level totality
-    # scan must agree with element-by-element membership
+    # scan must agree with element-by-element membership; some draws must
+    # read a value-pure cone on a class domain
+    class_domains = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        _value_classes_agree(data, class_domains)
+
+    check()
+    assert class_domains
+
+
+def _value_classes_agree(data, class_domains):
     model = data.draw(st.sampled_from(INFINITE_MODELS))
     radius = PROPERTY_RADIUS.get(model.kind, 3)
     domain = model.domain(radius)
@@ -290,10 +301,13 @@ def test_value_classes_agree_with_element_scan(data):
     assert ball_members(cone, domain) == {i for i, x in enumerate(ball) if cone.member(x)}
     homs = value_profile(cone)
     if homs is not None:
-        # a value-pure cone is read off its form on its class domain too
-        classes = model.domain(radius, homs=homs)
+        # a value-pure cone is read off its form on its class domain too; a
+        # fresh model has walked no ball, so it builds the class domain
+        classes = parse_model(model.selector()).domain(radius, homs=homs)
         assert ball_members(cone, classes) == \
             {i for i, x in enumerate(classes.elements) if cone.member(x)}
+        if classes.hom_keys is not None:
+            class_domains.append(classes)
 
     v = is_subsemigroup(model, cone, radius)
     assert (v.status, v.witness) == _closure_oracle(model, cone, radius)
@@ -339,30 +353,43 @@ CLASS_DOMAIN_RADIUS = {"z^2": 6, "z^3": 6, "z^1xC2": 6, "z^2xC3": 6, "heisenberg
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_class_domain_holds_the_first_element_of_each_class(data):
-    # the class domain is the identity, the first ball element of every
-    # other image class and the zero class's first element but the
-    # identity, in ball order; when the walk for that element takes the
-    # whole ball, the domain is the ball
+    # the class domain under one or two maps is the identity, the first
+    # ball element of every other image class and the zero class's first
+    # element but the identity, in ball order, on the ball's spanning tree
+    # (the zero-class element only has its pair's image); when that element
+    # is first met in the last layer, or not at all, the domain is the
+    # ball.  The ball walked on from the stopped prefix is a fresh model's
     selector = data.draw(st.sampled_from(sorted(CLASS_DOMAIN_RADIUS)))
     model = parse_model(selector)
-    hom = data.draw(_value_homs(model))
+    homs = [data.draw(_value_homs(model)) for _ in range(data.draw(st.integers(1, 2)))]
     radius = data.draw(st.integers(1, CLASS_DOMAIN_RADIUS[selector]))
-    ball = parse_model(selector).ball(radius)
-    images = [joint_image([hom], x) for x in ball]
+    fresh = parse_model(selector)
+    ball = fresh.ball(radius)
+    images = [joint_image(homs, x) for x in ball]
     firsts = {}
     for i, w in enumerate(images):
         firsts.setdefault(w, i)
     zero = next((i for i, w in enumerate(images) if i and not any(w)), None)
-    domain = model.domain(radius, homs=[hom])
-    if domain.hom_keys is None:
+    domain = model.domain(radius, homs=homs)
+    last_layer = zero is None or zero >= len(parse_model(selector).ball(radius - 1))
+    assert (domain.hom_keys is None) == last_layer
+    if last_layer:
         assert domain is model.domain(radius) and domain.elements == ball
-        assert zero is None or zero >= len(parse_model(selector).ball(radius - 1))
         return
-    assert zero is not None
     assert domain.elements == [ball[i] for i in sorted(set(firsts.values()) | {zero})]
-    classes = domain.classes([hom])
-    assert [classes.keys[c] for c in classes.cls] == [joint_image([hom], x)
+    classes = domain.classes(homs)
+    assert [classes.keys[c] for c in classes.cls] == [joint_image(homs, x)
                                                       for x in domain.elements]
+    elements, steps = domain.elements, domain.steps
+    for i in range(1, len(elements)):
+        product = model.mul(elements[domain.parent[i]], steps[domain.via[i]])
+        if elements[i] == ball[zero]:
+            assert domain.parent[i] < i and joint_image(homs, product) == images[zero]
+        else:
+            assert product == elements[i], i
+    # continuation: the ball grown on from the prefix is a fresh model's
+    assert model.ball(radius) == ball
+    assert model.domain(radius).classes(homs) == fresh.domain(radius).classes(homs)
 
 
 def _heisenberg_class_domain():

@@ -41,6 +41,7 @@ from semicover.groups import (
     joint_image,
     vector_ops,
 )
+from semicover import groups
 from semicover.cones import inverse_members
 
 ALL_MODELS = [
@@ -1026,6 +1027,48 @@ def test_free_class_domain_by_concatenation_matches_the_reduced_product(images):
         assert (got.elements, got.parent, got.via) == (want.elements, want.parent, want.via)
         assert got.classes(homs) == want.classes(homs)
     assert got.hom_keys is not None  # a class domain, not the whole ball
+
+
+# (selector, generator images, radius) whose class domain stops the ball
+# walk short: the first zero-image element in layers 1, 1, 2 and 4
+STOPPED_WALKS = [("z^2", [(1,), (0,)], 16), ("klein_bottle", [(0,), (2,)], 20),
+                 ("heisenberg", [(1,), (-1,)], 7), ("free:2", [(1, -1), (2, 1)], 5)]
+
+
+@pytest.mark.parametrize("selector,images,radius", STOPPED_WALKS,
+                         ids=[s for s, _, _ in STOPPED_WALKS])
+def test_class_domain_classifies_no_prefix(monkeypatch, selector, images, radius):
+    # the zero class is found from the prefix's joint images: building a
+    # class domain on a fresh model asks no domain for its image classes,
+    # and the stopped prefix keeps none; the class domain has its own
+    calls = []
+    classes = groups.Domain.classes
+    monkeypatch.setattr(groups.Domain, "classes",
+                        lambda self, homs: calls.append(self) or classes(self, homs))
+    model = parse_model(selector)
+    homs = [Homomorphism(model, GroupModel.zr(len(images[0])), images=images)]
+    domain = model.domain(radius, homs=homs)
+    prefix = model._walk[0]
+    assert domain.hom_keys is not None and prefix.radius < radius
+    assert not calls and not prefix._classes and list(domain._classes) == [domain.hom_keys]
+
+
+@pytest.mark.parametrize("selector,images,radius", STOPPED_WALKS,
+                         ids=[s for s, _, _ in STOPPED_WALKS])
+def test_model_keeps_one_domain_per_radius_and_maps(selector, images, radius):
+    # a model keeps one ball per radius asked, one domain per (radius, hom
+    # keys) and one stopped prefix: asking again, with equal maps, adds none
+    model = parse_model(selector)
+    target = GroupModel.zr(len(images[0]))
+    homs = [Homomorphism(model, target, images=images)]
+    domain, prefix = model.domain(radius, homs=homs), model._walk
+    kept = dict(model._balls)
+    again = model.domain(radius, homs=[Homomorphism(model, target, images=images)])
+    assert again is domain and model._walk is prefix and model._balls == kept
+    assert list(kept) == [(radius, tuple([h.key for h in homs]))]
+    ball = model.domain(radius)
+    assert model.domain(radius) is ball and model._walk is None
+    assert list(model._balls) == [*kept, radius]
 
 
 def test_parse_model_rejects_unknown():
