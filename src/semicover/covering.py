@@ -2,9 +2,9 @@
 
 sigma_g is computed by exact minimum set cover over the maximal proper
 subgroups (any minimal cover refines to maximal ones); sigma_s piggybacks
-on the torsion identity, with an exhaustive subsemigroup census available
-to cross-check it from scratch.  Both the census and the subgroup lattice
-read the group's closed subsets, found once per group by a pruned
+on the torsion identity.  The exhaustive subsemigroup census recomputes it
+from the same closed subsets that sigma_g's subgroup lattice reads, so it
+is no independent check; they are found once per group by a pruned
 enumeration whose cost follows the number of closed subsets, not 2^n.
 """
 

@@ -275,7 +275,7 @@ class GroupModel:
         # radius -> the ball's Domain; None -> a finite model's whole group;
         # (radius, hom keys) -> the domain `domain` gave for those homs
         self._balls: dict = {}
-        self._walk: Optional[tuple] = None  # a ball stopped short, with its images (`ball`)
+        self._walk: Optional[tuple] = None  # a ball stopped short, and its outer layer's start
 
     # -- constructors
 
@@ -350,37 +350,33 @@ class GroupModel:
 
         The enumeration is kept as a `Domain` (see `domain`) with its index
         map and spanning tree: element i > 0 is ball[parent[i]] *
-        steps[via[i]], with parent[i] < i.  Given `homs`, the walk carries
-        each element's joint image under them, its parent's plus its step's,
-        and stops after the first layer with an element but the identity of
-        image zero; it is kept with those images, and the next call continues
-        it.  The last layer needs no images: a zero there leaves the ball the domain."""
+        steps[via[i]], with parent[i] < i.  Given `homs`, the walk reads its
+        elements' joint images (`Domain.images`) after each layer and stops
+        after the first layer with an element but the identity of image
+        zero; it is kept, and the next call that reaches its radius
+        continues it.  The last layer needs no images: a zero there leaves
+        the ball the domain."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         walk = self._balls.get(radius)
         if walk is None:
-            fits = self._walk and self._walk[0].radius <= radius
-            walk, lo, seen = self._walk if fits else (None, 0, ())
-            self._walk = None  # a walk cut by BallTooLarge is dropped
+            walk, lo = None, 0
+            if self._walk and self._walk[0].radius <= radius:
+                (walk, lo), self._walk = self._walk, None  # a walk cut by BallTooLarge is dropped
             steps, onward = self._steps
             walk = walk or Domain([self.identity()], {self.identity(): 0}, 0, [0], [0], steps)
             if homs is None:
                 lo = _grow(walk, lo, cap, self._extend, onward, radius)
             else:
-                keys, ops = tuple([h.key for h in homs]), image_ops(homs)
-                if not seen or seen[0] != keys:
-                    seen = keys, ops, [ops.zero], [joint_image(homs, s) for s in steps]
-                _, _, images, step_images = seen
-                start, parent, via = 1, walk.parent, walk.via
+                zero, start = image_ops(homs).zero, 1
                 while walk.radius < radius:
-                    for p, k in zip(parent[len(images):], via[len(images):]):
-                        images.append(ops.add(images[p], step_images[k]))
-                    if ops.zero in images[start:]:
+                    images = walk.images(homs)
+                    if zero in images[start:]:
                         break
                     start = len(images)
                     lo = _grow(walk, lo, cap, self._extend, onward, walk.radius + 1)
             if walk.radius < radius:
-                self._walk = walk, lo, seen
+                self._walk = walk, lo
             else:
                 self._balls[radius] = walk
         if len(walk.elements) > cap:  # every ball holds 1
@@ -402,23 +398,26 @@ class GroupModel:
         done = self._balls.get(key)
         if done is None:
             self.ball(radius, cap, homs)
-            done = self._balls[key] = self._balls.get(radius) or self._class_domain(key, cap)
+            done = self._balls.get(radius) or self._class_domain(radius, homs, cap)
+            self._balls[key] = done
         if len(done.elements) > cap:
             raise BallTooLarge(f"ball exceeds cap {cap}")
         return done
 
-    def _class_domain(self, key: tuple, cap: int) -> "Domain":
-        """For key (radius, hom keys), the identity, the first element of
-        every other joint image class of ball(radius) under the maps, and z,
-        the first element of image zero but the identity, in ball order.
-        z, its parent's image and its place are read off the images of the
-        stopped prefix (`ball`), which holds z.  The classes are walked as a
-        ball with the steps' images for steps, and a class first reached
-        from class c by step s has rep(c) * s for first element: the ball
-        numbers an element by its (parent, step), and rep(c) precedes every
-        other element of c and reaches the class by the same step."""
-        radius, hom_keys = key
-        prefix, _, (_, ops, images, step_images) = self._walk
+    def _class_domain(self, radius: int, homs, cap: int) -> "Domain":
+        """The identity, the first element of every other joint image class
+        of ball(radius) under `homs`, and z, the first element of image zero
+        but the identity, in ball order.  z, its parent's image and its
+        place are read off the images of the stopped prefix (`ball`), which
+        holds z.  The classes are walked as a ball with the steps' images
+        for steps, and a class first reached from class c by step s has
+        rep(c) * s for first element: the ball numbers an element by its
+        (parent, step), and rep(c) precedes every other element of c and
+        reaches the class by the same step.  The domain's images are the
+        walk's, with zero at z's place; its classes group them."""
+        hom_keys, ops = tuple([h.key for h in homs]), image_ops(homs)
+        prefix = self._walk[0]
+        images, step_images = prefix._images[hom_keys]  # all of them: `ball` read them
         steps, onward = self._steps
         walk = Domain([ops.zero], {ops.zero: 0}, 0, [0], [0], step_images)
         _grow(walk, 0, cap - len(prefix.elements), ops.add, onward, radius)
@@ -433,16 +432,10 @@ class GroupModel:
         elements.insert(q, prefix.elements[z])
         parent.insert(q, walk.index[images[prefix.parent[z]]])
         via.insert(q, prefix.via[z])
+        walk.elements.insert(q, ops.zero)
         out = Domain(elements, {x: i for i, x in enumerate(elements)}, radius, parent, via,
                      steps, hom_keys)
-        # its classes under the maps: the BFS's, with z in the zero class
-        keys, buckets = walk.elements, {}
-        cls = [*range(q), 0, *range(q, len(keys))]
-        signs = list(map(ops.signs, keys))
-        for c in cls[1:]:
-            buckets.setdefault(signs[c], []).append(c)
-        members = {keys[c]: [i] for i, c in enumerate(cls) if i}
-        out._classes[hom_keys] = ImageClasses(members, cls, keys, signs, buckets)
+        out._images[hom_keys] = walk.elements, step_images
         return out
 
 
@@ -826,10 +819,11 @@ class Domain:
     its zero-class element only has that product's image.
 
     What derives from the elements alone is built once, on first use, and
-    kept here: the full index set and the image classes of each hom list,
-    a class domain's own from the walk that built it; none for a ball
-    prefix still being walked (`GroupModel.ball`), which is never handed
-    out as a domain.  x^-1 conditions read cones' inverse member sets
+    kept here: the full index set, and per hom list the elements' joint
+    images (`images`, seeded on a class domain by the walk that built it,
+    extended as a ball prefix grows) and their classes (`classes`), none
+    on a prefix still being walked (`GroupModel.ball`), which is never
+    handed out as a domain.  x^-1 conditions read cones' inverse member sets
     (`cones.inverse_members`).  `verdicts` is the memo of the verdicts
     decided on the domain (`cones.decide_once`), keyed by plain tuples.  A
     domain refers to neither its model nor any homomorphism, so it makes no
@@ -837,13 +831,14 @@ class Domain:
     sets on it.  Callers must not mutate a domain or anything it hands out."""
 
     __slots__ = ("elements", "index", "radius", "parent", "via", "steps", "hom_keys",
-                 "_indices", "_classes", "verdicts")
+                 "_indices", "_images", "_classes", "verdicts")
 
     def __init__(self, elements: list, index: dict, radius: int, parent, via, steps,
                  hom_keys: Optional[tuple] = None):
         self.elements, self.index, self.radius = elements, index, radius
         self.parent, self.via, self.steps, self.hom_keys = parent, via, steps, hom_keys
         self._indices: Optional[frozenset] = None
+        self._images: dict = {}  # the hom list's keys -> (its images, the steps')
         self._classes: dict = {}  # the hom list's keys -> its ImageClasses
         self.verdicts: dict = {}
 
@@ -855,41 +850,45 @@ class Domain:
             self._indices = frozenset(range(len(self.elements)))
         return self._indices
 
-    def classes(self, homs) -> ImageClasses:
-        """The elements' classes under the joint image of `homs`.
+    def images(self, homs) -> list:
+        """Each element's joint image under `homs` (see `joint_image`), in
+        domain order: a homomorphism into Z^r has phi(x * s) = phi(x) +
+        phi(s), so element i's image is its parent's plus its step's.  Only
+        the steps are mapped.  Kept per hom list with the step images, and
+        extended, not rebuilt, once the domain has grown (a ball prefix
+        continued); a class domain's are set by the walk that built it."""
+        key = tuple([h.key for h in homs])
+        kept = self._images.get(key)
+        if kept is None:
+            kept = self._images[key] = ([image_ops(homs).zero],
+                                        [joint_image(homs, s) for s in self.steps])
+        images, step_images = kept
+        n = len(images)
+        if n < len(self.elements):
+            add = image_ops(homs).add
+            for p, k in zip(self.parent[n:], self.via[n:]):
+                images.append(add(images[p], step_images[k]))
+        return images
 
-        Walks the spanning tree: a homomorphism into Z^r has
-        phi(x * s) = phi(x) + phi(s), so each element's image is its
-        parent's plus its step's.  Only the steps are mapped, and each
-        distinct (parent class, step) pair costs one vector addition."""
+    def classes(self, homs) -> ImageClasses:
+        """The elements' classes under the joint image of `homs`: their
+        images (`images`) grouped, each class's sign pattern formed once."""
         key = tuple([h.key for h in homs])
         hit = self._classes.get(key)
         if hit is not None:
             return hit
-        ops, parent, via = image_ops(homs), self.parent, self.via
-        step_images = [joint_image(homs, s) for s in self.steps]
-        n_steps, zero, add, signs_of = len(step_images), ops.zero, ops.add, ops.signs
-        keys, signs, members, class_of = [zero], [signs_of(zero)], [[]], {zero: 0}
-        cls, moves, classes, buckets = [0] * len(self.elements), {}, {}, {}
-        for i in range(1, len(cls)):
-            p, k = parent[i], via[i]
-            move = cls[p] * n_steps + k
-            c = moves.get(move)
-            if c is None:
-                w = add(keys[cls[p]], step_images[k])
-                c = class_of.get(w)
-                if c is None:
-                    c = class_of[w] = len(keys)
-                    keys.append(w)
-                    signs.append(signs_of(w))
-                    members.append([])
-                if not members[c]:  # the identity's class may fill late
-                    classes[w] = members[c]
-                    buckets.setdefault(signs[c], []).append(c)
-                moves[move] = c
-            cls[i] = c
-            members[c].append(i)
-        hit = self._classes[key] = ImageClasses(classes, cls, keys, signs, buckets)
+        images = self.images(homs)
+        class_of = {images[0]: 0}
+        cls = [class_of.setdefault(w, len(class_of)) for w in images]
+        members: dict = {}
+        for i in range(1, len(images)):
+            members.setdefault(images[i], []).append(i)
+        keys = list(class_of)
+        signs = list(map(image_ops(homs).signs, keys))
+        buckets: dict = {}
+        for c in map(class_of.__getitem__, members):
+            buckets.setdefault(signs[c], []).append(c)
+        hit = self._classes[key] = ImageClasses(members, cls, keys, signs, buckets)
         return hit
 
 

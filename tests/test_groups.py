@@ -759,11 +759,8 @@ def test_one_path_for_vector_sums_and_signs():
     assert found == []
 
 
-def test_conjugation_only_in_the_normality_verdict():
-    # every conjugate in src is formed by `cones.normality_verdict`, the one
-    # check of conjugation stability, or by `covers.conjugate_split`, which
-    # splits H along the conjugator that check found: no second normality
-    # scan
+def _callers(func: str) -> list:
+    """The qualified names of the functions in src that call `func`."""
     src = Path(__file__).resolve().parent.parent / "src" / "semicover"
     found = set()
 
@@ -771,13 +768,31 @@ def test_conjugation_only_in_the_normality_verdict():
         for child in ast.iter_child_nodes(node):
             inner = f"{qual}.{child.name}" if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else qual
-            if isinstance(child, ast.Call) and _name(child.func) == "conj":
+            if isinstance(child, ast.Call) and _name(child.func) == func:
                 found.add(inner)
             visit(child, inner)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sorted(found) == ["cones.normality_verdict", "covers.conjugate_split"]
+    return sorted(found)
+
+
+def test_one_image_walk():
+    # `Domain.images` is the one walk that sums joint images along a
+    # spanning tree, and the only code in groups.py that maps steps with
+    # `joint_image`; elsewhere it maps only elements off a domain: a form's
+    # sign pattern of one element, a product scan's exceptions and a
+    # comparator's arguments
+    assert _callers("joint_image") == ["cones.Form.signs", "cones.ProductScan.clean",
+                                       "groups.Domain.images", "orders.LeftOrderComparator._image"]
+
+
+def test_conjugation_only_in_the_normality_verdict():
+    # every conjugate in src is formed by `cones.normality_verdict`, the one
+    # check of conjugation stability, or by `covers.conjugate_split`, which
+    # splits H along the conjugator that check found: no second normality
+    # scan
+    assert _callers("conj") == ["cones.normality_verdict", "covers.conjugate_split"]
 
 
 def test_inverse_conditions_read_inverse_members():
@@ -1040,7 +1055,8 @@ STOPPED_WALKS = [("z^2", [(1,), (0,)], 16), ("klein_bottle", [(0,), (2,)], 20),
 def test_class_domain_classifies_no_prefix(monkeypatch, selector, images, radius):
     # the zero class is found from the prefix's joint images: building a
     # class domain on a fresh model asks no domain for its image classes,
-    # and the stopped prefix keeps none; the class domain has its own
+    # and the stopped prefix keeps none; the class domain's images are
+    # seeded by the walk that built it, and grouped when first asked for
     calls = []
     classes = groups.Domain.classes
     monkeypatch.setattr(groups.Domain, "classes",
@@ -1050,7 +1066,47 @@ def test_class_domain_classifies_no_prefix(monkeypatch, selector, images, radius
     domain = model.domain(radius, homs=homs)
     prefix = model._walk[0]
     assert domain.hom_keys is not None and prefix.radius < radius
-    assert not calls and not prefix._classes and list(domain._classes) == [domain.hom_keys]
+    assert not calls and not prefix._classes
+    assert list(domain._images) == [domain.hom_keys] and not domain._classes
+
+
+@pytest.mark.parametrize("selector,images,radius", STOPPED_WALKS,
+                         ids=[s for s, _, _ in STOPPED_WALKS])
+def test_continued_prefix_keeps_its_images(monkeypatch, selector, images, radius):
+    # the ball that continues a stopped prefix extends the prefix's images:
+    # its classes under the same maps map no element, and equal a fresh
+    # model's
+    model = parse_model(selector)
+    target = GroupModel.zr(len(images[0]))
+    homs = [Homomorphism(model, target, images=images)]
+    model.domain(radius, homs=homs)
+    prefix = model._walk[0]
+    ball = model.domain(radius)
+    assert ball is prefix and ball.radius == radius
+    calls = []
+    apply = Homomorphism.apply
+    monkeypatch.setattr(Homomorphism, "apply", lambda self, x: calls.append(x) or apply(self, x))
+    classes = ball.classes(homs)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = parse_model(selector)
+    assert classes == fresh.domain(radius).classes([Homomorphism(fresh, target, images=images)])
+
+
+def test_smaller_ball_keeps_the_stopped_prefix():
+    # a ball below the stopped prefix's radius is walked afresh and leaves
+    # the prefix on the model, so a later class domain continues it
+    model = parse_model("free:2")
+    homs = [Homomorphism(model, GroupModel.zr(2), images=[(1, -1), (2, 1)])]
+    model.domain(5, homs=homs)
+    prefix = model._walk[0]
+    assert len(prefix.elements) == 161 and prefix.radius == 4
+    assert len(model.ball(3)) == 53 and model._walk[0] is prefix
+    domain = model.domain(6, homs=homs)
+    assert model._walk[0] is prefix
+    fresh = parse_model("free:2")
+    want = fresh.domain(6, homs=[Homomorphism(fresh, GroupModel.zr(2), images=[(1, -1), (2, 1)])])
+    assert (domain.elements, domain.parent, domain.via) == (want.elements, want.parent, want.via)
 
 
 @pytest.mark.parametrize("selector,images,radius", STOPPED_WALKS,
