@@ -29,7 +29,6 @@ from .covering import (
     maximal_subgroups,
     scorza_check,
     sigma_g,
-    sigma_s_finite,
     subsemigroup_census,
     two_cover_search,
 )

@@ -1,11 +1,11 @@
 """Finite-group covering numbers.
 
 sigma_g is computed by exact minimum set cover over the maximal proper
-subgroups (any minimal cover refines to maximal ones); sigma_s piggybacks
-on the torsion identity.  The exhaustive subsemigroup census recomputes it
-from the same closed subsets that sigma_g's subgroup lattice reads, so it
-is no independent check; they are found once per group by a pruned
-enumeration whose cost follows the number of closed subsets, not 2^n.
+subgroups (any minimal cover refines to maximal ones).  In a finite group
+every nonempty closed subset is a subgroup, so sigma_s = sigma_g; the
+exhaustive subsemigroup census checks that on the group, from the closed
+subsets sigma_g's subgroup lattice reads, found once per group by a pruned
+enumeration whose cost follows their number, not 2^n.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ def maximal_subgroups(group: FiniteGroup) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class CoveringNumberResult:
-    def __init__(self, sigma_g: Optional[int], sigma_s: Optional[int],
-                 witness_cover: list[list[int]], method: str):
-        self.sigma_g, self.sigma_s = sigma_g, sigma_s  # None = undefined (cyclic)
-        self.witness_cover, self.method = witness_cover, method
+    def __init__(self, sigma_g: Optional[int], witness_cover: list[list[int]]):
+        self.sigma_g, self.witness_cover = sigma_g, witness_cover  # None = undefined (cyclic)
 
 
 def _is_cyclic(group: FiniteGroup) -> bool:
@@ -122,13 +120,13 @@ def sigma_g(group: FiniteGroup) -> CoveringNumberResult:
     if group.order > DEFAULT_SUBGROUP_CAP:
         raise GroupTooLarge(f"order {group.order} exceeds cap {DEFAULT_SUBGROUP_CAP}")
     if _is_cyclic(group):
-        return CoveringNumberResult(None, None, [], "maximal_set_cover")
+        return CoveringNumberResult(None, [])
     full = (1 << group.order) - 1
     cover = _min_cover(full, maximal_subgroups(group))
     if cover is None:
         raise CoveringMismatch(f"non-cyclic {group.name} is not covered by its maximal subgroups")
     witness = [sorted(_mask_members(m)) for m in cover]
-    return CoveringNumberResult(len(cover), None, witness, "maximal_set_cover")
+    return CoveringNumberResult(len(cover), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +134,8 @@ def sigma_g(group: FiniteGroup) -> CoveringNumberResult:
 # ---------------------------------------------------------------------------
 
 class CensusResult:
-    def __init__(self, closed_subsets: list[int], all_are_subgroups: bool,
-                 first_exception: Optional[int]):
-        self.closed_subsets = closed_subsets
-        self.all_are_subgroups, self.first_exception = all_are_subgroups, first_exception
+    def __init__(self, closed_subsets: list[int], all_are_subgroups: bool):
+        self.closed_subsets, self.all_are_subgroups = closed_subsets, all_are_subgroups
 
 
 def subsemigroup_census(group: FiniteGroup,
@@ -151,28 +147,7 @@ def subsemigroup_census(group: FiniteGroup,
     if n > cap:
         raise GroupTooLarge(f"order {n} exceeds exhaustive cap {cap}")
     closed = list(_closed_subsets(group)[1:])  # the empty set sorts first
-    exception = next((m for m in closed if not _is_subgroup(group, m)), None)
-    return CensusResult(closed, exception is None, exception)
-
-
-def sigma_s_finite(group: FiniteGroup, base: CoveringNumberResult,
-                   census: Optional[CensusResult]) -> CoveringNumberResult:
-    """Subsemigroup covering number via the torsion identity, from the
-    group's sigma_g result `base`.  Given the group's census it is
-    recomputed from the closed subsets and must agree."""
-    result = CoveringNumberResult(base.sigma_g, base.sigma_g, base.witness_cover,
-                                  "maximal_set_cover")
-    if census is not None:
-        full = (1 << group.order) - 1
-        # every proper closed set lies in a maximal one, so the maximal
-        # ones alone reach the same minimum
-        cover = _min_cover(full, _maximal([m for m in census.closed_subsets if m != full]))
-        recomputed = len(cover) if cover is not None else None
-        if recomputed != base.sigma_g:
-            raise CoveringMismatch(
-                f"census sigma_s {recomputed} != sigma_g {base.sigma_g} on {group.name}")
-        result.method = "exhaustive_semigroup"
-    return result
+    return CensusResult(closed, all(_is_subgroup(group, m) for m in closed))
 
 
 # ---------------------------------------------------------------------------

@@ -48,32 +48,18 @@ A_SIDE = "A_side"
 # Intersection classification (orientation of the shared part)
 # ---------------------------------------------------------------------------
 
-class IntersectionSplit:
-    """I = A n B on the domain, in BFS order: `i_members` all of it, `i_a`
-    and `i_b` the parts whose inverses land in one side only.  On a class
-    domain each holds one element per image class; the first element of
-    each is the ball's."""
-
-    def __init__(self, side: str, i_a: list, i_b: list, i_members: list):
-        self.side = side            # which side is guaranteed to absorb <I>
-        self.i_a = i_a              # x in I with x^-1 in A only
-        self.i_b = i_b              # x in I with x^-1 in B only
-        self.i_members = i_members
-
-
-def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
-                          radius: int) -> IntersectionSplit:
-    """Split I = A n B by where inverses land.  For a genuine cover one of
-    the two parts is empty; both nonempty is reported as a LemmaViolation
-    with the concrete non-closure evidence it implies."""
+def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> str:
+    """The side guaranteed to absorb <I>, for I = A n B on the domain:
+    A_SIDE when some x in I has x^-1 in A only, else B_SIDE.  In a genuine
+    cover no x in I has x^-1 in B only then; the first such x and y, in BFS
+    order, are a LemmaViolation with the non-closure evidence they imply."""
     domain = scan_domain(model, radius, a, b)
-    elements = domain.elements
     shared = ball_members(a, domain) & ball_members(b, domain)
     inv_a, inv_b = inverse_members(a, domain), inverse_members(b, domain)
-    i_a = [elements[i] for i in sorted(shared & inv_a - inv_b)]
-    i_b = [elements[i] for i in sorted(shared & inv_b - inv_a)]
-    if i_a and i_b:
-        x, y = i_a[0], i_b[0]
+    i_a = min(shared & inv_a - inv_b, default=None)
+    i_b = min(shared & inv_b - inv_a, default=None)
+    if i_a is not None and i_b is not None:
+        x, y = domain.elements[i_a], domain.elements[i_b]
         z = model.mul(model.inv(x), model.inv(y))
         # whichever side holds z, multiplying back escapes that side
         if a.member(z):
@@ -86,8 +72,7 @@ def classify_intersection(model: GroupModel, a: ConeSet, b: ConeSet,
             "both halves of the intersection split are nonempty",
             witness=(x, y), non_closure=evidence,
         )
-    side = A_SIDE if i_a else B_SIDE
-    return IntersectionSplit(side, i_a, i_b, [elements[i] for i in sorted(shared)])
+    return A_SIDE if i_a is not None else B_SIDE
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +156,7 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> Cove
     a = union(a, one_cone)
     b = union(b, one_cone)
 
-    split = classify_intersection(model, a, b, radius)
-    if split.side == A_SIDE:
+    if classify_intersection(model, a, b, radius) == A_SIDE:
         a, b = b, a
 
     domain = scan_domain(model, radius, a, b)
@@ -206,9 +190,10 @@ def reduce_cover(model: GroupModel, a: ConeSet, b: ConeSet, radius: int) -> Cove
 
 def conjugate_split(model: GroupModel, cover: CoverPair, g) -> list:
     """H_A: the members h != 1 of H = B n B^-1, the maximal subgroup of B,
-    whose conjugate g^-1 h g lands in A - B, in BFS order.  Ball-local, at
-    the cover's radius."""
-    domain, b = model.domain(cover.radius), cover.b
+    whose conjugate g^-1 h g lands in A - B, in BFS order.  Ball-local, on
+    ball(2r) for the cover's radius r: the refined pair's closure check at
+    radius r reads products of two ball(r) elements."""
+    domain, b = model.domain(2 * cover.radius), cover.b
     hmem = ball_members(b, domain) & inverse_members(b, domain) - {0}
     if not hmem:
         raise IdentityOnlyH("the maximal subgroup of B is trivial on the ball")

@@ -35,14 +35,13 @@ from semicover.covering import (
     _mask_members,
     scorza_check,
     sigma_g,
-    sigma_s_finite,
     subsemigroup_census,
     two_cover_search,
 )
 from semicover.fixtures import CORPUS, fixture, z_cross_c2_halves, witness_hom_fixtures
 from semicover.presentations import analyze_presentation
 from semicover.snf import smith_normal_form
-from semicover.suites import suite_lemmas
+from semicover.suites import sigma_report, suite_lemmas
 from test_orders import quotient_witness
 from test_snf import det, mat_mul
 
@@ -180,8 +179,9 @@ def test_acceptance_5_covering_numbers_on_corpus():
     for name in CORPUS:
         group = fixture(name)
         res_g = sigma_g(group)
-        res_s = sigma_s_finite(group, res_g, subsemigroup_census(group, DEFAULT_SUBGROUP_CAP))
-        assert res_g.sigma_g == res_s.sigma_s, name
+        full = sigma_report(group, subsemigroup_census(group, DEFAULT_SUBGROUP_CAP))
+        assert full["sigma_s"] == full["sigma_g"] == (res_g.sigma_g or "undefined"), name
+        assert full["census"]["all_are_subgroups"], name
         assert res_g.sigma_g not in (2, 7), name
         left, right = scorza_check(group, res_g)
         assert left == right, name

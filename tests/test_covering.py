@@ -10,20 +10,19 @@ from hypothesis import given, settings, strategies as st
 from semicover import cli, covering
 from semicover.covering import (
     DEFAULT_SUBGROUP_CAP,
-    CensusResult,
     _mask_members,
     _maximal,
     all_subgroups,
     maximal_subgroups,
     scorza_check,
     sigma_g,
-    sigma_s_finite,
     subsemigroup_census,
     two_cover_search,
 )
-from semicover.errors import CoveringMismatch, GroupTooLarge
+from semicover.errors import GroupTooLarge
 from semicover.fixtures import CORPUS, cyclic, fixture
-from semicover.groups import FiniteGroup
+from semicover.groups import FiniteGroup, right_closure
+from semicover.suites import sigma_report
 
 
 def brute_subgroups(group):
@@ -214,7 +213,6 @@ def test_census_matches_power_set_scan(name):
     res = subsemigroup_census(g, DEFAULT_SUBGROUP_CAP)
     closed, exception = brute_census(g)
     assert res.closed_subsets == closed
-    assert res.first_exception == exception
     assert res.all_are_subgroups and exception is None
 
 
@@ -277,40 +275,65 @@ def test_census_cap():
 
 
 # ---------------------------------------------------------------------------
-# sigma_s
+# sigma_s and the census checks
 # ---------------------------------------------------------------------------
 
-def exhaustive_sigma_s(g):
-    return sigma_s_finite(g, sigma_g(g), subsemigroup_census(g))
+def exhaustive_report(g):
+    return sigma_report(g, subsemigroup_census(g))
 
 
 def test_sigma_s_v4_exhaustive_agreement():
-    res = exhaustive_sigma_s(fixture("V4"))
-    assert res.sigma_s == res.sigma_g == 3
-    assert res.method == "exhaustive_semigroup"
+    report = exhaustive_report(fixture("V4"))
+    assert report["sigma_s"] == report["sigma_g"] == 3
+    assert report["method"] == "exhaustive_semigroup"
+    assert sigma_report(fixture("V4"), None)["method"] == "maximal_set_cover"
 
 
 def test_sigma_s_s3_exhaustive_agreement():
-    res = exhaustive_sigma_s(fixture("S3"))
-    assert res.sigma_s == res.sigma_g == 4
+    report = exhaustive_report(fixture("S3"))
+    assert report["sigma_s"] == report["sigma_g"] == 4
 
 
 def test_sigma_s_cyclic_undefined_both_ways():
-    res = exhaustive_sigma_s(cyclic(6))
-    assert res.sigma_g is None and res.sigma_s is None
+    report = exhaustive_report(cyclic(6))
+    assert report["sigma_g"] == report["sigma_s"] == "undefined"
 
 
-def test_sigma_s_rejects_an_inconsistent_census():
-    # a census that lists only {1} and V4 itself has no proper cover at all
-    g = fixture("V4")
-    census = CensusResult([0b0001, 0b1111], True, None)
-    with pytest.raises(CoveringMismatch):
-        sigma_s_finite(g, sigma_g(g), census)
-    # without one of its order-2 subgroups, V4 has no proper cover either
-    census = subsemigroup_census(g)
-    census.closed_subsets = [m for m in census.closed_subsets if m != brute_subgroups(g)[1]]
-    with pytest.raises(CoveringMismatch):
-        sigma_s_finite(g, sigma_g(g), census)
+def _open_closure(table, mask, members, gens, floor=0):
+    """`right_closure` without its closing loop: H·j alone."""
+    j = gens[-1]
+    mask |= 1 << j
+    new = [j]
+    for h in members:
+        p = table[h][j]
+        if not mask >> p & 1:
+            if p < floor:
+                return None
+            mask |= 1 << p
+            new.append(p)
+    return mask, members + new
+
+
+def _short_closure(table, mask, members, gens, floor=0):
+    """`right_closure` that drops the last new element it found."""
+    out = right_closure(table, mask, members, gens, floor)
+    if out is None or len(out[1]) == len(members) + 1:
+        return out
+    mask, found = out
+    return mask & ~(1 << found[-1]), found[:-1]
+
+
+@pytest.mark.parametrize("closure", [_open_closure, _short_closure])
+def test_census_checks_catch_a_faulty_enumeration(monkeypatch, closure):
+    # census_subgroups and no_two_cover always hold on a correct
+    # enumeration; they stay in the report as its checks.  Each group is
+    # fresh, as the closed subsets are kept on the group
+    monkeypatch.setattr(covering, "right_closure", closure)
+    for name in CORPUS:
+        g = fixture(name)
+        census = subsemigroup_census(g, DEFAULT_SUBGROUP_CAP)
+        caught = not census.all_are_subgroups or two_cover_search(g, census)["covers_found"]
+        assert caught or g.order < 3, name
 
 
 # ---------------------------------------------------------------------------

@@ -72,18 +72,12 @@ def overlap_model_and_cones():
 
 def test_classify_z_split():
     m = z_model()
-    split = classify_intersection(m, z_nonneg(m), z_nonpos(m), 6)
-    assert split.side == "B_side"
-    assert split.i_a == [] and split.i_b == []
-    assert split.i_members == [(0,)]
+    assert classify_intersection(m, z_nonneg(m), z_nonpos(m), 6) == "B_side"
 
 
 def test_classify_overlap_cover():
     m, a, b = overlap_model_and_cones()
-    split = classify_intersection(m, a, b, 6)
-    assert split.side == "B_side"
-    assert split.i_a == [] and split.i_b == []
-    assert set(split.i_members) == {(0, 0), (0, 1)}
+    assert classify_intersection(m, a, b, 6) == "B_side"
 
 
 def test_classify_violation_reports_non_closure():
@@ -131,9 +125,7 @@ def test_reduce_a_side_split_swaps_the_sides(radius):
     first = Homomorphism(m, GroupModel.zr(1), images=[(1,), (0,)])
     a = complement(pullback(first, "lex_pos"))
     b = pullback(Homomorphism(m, GroupModel.zr(2), images=[(1, 0), (0, 1)]), "lex_nonneg")
-    split = classify_intersection(m, a, b, radius)
-    assert split.side == "A_side" and split.i_b == []
-    assert split.i_a[:3] == [(0, 1), (0, 2), (0, 3)]
+    assert classify_intersection(m, a, b, radius) == "A_side"
     red = reduce_cover(m, a, b, radius)
     assert len(red.flags) == 7 and all(v.ok for v in red.flags.values())
     mirrored = reduce_cover(m, b, a, radius)
@@ -282,15 +274,12 @@ def _check_inverse_reads(model, a, b, radius):
     shared = [i for i, x in enumerate(ball) if a.member(x) and b.member(x)]
     i_a = [ball[i] for i in shared if i in inv_a and i not in inv_b]
     i_b = [ball[i] for i in shared if i in inv_b and i not in inv_a]
-    shared = [ball[i] for i in shared]
     if i_a and i_b:
         with pytest.raises(LemmaViolation) as exc:
             classify_intersection(model, a, b, radius)
         assert exc.value.witness == (i_a[0], i_b[0])
         return
-    split = classify_intersection(model, a, b, radius)
-    assert (split.side, split.i_a, split.i_b, split.i_members) == \
-        ("A_side" if i_a else "B_side", i_a, i_b, shared)
+    assert classify_intersection(model, a, b, radius) == ("A_side" if i_a else "B_side")
 
 
 def _cover_verdicts(model, cover, radius):
@@ -372,8 +361,8 @@ def test_split_lists_every_element_of_a_walked_ball():
     # on free:2 at radius 3 no element but 1 maps to 0 under the
     # abelianization, so the value-pure pair's domain is the whole ball,
     # where ab and ba share an image class: with G and P = {x >= 0 lex}
-    # as the sides, i_a (or i_b, swapped) is all of P - P^-1, every member
-    # of each class
+    # as the sides, the split and the duality read every member of each
+    # class, and P - P^-1 puts the split on the side of G
     model = GroupModel.free(2)
     hom = Homomorphism(model, GroupModel.zr(2), images=[(1, 0), (0, 1)])
     whole = union(complement(identity_cone(model)), identity_cone(model))
@@ -381,8 +370,8 @@ def test_split_lists_every_element_of_a_walked_ball():
     assert model.domain(3, homs=value_profile(whole, p)) is model.domain(3)
     for a, b in ((whole, p), (p, whole)):
         _check_inverse_reads(model, a, b, 3)
-    split = classify_intersection(model, whole, p, 3)
-    assert split.side == "A_side" and len(split.i_a) > len({hom.apply(x) for x in split.i_a})
+    assert classify_intersection(model, whole, p, 3) == "A_side"
+    assert classify_intersection(model, p, whole, 3) == "B_side"
 
 
 def test_saturation_catches_moved_element():
@@ -448,8 +437,9 @@ def test_conjugate_split_klein_finds_moved_part():
     # odd negative b-powers conjugate into the A side
     assert (-1, 0) in h_a
     assert all(k % 2 == 1 and k < 0 for k, n in h_a)
-    # H_A is a part of H without the identity, listed in BFS order
-    domain = kb.domain(4)
+    # H_A is a part of H without the identity, listed in BFS order on
+    # ball(2r), the ball the split reads
+    domain = kb.domain(8)
     hmem = ball_members(symmetric_part(kb, cover.b), domain)
     a_part = [domain.index[h] for h in h_a]
     assert a_part == sorted(a_part) and set(a_part) < hmem - {0}
@@ -620,6 +610,25 @@ def test_descent_depth_exceeded_on_synthetic():
     state = minimal_pair_descent(kb, cover, max_depth=0)
     assert state.outcome == "depth_exceeded"
     assert not state.succeeded
+
+
+def test_descent_refines_the_heisenberg_orbit_cover():
+    # Heisenberg acts on lex-ordered Z^2 by (p, q) -> (p + xq + z, q + y);
+    # at p0 = (0, 1) its orbit cover is B = {y > 0} u {y = 0, x + z >= 0}
+    # and A its mirror image, here as include lists over ball(6), the ball
+    # the refined pair's closure at radius 3 reads.  A n B = <(1, 0, -1)>,
+    # which conjugation by (0, 1, 0) moves to (1, 0, 0): the descent takes
+    # a step
+    hs = GroupModel.heisenberg()
+    ball = hs.ball(6)
+    b = explicit(hs, [g for g in ball if g[1] > 0 or (g[1] == 0 and g[0] + g[2] >= 0)])
+    a = explicit(hs, [g for g in ball if g[1] < 0 or (g[1] == 0 and g[0] + g[2] <= 0)])
+    state = minimal_pair_descent(hs, reduce_cover(hs, a, b, 3), max_depth=8)
+    assert state.outcome == "normal_found" and state.step == 1
+    assert state.history == [(1, (0, 1, 0), (1, 0, -1))]
+    w, verdicts = order_witness_from_cover(hs, a, b, 3)
+    assert len(verdicts) == 5 and witness_ok(verdicts)
+    assert [x for x in hs.ball(3) if contains(hs, w.kernel, x)] == [(0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -795,6 +795,12 @@ def test_conjugation_only_in_the_normality_verdict():
     assert _callers("conj") == ["cones.normality_verdict", "covers.conjugate_split"]
 
 
+def test_one_set_cover():
+    # `covering.sigma_g` runs the one minimum set cover; sigma_s is read
+    # off its value, so nothing covers the closed subsets a second time
+    assert _callers("_min_cover") == ["covering.sigma_g"]
+
+
 def test_inverse_conditions_read_inverse_members():
     # every x^-1 condition on a domain is read off `cones.inverse_members`:
     # src names no inverse pair list and no per-element inverse index, and
